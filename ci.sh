@@ -15,8 +15,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+# --workspace: the root manifest is itself a package, so a bare
+# `cargo test` would run only the facade crate's tests.
+cargo test --workspace -q
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 # Docs gate: every intra-doc link must resolve and every doctest-bearing
@@ -72,21 +74,12 @@ echo "==> repro recover --quick --check BENCH_perf.json"
 # garbage bytes, and recovers — asserting the recovered KB is
 # byte-identical to a live oracle (same JSON image, generation
 # counters, and access paths) and that a server restarted over the
-# recovered directory serves byte-identical replies. The recovery is
-# timed against a JSON-snapshot twin of the same torn directory, and
-# the committed min_speedup floor on recover_replay fails the run if
-# the binary OBCSSNB1 path stops beating the JSON encoding it
-# replaced; the 5x regression ceiling covers every recover_* stage,
-# including the recover_compact swap timing.
+# recovered directory serves byte-identical replies. The committed
+# min_speedup floor on recover_vs_rebuild fails the run if recovery
+# becomes materially slower than regenerating the world; the 5x
+# regression ceiling covers every recover_* stage, including the
+# recover_compact timing of DurableKb::snapshot().
 cargo run -q --release -p obcs-bench --bin repro -- recover --quick --check BENCH_perf.json
-
-echo "==> legacy durability fixture (JSON-era directory still recovers)"
-# Backward-compatibility gate: the committed OBCSSNP1 JSON snapshot +
-# OBCSWAL1 pre-epoch WAL under crates/kb/tests/data/legacy_durability/
-# must keep recovering byte-identically to its oracle. Format drift
-# that would strand a real pre-binary directory fails here, not on a
-# user's restart.
-cargo test -q -p obcs-kb --test legacy_fixture
 
 echo "==> protocol spec round-trip (docs/PROTOCOL.md vs serde types)"
 # Doc-rot gate: every fenced json example in docs/PROTOCOL.md must parse

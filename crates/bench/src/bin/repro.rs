@@ -318,13 +318,12 @@ fn recover(args: &[String], seed: u64) {
     };
     print!("{}", report.render_text());
     println!(
-        "recovered {} WAL records (torn tail: {} bytes truncated) in {:.1} ms binary \
-         vs {:.1} ms JSON — rebuild twin {:.1} ms, compaction swap {:.1} ms; \
+        "recovered {} WAL records (torn tail: {} bytes truncated) in {:.1} ms — \
+         rebuild twin {:.1} ms, compaction {:.1} ms; \
          {} served turns byte-identical after restart",
         outcome.wal_records,
         outcome.wal_truncated_bytes,
         outcome.recover_ms,
-        outcome.json_recover_ms,
         outcome.rebuild_ms,
         outcome.compact_ms,
         outcome.identity_turns

@@ -5,14 +5,11 @@
 //! snapshot, corrupts the log's tail with garbage bytes, and then times
 //! recovery — asserting the recovered KB matches a live oracle that
 //! applied the same mutations: same JSON image, same generation
-//! counters, same access paths. The timed recovery is a *comparison*:
-//! the identical world and torn WAL are also recovered through a twin
-//! directory whose snapshot was written in the legacy `OBCSSNP1` JSON
-//! encoding, so `recover_replay` measures the streamed `OBCSSNB1`
-//! binary format against the JSON parse it replaced, under a committed
-//! `min_speedup` floor. A `recover_compact` stage times the full
-//! compaction swap (stream snapshot to tmp, rename, WAL handoff) over
-//! the recovered state. Finally a server started over the recovered
+//! counters, same access paths. The timed recovery is compared with
+//! rebuilding the same KB from the data generator (`recover_vs_rebuild`).
+//! A `recover_compact` stage times one compaction (`DurableKb::snapshot`:
+//! stream the snapshot to tmp, rename, reset the WAL) over the
+//! recovered state. Finally a server started over the recovered
 //! directory replays a deterministic script and its replies are
 //! asserted byte-identical to a server holding the original KB — the
 //! same equality-before-speed contract every other stage follows. The
@@ -26,7 +23,6 @@ use std::time::Instant;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use obcs_kb::snapshot::write_snapshot_json;
 use obcs_kb::{DurableKb, IndexKind, Value, SNAPSHOT_FILE, WAL_FILE};
 use obcs_mdx::data::build_mdx_kb;
 use obcs_serve::protocol::encode_line;
@@ -36,13 +32,6 @@ use obcs_sim::utterance::generate;
 
 use crate::perf::{Comparison, PerfOptions, Timing};
 use crate::World;
-
-/// Committed floor for the `recover_replay` comparison: recovering the
-/// binary `OBCSSNB1` snapshot must beat recovering the same image from
-/// the legacy JSON encoding by at least this factor (the baseline sits
-/// near 4x; 1.5x leaves headroom for runner noise while still failing a
-/// binary path that silently falls back to a JSON round-trip).
-pub const RECOVER_REPLAY_FLOOR: f64 = 1.5;
 
 /// Committed floor for the `recover_vs_rebuild` comparison. In the
 /// quick profile the 60-drug generator is about as cheap as recovery
@@ -64,12 +53,9 @@ pub struct RecoverBenchOutcome {
     /// Garbage tail bytes the recovery truncated (must be non-zero: the
     /// pass always tears the log before recovering).
     pub wal_truncated_bytes: u64,
-    /// Wall time of the timed recovery (binary snapshot), ms.
+    /// Wall time of the timed recovery, ms.
     pub recover_ms: f64,
-    /// Wall time of recovering the same image + torn WAL through the
-    /// legacy JSON snapshot encoding, ms.
-    pub json_recover_ms: f64,
-    /// Wall time of one full compaction swap over the recovered state, ms.
+    /// Wall time of one compaction over the recovered state, ms.
     pub compact_ms: f64,
     /// Wall time of rebuilding the same KB from the data generator, ms.
     pub rebuild_ms: f64,
@@ -167,34 +153,7 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
         .and_then(|mut f| f.write_all(garbage))
         .expect("recover bench: tear the tail");
 
-    // ---- JSON-encoding twin: same image, same torn WAL -------------
-    // The snapshot is rewritten in the legacy `OBCSSNP1` JSON envelope
-    // (the seeded KB is exactly the image `create` snapshotted) and the
-    // torn log is copied byte-for-byte, so the only difference the
-    // `recover_replay` comparison can measure is the snapshot format.
-    let json_dir =
-        dir.with_file_name(format!("obcs_recover_bench_json_{}_{}", std::process::id(), opts.seed));
-    std::fs::remove_dir_all(&json_dir).ok();
-    std::fs::create_dir_all(&json_dir).expect("recover bench: json twin dir");
-    write_snapshot_json(&world.kb, &json_dir.join(SNAPSHOT_FILE))
-        .expect("recover bench: json twin snapshot");
-    std::fs::copy(&wal_path, json_dir.join(WAL_FILE)).expect("recover bench: json twin wal");
-    let t = Instant::now();
-    let (json_recovered, json_report) =
-        DurableKb::open(&json_dir).expect("recover bench: json twin recover");
-    let json_recover_ms = t.elapsed().as_secs_f64() * 1000.0;
-    assert!(json_report.snapshot_loaded, "json twin: the snapshot must load");
-    assert_eq!(json_report.wal_records, expected_records, "json twin replays the same tail");
-    assert_eq!(json_report.wal_truncated_bytes, garbage.len() as u64);
-    assert_eq!(json_report.wal_discarded_records, 0, "a pre-epoch snapshot discards nothing");
-    assert_eq!(
-        json_recovered.into_kb().to_json(),
-        oracle.to_json(),
-        "both snapshot encodings must recover the identical image"
-    );
-    std::fs::remove_dir_all(&json_dir).ok();
-
-    // ---- timed recovery (binary snapshot) --------------------------
+    // ---- timed recovery --------------------------------------------
     let t = Instant::now();
     let (recovered, report) = DurableKb::open(&dir).expect("recover bench: recover");
     let recover_ms = t.elapsed().as_secs_f64() * 1000.0;
@@ -202,7 +161,6 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
     assert!(report.snapshot_loaded, "recover bench: the seed snapshot must load");
     assert_eq!(report.wal_records, expected_records, "every intact tail record replays");
     assert_eq!(report.wal_truncated_bytes, garbage.len() as u64, "the torn tail is truncated");
-    assert_eq!(report.auto_indexes_created, 0, "policy snapshots never need the safety net");
     let recovered = recovered.into_kb();
     assert_eq!(recovered.generation(), oracle.generation(), "data generation restored");
     assert_eq!(recovered.schema_generation(), oracle.schema_generation(), "schema generation");
@@ -222,11 +180,11 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
         );
     }
 
-    // ---- timed compaction swap over the recovered state ------------
+    // ---- timed compaction over the recovered state -----------------
     // Runs on a copy of the recovered directory so the main directory
     // keeps its replayable tail for the server-startup check below. One
-    // `snapshot()` is the full swap protocol: stream the image to a tmp
-    // file, stage the successor WAL, rename-commit, bump the epoch.
+    // `snapshot()` is a whole compaction: stream the image to a tmp
+    // file, rename-commit at the next epoch, reset the WAL.
     let compact_dir = dir.with_file_name(format!(
         "obcs_recover_bench_compact_{}_{}",
         std::process::id(),
@@ -242,7 +200,7 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
     assert_eq!(creport.wal_records, expected_records);
     let compact_epoch = compactable.epoch();
     let t = Instant::now();
-    compactable.snapshot().expect("recover bench: compaction swap");
+    compactable.snapshot().expect("recover bench: compaction");
     let compact_ms = t.elapsed().as_secs_f64() * 1000.0;
     assert_eq!(compactable.pending_records(), 0, "compaction empties the log");
     assert_eq!(compactable.epoch(), compact_epoch + 1, "compaction bumps the epoch");
@@ -250,7 +208,7 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
     let (reopened, rreport) = DurableKb::open(&compact_dir).expect("recover bench: compact reopen");
     assert_eq!(rreport.wal_records, 0, "a compacted directory replays nothing");
     assert_eq!(rreport.epoch, compact_epoch + 1);
-    assert_eq!(reopened.into_kb().to_json(), compacted.to_json(), "the swap lost nothing");
+    assert_eq!(reopened.into_kb().to_json(), compacted.to_json(), "compaction lost nothing");
     std::fs::remove_dir_all(&compact_dir).ok();
 
     // ---- byte-identity: recovered server vs original server --------
@@ -279,7 +237,6 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
 
     std::fs::remove_dir_all(&dir).ok();
 
-    let work = format!("snapshot + {expected_records} records");
     let timings = vec![
         Timing {
             name: "recover_snapshot_write".to_string(),
@@ -293,36 +250,25 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
         },
         Timing {
             name: "recover_compact".to_string(),
-            work: format!("swap @ {expected_records} records"),
+            work: format!("compaction @ {expected_records} records"),
             ms: compact_ms,
         },
     ];
     let ratio = |before: f64, after: f64| if after > 0.0 { before / after } else { f64::INFINITY };
-    let comparisons = vec![
-        Comparison {
-            name: "recover_replay".to_string(),
-            work: work.clone(),
-            before_ms: json_recover_ms,
-            after_ms: recover_ms,
-            speedup: ratio(json_recover_ms, recover_ms),
-            min_speedup: Some(RECOVER_REPLAY_FLOOR),
-        },
-        Comparison {
-            name: "recover_vs_rebuild".to_string(),
-            work,
-            before_ms: rebuild_ms,
-            after_ms: recover_ms,
-            speedup: ratio(rebuild_ms, recover_ms),
-            min_speedup: Some(RECOVER_VS_REBUILD_FLOOR),
-        },
-    ];
+    let comparisons = vec![Comparison {
+        name: "recover_vs_rebuild".to_string(),
+        work: format!("snapshot + {expected_records} records"),
+        before_ms: rebuild_ms,
+        after_ms: recover_ms,
+        speedup: ratio(rebuild_ms, recover_ms),
+        min_speedup: Some(RECOVER_VS_REBUILD_FLOOR),
+    }];
     RecoverBenchOutcome {
         timings,
         comparisons,
         wal_records: expected_records,
         wal_truncated_bytes: garbage.len() as u64,
         recover_ms,
-        json_recover_ms,
         compact_ms,
         rebuild_ms,
         identity_turns: script.len(),

@@ -10,37 +10,20 @@
 //! mutation entirely (prefix consistency) rather than ever replaying a
 //! half-applied or invalid record.
 //!
-//! # Epochs and the compaction swap
+//! # Epochs and compaction
 //!
 //! Snapshot and WAL are paired by a **durability epoch**: the snapshot
 //! header carries the epoch it was written at, the WAL header carries
 //! the epoch of the snapshot it extends, and recovery replays the log
 //! only when the two match (see [`KnowledgeBase::recover_from`]). The
-//! handle owns the sequence — every compaction bumps it by one — so a
-//! crash at *any* point between "snapshot committed" and "WAL realigned"
-//! is detected by the mismatch and the already-snapshotted records are
-//! discarded instead of double-applied.
-//!
-//! [`DurableKb::snapshot`] compacts in place. For compaction that runs
-//! while the store keeps serving, the three-call protocol splits the
-//! expensive part out of the lock:
-//!
-//! 1. [`DurableKb::begin_compaction`] (brief, under the store lock):
-//!    clones the KB, opens a capture buffer for records logged while
-//!    the job runs, hands back a [`CompactionJob`] at epoch `e+1`.
-//! 2. [`CompactionJob::write`] (no lock): streams the clone to a tmp
-//!    file beside the snapshot.
-//! 3. [`DurableKb::finish_compaction`] (brief, under the lock): stages
-//!    a successor WAL at `<wal>.new` carrying epoch `e+1` plus the
-//!    captured delta, fsyncs it, renames the tmp snapshot into place —
-//!    **the commit point** — then renames the staged WAL over the live
-//!    one. Recovery settles every crash interleaving: a staged WAL
-//!    whose epoch matches the snapshot means the swap committed and
-//!    the rename is redone; any other staged file is residue and
-//!    deleted.
+//! handle owns the sequence. [`DurableKb::snapshot`] is the one way to
+//! compact: it commits a snapshot at the next epoch atomically, then
+//! resets the log to that epoch. A crash between the two leaves a
+//! snapshot next to a log of the previous epoch, which recovery detects
+//! by the mismatch; the already-snapshotted records are discarded
+//! instead of double-applied.
 
 use std::fmt;
-use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
 use crate::index::IndexKind;
@@ -48,7 +31,7 @@ use crate::schema::TableSchema;
 use crate::snapshot::{self, RecoveryReport};
 use crate::store::KnowledgeBase;
 use crate::value::Value;
-use crate::wal::{self, DurabilityError, Wal, WalRecord};
+use crate::wal::{DurabilityError, Wal, WalRecord};
 
 /// Snapshot file name inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "kb.snapshot";
@@ -65,12 +48,8 @@ pub struct DurableKb {
     /// The current durability epoch: the epoch of the live snapshot,
     /// which the live WAL extends. Bumped by every compaction.
     epoch: u64,
-    /// Records appended since the last snapshot (compaction signal).
+    /// Records appended since the last snapshot.
     pending: usize,
-    /// While a [`CompactionJob`] is outstanding, every logged record is
-    /// also captured here — the delta the job's snapshot does not
-    /// contain, carried over into the successor WAL.
-    capture: Option<Vec<WalRecord>>,
 }
 
 impl fmt::Debug for DurableKb {
@@ -83,39 +62,6 @@ impl fmt::Debug for DurableKb {
     }
 }
 
-/// An in-flight background compaction: a point-in-time clone of the KB
-/// pinned at the epoch it will commit as. Produced by
-/// [`DurableKb::begin_compaction`]; the expensive [`CompactionJob::write`]
-/// runs without any lock on the live store.
-pub struct CompactionJob {
-    kb: KnowledgeBase,
-    epoch: u64,
-    tmp: PathBuf,
-}
-
-impl fmt::Debug for CompactionJob {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompactionJob")
-            .field("epoch", &self.epoch)
-            .field("tmp", &self.tmp)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CompactionJob {
-    /// Streams the job's KB clone to its tmp file and fsyncs it. Runs
-    /// entirely on the clone — call this *outside* any lock guarding
-    /// the live [`DurableKb`].
-    pub fn write(&self) -> Result<(), DurabilityError> {
-        snapshot::write_snapshot_file(&self.kb, &self.tmp, self.epoch)
-    }
-
-    /// The epoch this job will commit as.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
 impl DurableKb {
     /// Starts a fresh durability directory from `kb`: writes an initial
     /// snapshot and an empty WAL (discarding any stale files from an
@@ -125,12 +71,6 @@ impl DurableKb {
         std::fs::create_dir_all(dir)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let wal_path = dir.join(WAL_FILE);
-        // Residue of an earlier incarnation's interrupted compaction
-        // must go first: a stale staged WAL could otherwise collide
-        // with the epoch chosen below and be mistaken for a committed
-        // swap on the next recovery.
-        std::fs::remove_file(wal::swap_path(&wal_path)).ok();
-        std::fs::remove_file(snapshot_path.with_extension("compact")).ok();
         // Start above every epoch any stale file wears, so the crash
         // window below (snapshot committed, WAL not yet realigned) is
         // caught by the mismatch instead of replaying the old log.
@@ -142,7 +82,7 @@ impl DurableKb {
         snapshot::write_snapshot(&kb, &snapshot_path, epoch)?;
         let (mut wal, _) = Wal::open(&wal_path)?;
         wal.reset(epoch)?;
-        Ok(DurableKb { kb, wal, snapshot_path, epoch, pending: 0, capture: None })
+        Ok(DurableKb { kb, wal, snapshot_path, epoch, pending: 0 })
     }
 
     /// Recovers from an existing durability directory: snapshot + WAL
@@ -153,13 +93,10 @@ impl DurableKb {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
-        // An interrupted CompactionJob::write leaves a tmp image that
-        // never committed; it is dead weight on disk.
-        std::fs::remove_file(snapshot_path.with_extension("compact")).ok();
         let (kb, wal, report) = snapshot::recover(&snapshot_path, &dir.join(WAL_FILE))?;
         let pending = report.wal_records;
         let epoch = report.epoch;
-        Ok((DurableKb { kb, wal, snapshot_path, epoch, pending, capture: None }, report))
+        Ok((DurableKb { kb, wal, snapshot_path, epoch, pending }, report))
     }
 
     /// Whether `dir` holds durable state to recover (a snapshot or a
@@ -225,9 +162,6 @@ impl DurableKb {
     fn log(&mut self, record: WalRecord) -> Result<(), DurabilityError> {
         self.wal.append(&record)?;
         self.pending += 1;
-        if let Some(capture) = &mut self.capture {
-            capture.push(record);
-        }
         Ok(())
     }
 
@@ -237,70 +171,19 @@ impl DurableKb {
         self.wal.sync()
     }
 
-    /// Compaction, in place: snapshot at the next epoch, realign the
-    /// log. Recovery afterwards replays zero records. Runs the same
-    /// swap protocol as background compaction, with the store
-    /// exclusively borrowed throughout (so the delta is empty by
-    /// construction).
+    /// Compaction: commits a snapshot at the next epoch atomically, then
+    /// resets the log to that epoch. Recovery afterwards replays zero
+    /// records. The ordering is crash-safe: until the snapshot's rename
+    /// commits, the old snapshot + WAL pair is the recovered state; after
+    /// it, the new snapshot is, and a log not yet reset is discarded by
+    /// the epoch check.
     pub fn snapshot(&mut self) -> Result<(), DurabilityError> {
-        let job = self.begin_compaction();
-        job.write()?;
-        let committed = self.finish_compaction(job)?;
-        debug_assert!(committed, "no interleaving is possible under &mut self");
+        let epoch = self.epoch + 1;
+        snapshot::write_snapshot(&self.kb, &self.snapshot_path, epoch)?;
+        self.wal.reset(epoch)?;
+        self.epoch = epoch;
+        self.pending = 0;
         Ok(())
-    }
-
-    /// Opens a background compaction at epoch `current + 1`: clones the
-    /// store (the only expensive step under the lock) and starts
-    /// capturing subsequently logged records as the delta. A second
-    /// `begin_compaction` before the first finishes supersedes it — the
-    /// older job's [`DurableKb::finish_compaction`] will report
-    /// `Ok(false)`.
-    pub fn begin_compaction(&mut self) -> CompactionJob {
-        self.capture = Some(Vec::new());
-        CompactionJob {
-            kb: self.kb.clone(),
-            epoch: self.epoch + 1,
-            tmp: self.snapshot_path.with_extension("compact"),
-        }
-    }
-
-    /// Commits a written [`CompactionJob`]: stages the successor WAL
-    /// (job epoch + captured delta) at `<wal>.new`, publishes the
-    /// snapshot by rename — the commit point — then renames the staged
-    /// log over the live one. Returns `Ok(false)` without touching
-    /// anything durable when the job no longer extends the current
-    /// epoch (an interleaved [`DurableKb::snapshot`] or a newer job
-    /// superseded it).
-    pub fn finish_compaction(&mut self, job: CompactionJob) -> Result<bool, DurabilityError> {
-        let delta = self.capture.take().unwrap_or_default();
-        if job.epoch != self.epoch + 1 {
-            std::fs::remove_file(&job.tmp).ok();
-            return Ok(false);
-        }
-        let live_path = self.wal.path().to_path_buf();
-        let swap = wal::swap_path(&live_path);
-        let mut staged = Wal::create(&swap, job.epoch)?;
-        for record in &delta {
-            staged.append(record)?;
-        }
-        staged.sync()?;
-        // Commit point: before this rename, recovery sees the old
-        // snapshot + old WAL (the staged file is deleted as residue);
-        // after it, the new snapshot + the staged delta (the rename
-        // below is redone by recovery if we crash first).
-        snapshot::commit_snapshot(&job.tmp, &self.snapshot_path)?;
-        std::fs::rename(&swap, &live_path)?;
-        if let Some(dir) = live_path.parent() {
-            if let Ok(d) = OpenOptions::new().read(true).open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        staged.set_path(live_path);
-        self.wal = staged;
-        self.epoch = job.epoch;
-        self.pending = delta.len();
-        Ok(true)
     }
 
     /// The current durability epoch (of the live snapshot + WAL pair).
@@ -362,7 +245,6 @@ mod tests {
         assert!(report.snapshot_loaded, "create() wrote the initial snapshot");
         assert_eq!(report.wal_records, 13);
         assert_eq!(report.wal_discarded_records, 0);
-        assert_eq!(report.auto_indexes_created, 0);
         assert_eq!(recovered.kb().to_json(), original.to_json());
         assert_eq!(recovered.kb().generation(), original.generation());
         assert_eq!(recovered.kb().schema_generation(), original.schema_generation());
@@ -449,57 +331,6 @@ mod tests {
         assert_eq!(report.wal_records, 1);
         assert_eq!(report.wal_discarded_records, 0);
         assert_eq!(again.kb().table("drug").unwrap().len(), 7);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn background_compaction_preserves_records_logged_while_it_runs() {
-        let dir = temp_dir("bg");
-        let mut d = DurableKb::create(&dir, KnowledgeBase::new()).unwrap();
-        d.create_table(drug_schema()).unwrap();
-        for i in 0..4 {
-            d.insert("drug", vec![Value::Int(i), Value::text(format!("D{i}"))]).unwrap();
-        }
-        let job = d.begin_compaction();
-        // Mutations landing while the job streams its clone: they are
-        // not in the job's snapshot and must survive as the delta.
-        d.insert("drug", vec![Value::Int(50), Value::text("MidA")]).unwrap();
-        d.insert("drug", vec![Value::Int(51), Value::text("MidB")]).unwrap();
-        job.write().unwrap();
-        assert!(d.finish_compaction(job).unwrap());
-        assert_eq!(d.epoch(), 1);
-        assert_eq!(d.pending_records(), 2, "the delta is the new log");
-        d.insert("drug", vec![Value::Int(60), Value::text("Post")]).unwrap();
-        d.sync().unwrap();
-        let original = d.into_kb();
-        let (recovered, report) = DurableKb::open(&dir).unwrap();
-        assert_eq!(report.epoch, 1);
-        assert_eq!(report.wal_records, 3, "two delta records + one post-compaction");
-        assert_eq!(report.wal_discarded_records, 0);
-        assert_eq!(recovered.kb().to_json(), original.to_json());
-        assert_eq!(recovered.kb().table("drug").unwrap().len(), 7);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn superseded_compaction_job_is_abandoned_cleanly() {
-        let dir = temp_dir("superseded");
-        let mut d = DurableKb::create(&dir, KnowledgeBase::new()).unwrap();
-        d.create_table(drug_schema()).unwrap();
-        d.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
-        let job = d.begin_compaction();
-        job.write().unwrap();
-        // An interleaved in-place snapshot claims the job's epoch first.
-        d.snapshot().unwrap();
-        assert_eq!(d.epoch(), 1);
-        assert!(!d.finish_compaction(job).unwrap(), "the stale job must not commit");
-        assert_eq!(d.epoch(), 1, "epoch untouched by the abandoned job");
-        d.insert("drug", vec![Value::Int(2), Value::text("B")]).unwrap();
-        let original = d.into_kb();
-        let (recovered, report) = DurableKb::open(&dir).unwrap();
-        assert_eq!(report.epoch, 1);
-        assert_eq!(report.wal_records, 1);
-        assert_eq!(recovered.kb().to_json(), original.to_json());
         std::fs::remove_dir_all(&dir).ok();
     }
 

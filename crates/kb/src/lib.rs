@@ -58,7 +58,7 @@ pub mod store;
 pub mod value;
 pub mod wal;
 
-pub use durable::{CompactionJob, DurableKb, SNAPSHOT_FILE, WAL_FILE};
+pub use durable::{DurableKb, SNAPSHOT_FILE, WAL_FILE};
 pub use index::{IndexKind, IndexSpec, SecondaryIndex};
 pub use snapshot::RecoveryReport;
 pub use sql::exec::BoundPlan;

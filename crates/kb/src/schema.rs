@@ -107,9 +107,12 @@ impl TableSchema {
         self.foreign_keys.iter().any(|fk| fk.column == column)
     }
 
-    /// Validates internal consistency: PK exists as a column, FK columns
-    /// exist, column names unique.
+    /// Validates internal consistency: at least one column, PK exists as
+    /// a column, FK columns exist, column names unique.
     pub fn check(&self) -> Result<(), String> {
+        if self.columns.is_empty() {
+            return Err(format!("table `{}` has no columns", self.name));
+        }
         for (i, c) in self.columns.iter().enumerate() {
             if self.columns[..i].iter().any(|o| o.name == c.name) {
                 return Err(format!("table `{}`: duplicate column `{}`", self.name, c.name));
@@ -149,6 +152,13 @@ mod tests {
         assert_eq!(s.column_index("name"), Some(1));
         assert_eq!(s.column_def("drug_id").unwrap().ty, ColumnType::Int);
         assert!(s.check().is_ok());
+    }
+
+    #[test]
+    fn check_rejects_a_table_without_columns() {
+        // A zero-column row occupies no snapshot bytes, so no byte count
+        // could bound how many of them a snapshot claims.
+        assert!(TableSchema::new("t").check().is_err());
     }
 
     #[test]

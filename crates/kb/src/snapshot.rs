@@ -1,7 +1,7 @@
 //! Point-in-time KB snapshots and epoch-checked recovery (DESIGN.md
 //! §16).
 //!
-//! Two snapshot formats exist. The current **binary streamed** format:
+//! A snapshot is a **binary streamed** image:
 //!
 //! ```text
 //! OBCSSNB1 [u64 epoch LE]
@@ -22,18 +22,14 @@
 //! snapshot-then-reset compaction sequence crash-safe (see
 //! [`crate::wal`]).
 //!
-//! The legacy **JSON** format (`OBCSSNP1`: the KB's JSON envelope in a
-//! single checksummed frame) is still readable for recovery of
-//! pre-epoch durability directories; it is no longer written on the
-//! durable path.
-//!
 //! Snapshots are committed atomically — stream to `<path>.tmp`, fsync,
 //! rename over `<path>` — so a crash mid-snapshot leaves the previous
 //! snapshot intact. A torn *snapshot* therefore never occurs on the
-//! normal path, and [`read_snapshot`] treats any frame damage, in
-//! either format, as hard corruption rather than something to silently
-//! truncate (unlike the WAL tail, where torn frames are the expected
-//! crash residue).
+//! normal path, and [`read_snapshot`] treats any frame damage as hard
+//! corruption rather than something to silently truncate (unlike the
+//! WAL tail, where torn frames are the expected crash residue). A file
+//! with any other magic — including a snapshot written by an older
+//! build — is likewise [`DurabilityError::Corrupt`], never misread.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -44,10 +40,7 @@ use crate::index::{IndexKind, IndexSpec};
 use crate::schema::TableSchema;
 use crate::store::{GenerationStamp, KnowledgeBase, Table};
 use crate::value::{FiniteF64, Value};
-use crate::wal::{self, crc32, DurabilityError, Wal, MAX_RECORD_BYTES};
-
-/// Magic header identifying a legacy JSON snapshot (format version 1).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"OBCSSNP1";
+use crate::wal::{crc32, DurabilityError, Wal, MAX_RECORD_BYTES};
 
 /// Magic header identifying a binary streamed snapshot. The magic is
 /// followed by a little-endian u64 durability epoch.
@@ -66,8 +59,7 @@ pub struct RecoveryReport {
     /// empty KB and replayed the WAL alone).
     pub snapshot_loaded: bool,
     /// The durability epoch of the recovered state: the snapshot's
-    /// epoch, or the WAL's when no epoch-stamped snapshot exists (0 for
-    /// fully legacy directories).
+    /// epoch, or the WAL's when no snapshot exists.
     pub epoch: u64,
     /// Intact WAL records replayed on top of the snapshot.
     pub wal_records: usize,
@@ -81,13 +73,6 @@ pub struct RecoveryReport {
     /// Why records were discarded, when [`Self::wal_discarded_records`]
     /// is non-zero.
     pub wal_discard_reason: Option<String>,
-    /// Indexes created by the post-replay `auto_index` safety net. Zero
-    /// whenever the snapshot carried an index policy (the normal case —
-    /// the sweep is skipped entirely so recovery never invents access
-    /// paths or generation bumps the original lacked); non-zero only for
-    /// pre-policy snapshots, where the sweep restores the access paths
-    /// the envelope could not.
-    pub auto_indexes_created: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -161,6 +146,17 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Result<u64, DurabilityError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// Reads a u32 element count and checks that the rest of the payload
+    /// can hold that many elements of at least `min_bytes` each, so an
+    /// inflated count is corruption before anything is sized from it.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, DurabilityError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_bytes) > self.bytes.len() - self.pos {
+            return Err(self.corrupt(&format!("count {n} overruns the section payload")));
+        }
+        Ok(n)
     }
 
     fn text(&mut self) -> Result<String, DurabilityError> {
@@ -250,17 +246,14 @@ fn read_exact_or_corrupt(
 // Writers
 // ---------------------------------------------------------------------
 
-/// Streams `kb` as a binary snapshot image to exactly `path` — no tmp
-/// file, no rename — and fsyncs it. This is the compaction half that
-/// runs *without* holding the store lock; pair it with
-/// [`commit_snapshot`] to publish the image atomically.
-pub fn write_snapshot_file(
-    kb: &KnowledgeBase,
-    path: &Path,
-    epoch: u64,
-) -> Result<(), DurabilityError> {
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
+/// Writes `kb` as a binary snapshot at `path`, atomically: stream to
+/// `<path>.tmp`, fsync, rename over `path`, sync the directory. The
+/// rename is the durability commit point — before it the old snapshot
+/// (and its matching WAL) is the recovered state, after it the new one
+/// is.
+pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(), DurabilityError> {
+    let tmp = path.with_extension("tmp");
+    let mut w = BufWriter::new(File::create(&tmp)?);
     w.write_all(SNAPSHOT_MAGIC_BINARY)?;
     w.write_all(&epoch.to_le_bytes())?;
 
@@ -323,15 +316,7 @@ pub fn write_snapshot_file(
 
     let file = w.into_inner().map_err(|e| DurabilityError::Io(e.into_error()))?;
     file.sync_all()?;
-    Ok(())
-}
-
-/// Publishes a snapshot image written by [`write_snapshot_file`]:
-/// renames `tmp` over `path` and syncs the directory. The rename is the
-/// durability commit point — before it the old snapshot (and its
-/// matching WAL) is the recovered state, after it the new one is.
-pub fn commit_snapshot(tmp: &Path, path: &Path) -> Result<(), DurabilityError> {
-    std::fs::rename(tmp, path)?;
+    std::fs::rename(&tmp, path)?;
     // Persist the rename itself where the platform allows it.
     if let Some(dir) = path.parent() {
         if let Ok(d) = OpenOptions::new().read(true).open(dir) {
@@ -341,89 +326,39 @@ pub fn commit_snapshot(tmp: &Path, path: &Path) -> Result<(), DurabilityError> {
     Ok(())
 }
 
-/// Writes `kb` as a binary snapshot at `path`, atomically (stream to
-/// `<path>.tmp` + fsync + rename).
-pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(), DurabilityError> {
-    let tmp = path.with_extension("tmp");
-    write_snapshot_file(kb, &tmp, epoch)?;
-    commit_snapshot(&tmp, path)
-}
-
-/// Writes `kb` in the legacy JSON snapshot format (a single checksummed
-/// frame around the JSON envelope, no epoch). Kept for the legacy
-/// recovery path's tests and fixtures; the durable path always writes
-/// the binary format.
-pub fn write_snapshot_json(kb: &KnowledgeBase, path: &Path) -> Result<(), DurabilityError> {
-    let payload = kb.to_json().into_bytes();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(SNAPSHOT_MAGIC)?;
-        f.write_all(&(payload.len() as u32).to_le_bytes())?;
-        f.write_all(&crc32(&payload).to_le_bytes())?;
-        f.write_all(&payload)?;
-        f.sync_all()?;
-    }
-    commit_snapshot(&tmp, path)
-}
-
 // ---------------------------------------------------------------------
 // Readers
 // ---------------------------------------------------------------------
 
-/// Reads a snapshot in either format back into a [`KnowledgeBase`]
-/// (indexes and generation counters restored), returning the header
-/// epoch for the binary format and `None` for a legacy JSON snapshot.
-/// Any frame damage is [`DurabilityError::Corrupt`] — snapshot commits
-/// are atomic, so a torn snapshot means the file was damaged, not
-/// interrupted.
-pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, Option<u64>), DurabilityError> {
-    let mut magic = [0u8; 8];
-    {
-        let mut f = File::open(path)?;
-        read_exact_or_corrupt(&mut f, &mut magic, path, "magic header")?;
-    }
-    if &magic == SNAPSHOT_MAGIC_BINARY {
-        let (kb, epoch) = read_snapshot_binary(path)?;
-        Ok((kb, Some(epoch)))
-    } else if &magic == SNAPSHOT_MAGIC {
-        Ok((read_snapshot_json(path)?, None))
-    } else {
-        Err(DurabilityError::Corrupt(format!(
-            "{} is neither an OBCSSNB1 nor an OBCSSNP1 snapshot",
-            path.display()
-        )))
-    }
-}
-
-/// Reads the epoch out of a binary snapshot header without loading the
-/// image. `None` for a missing, legacy, or torn file.
-pub(crate) fn peek_epoch(path: &Path) -> Option<u64> {
-    let mut header = [0u8; 16];
-    let mut f = File::open(path).ok()?;
-    f.read_exact(&mut header).ok()?;
-    if &header[..8] != SNAPSHOT_MAGIC_BINARY {
-        return None;
-    }
-    Some(u64::from_le_bytes(header[8..].try_into().expect("8 bytes")))
-}
-
-fn read_snapshot_binary(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityError> {
+/// Reads a snapshot back into a [`KnowledgeBase`] (indexes and
+/// generation counters restored), returning the header epoch. Any frame
+/// damage is [`DurabilityError::Corrupt`] — snapshot commits are atomic,
+/// so a torn snapshot means the file was damaged, not interrupted.
+pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityError> {
     let mut r = BufReader::new(File::open(path)?);
-    let mut header = [0u8; 16];
-    read_exact_or_corrupt(&mut r, &mut header, path, "snapshot header")?;
-    debug_assert_eq!(&header[..8], SNAPSHOT_MAGIC_BINARY, "caller dispatched on the magic");
-    let epoch = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+    let mut magic = [0u8; 8];
+    read_exact_or_corrupt(&mut r, &mut magic, path, "magic header")?;
+    if &magic != SNAPSHOT_MAGIC_BINARY {
+        return Err(DurabilityError::Corrupt(format!(
+            "{} is not an OBCSSNB1 snapshot",
+            path.display()
+        )));
+    }
+    let mut epoch = [0u8; 8];
+    read_exact_or_corrupt(&mut r, &mut epoch, path, "snapshot epoch")?;
+    let epoch = u64::from_le_bytes(epoch);
 
     let meta = read_section(&mut r, path)?;
     let mut c = Cursor::new(&meta, "meta section");
     let data_gen = c.u64()?;
     let schema_gen = c.u64()?;
-    let table_count = c.u32()? as usize;
+    let table_count = c.u32()?;
     c.finish()?;
 
     let corrupt = |msg: String| DurabilityError::Corrupt(format!("{}: {msg}", path.display()));
-    let mut tables = HashMap::with_capacity(table_count);
+    // Not pre-sized: every table is a section of its own, so the meta
+    // payload cannot vouch for `table_count`.
+    let mut tables = HashMap::new();
     for _ in 0..table_count {
         let header = read_section(&mut r, path)?;
         let mut c = Cursor::new(&header, "table header section");
@@ -431,7 +366,9 @@ fn read_snapshot_binary(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityE
         let schema_json = c.text()?;
         let schema: TableSchema = serde_json::from_str(&schema_json)
             .map_err(|e| corrupt(format!("table {name:?} schema does not parse: {e}")))?;
-        let spec_count = c.u32()? as usize;
+        schema.check().map_err(|e| corrupt(format!("table {name:?} schema is invalid: {e}")))?;
+        // A spec is at least a column-name length and a kind byte.
+        let spec_count = c.count(5)?;
         let mut specs = Vec::with_capacity(spec_count);
         for _ in 0..spec_count {
             let column = c.text()?;
@@ -442,21 +379,26 @@ fn read_snapshot_binary(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityE
             };
             specs.push(IndexSpec { column, kind });
         }
-        let row_count = c.u64()? as usize;
+        let row_count = c.u64()?;
         c.finish()?;
 
+        // Rows are reserved chunk by chunk, never from `row_count`: a
+        // chunk's count is checked against its own bytes first (every
+        // value is at least its tag byte, and a checked schema has at
+        // least one column).
         let arity = schema.columns.len();
-        let mut rows = Vec::with_capacity(row_count);
-        while rows.len() < row_count {
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        while (rows.len() as u64) < row_count {
             let chunk = read_section(&mut r, path)?;
             let mut c = Cursor::new(&chunk, "row chunk section");
-            let n = c.u32()? as usize;
-            if n == 0 || rows.len() + n > row_count {
+            let n = c.count(arity)?;
+            let remaining = row_count - rows.len() as u64;
+            if n == 0 || n as u64 > remaining {
                 return Err(corrupt(format!(
-                    "table {name:?} chunk carries {n} rows against {} remaining",
-                    row_count - rows.len()
+                    "table {name:?} chunk carries {n} rows against {remaining} remaining"
                 )));
             }
+            rows.reserve(n);
             for _ in 0..n {
                 let mut row = Vec::with_capacity(arity);
                 for _ in 0..arity {
@@ -485,33 +427,16 @@ fn read_snapshot_binary(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityE
     ))
 }
 
-fn read_snapshot_json(path: &Path) -> Result<KnowledgeBase, DurabilityError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let header = SNAPSHOT_MAGIC.len() + 8;
-    if bytes.len() < header || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(DurabilityError::Corrupt(format!(
-            "{} is not an OBCSSNP1 snapshot",
-            path.display()
-        )));
+/// Reads the epoch out of a snapshot header without loading the image.
+/// `None` for a missing, foreign, or torn file.
+pub(crate) fn peek_epoch(path: &Path) -> Option<u64> {
+    let mut header = [0u8; 16];
+    let mut f = File::open(path).ok()?;
+    f.read_exact(&mut header).ok()?;
+    if &header[..8] != SNAPSHOT_MAGIC_BINARY {
+        return None;
     }
-    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-    let crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-    if bytes.len() != header + len {
-        return Err(DurabilityError::Corrupt(format!(
-            "{}: frame says {len} payload bytes, file has {}",
-            path.display(),
-            bytes.len() - header
-        )));
-    }
-    let payload = &bytes[header..];
-    if crc32(payload) != crc {
-        return Err(DurabilityError::Corrupt(format!("{}: checksum mismatch", path.display())));
-    }
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| DurabilityError::Corrupt(format!("{}: {e}", path.display())))?;
-    KnowledgeBase::from_json(text)
-        .map_err(|e| DurabilityError::Corrupt(format!("{}: {e}", path.display())))
+    Some(u64::from_le_bytes(header[8..].try_into().expect("8 bytes")))
 }
 
 // ---------------------------------------------------------------------
@@ -519,85 +444,48 @@ fn read_snapshot_json(path: &Path) -> Result<KnowledgeBase, DurabilityError> {
 // ---------------------------------------------------------------------
 
 /// Recovery internals shared by [`KnowledgeBase::recover_from`] and
-/// `DurableKb::open`: load the snapshot, settle any interrupted
-/// compaction swap, replay the WAL *iff its epoch pairs with the
-/// snapshot's* (torn tail already truncated by `Wal::open`), then
-/// re-run the index-policy sweep for legacy envelopes.
+/// `DurableKb::open`: load the snapshot, then replay the WAL *iff its
+/// epoch pairs with the snapshot's* (torn tail already truncated by
+/// `Wal::open`).
 pub(crate) fn recover(
     snapshot_path: &Path,
     wal_path: &Path,
 ) -> Result<(KnowledgeBase, Wal, RecoveryReport), DurabilityError> {
     let snapshot_loaded = snapshot_path.exists();
-    let (mut kb, snap_epoch) =
-        if snapshot_loaded { read_snapshot(snapshot_path)? } else { (KnowledgeBase::new(), None) };
-
-    // An interrupted compaction swap: the successor WAL was staged at
-    // `<wal>.new` but the rename over the live log was lost. The
-    // snapshot rename is the commit point — if the staged log's epoch
-    // matches the snapshot's, the compaction committed and we redo the
-    // rename (the superseded live log's records are all covered by the
-    // snapshot); in any other state the compaction never committed and
-    // the staged file is residue to delete.
-    let swap = wal::swap_path(wal_path);
-    let mut swap_superseded = 0usize;
-    let mut swap_completed = false;
-    if swap.exists() {
-        if snap_epoch.is_some() && Wal::peek_epoch(&swap) == snap_epoch {
-            if wal_path.exists() {
-                swap_superseded =
-                    Wal::open(wal_path).map(|(_, replay)| replay.records.len()).unwrap_or(0);
-            }
-            std::fs::rename(&swap, wal_path)?;
-            swap_completed = true;
-        } else {
-            std::fs::remove_file(&swap)?;
-        }
-    }
+    let (mut kb, snap_epoch) = if snapshot_loaded {
+        let (kb, epoch) = read_snapshot(snapshot_path)?;
+        (kb, Some(epoch))
+    } else {
+        (KnowledgeBase::new(), None)
+    };
 
     let (mut wal, replay) = Wal::open(wal_path)?;
     let intact = replay.records.len();
-    let (records, epoch, wal_discarded_records, mut wal_discard_reason) =
-        match (snap_epoch, replay.epoch) {
-            // The log extends this snapshot: replay it.
-            (Some(se), Some(we)) if se == we => (replay.records, se, 0, None),
-            // Epoch mismatch: a crash between a snapshot commit and its
-            // WAL reset (or a stale log from an earlier incarnation).
-            // The snapshot already contains the records' effects —
-            // discard them and realign the log, never double-apply.
-            (Some(se), we) => {
-                let reason = (intact > 0).then(|| match we {
-                    Some(we) => format!(
-                        "WAL at epoch {we} does not extend the snapshot at epoch {se}; \
-                         its {intact} records are already in the snapshot"
-                    ),
-                    None => format!(
-                        "legacy (pre-epoch) WAL cannot extend the snapshot at epoch {se}; \
-                         its {intact} records are already in the snapshot"
-                    ),
-                });
-                wal.reset(se)?;
-                (Vec::new(), se, intact, reason)
-            }
-            // No epoch-stamped snapshot (legacy JSON, or none at all):
-            // the log is the authority; adopt its epoch.
-            (None, we) => (replay.records, we.unwrap_or(0), 0, None),
-        };
-    if swap_completed && swap_superseded > 0 {
-        wal_discard_reason = Some(format!(
-            "completed an interrupted compaction swap; {swap_superseded} superseded records \
-             discarded (their effects are in the epoch-{epoch} snapshot)"
-        ));
-    }
+    let (records, epoch, wal_discarded_records, wal_discard_reason) = match snap_epoch {
+        // The log extends this snapshot: replay it.
+        Some(se) if se == replay.epoch => (replay.records, se, 0, None),
+        // Epoch mismatch: a crash between a snapshot commit and its WAL
+        // reset (or a stale log from an earlier incarnation). The
+        // snapshot already contains the records' effects — discard them
+        // and realign the log, never double-apply.
+        Some(se) => {
+            let reason = (intact > 0).then(|| {
+                format!(
+                    "WAL at epoch {} does not extend the snapshot at epoch {se}; \
+                     its {intact} records are already in the snapshot",
+                    replay.epoch
+                )
+            });
+            wal.reset(se)?;
+            (Vec::new(), se, intact, reason)
+        }
+        // No snapshot: the log is the authority; adopt its epoch.
+        None => (replay.records, replay.epoch, 0, None),
+    };
 
     for record in &records {
         record.apply(&mut kb)?;
     }
-    // Safety net for snapshots written before the envelope carried an
-    // index policy: their indexes are unrecoverable from the file, so
-    // re-run the policy sweep. Modern envelopes restore their exact
-    // access paths above, and running the sweep on them would *create*
-    // indexes (and generation bumps) the original never had.
-    let auto_indexes_created = if kb.from_legacy_envelope() { kb.auto_index() } else { 0 };
     Ok((
         kb,
         wal,
@@ -606,9 +494,8 @@ pub(crate) fn recover(
             epoch,
             wal_records: records.len(),
             wal_truncated_bytes: replay.truncated_bytes,
-            wal_discarded_records: wal_discarded_records + swap_superseded,
+            wal_discarded_records,
             wal_discard_reason,
-            auto_indexes_created,
         },
     ))
 }
@@ -627,12 +514,10 @@ impl KnowledgeBase {
     /// replays every intact record of the log at `wal_path` — a torn
     /// final record is truncated, never applied, and a log whose epoch
     /// does not pair with the snapshot's is discarded outright (its
-    /// records are already in the snapshot) — and, for legacy
-    /// pre-policy snapshots only, re-runs the `auto_index` policy
-    /// sweep. Generation counters, secondary
-    /// indexes, and PK indexes all come back, so a recovered KB serves
-    /// with the same access paths and the same cache-validation stamps
-    /// as the original (see `WalRecord::apply`).
+    /// records are already in the snapshot). Generation counters,
+    /// secondary indexes, and PK indexes all come back, so a recovered
+    /// KB serves with the same access paths and the same
+    /// cache-validation stamps as the original (see `WalRecord::apply`).
     pub fn recover_from(
         snapshot_path: impl AsRef<Path>,
         wal_path: impl AsRef<Path>,
@@ -684,7 +569,7 @@ mod tests {
         write_snapshot(&kb, &path, 42).unwrap();
         assert_eq!(peek_epoch(&path), Some(42));
         let (back, epoch) = read_snapshot(&path).unwrap();
-        assert_eq!(epoch, Some(42), "the header epoch comes back");
+        assert_eq!(epoch, 42, "the header epoch comes back");
         assert_eq!(back.to_json(), kb.to_json());
         assert_eq!(back.generation(), kb.generation());
         assert_eq!(back.schema_generation(), kb.schema_generation());
@@ -692,19 +577,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn json_snapshot_is_still_readable() {
-        let dir = temp_dir("json");
-        let kb = sample_kb();
-        let path = dir.join("kb.snapshot");
-        write_snapshot_json(&kb, &path).unwrap();
-        assert_eq!(peek_epoch(&path), None, "JSON snapshots carry no epoch");
-        let (back, epoch) = read_snapshot(&path).unwrap();
-        assert_eq!(epoch, None);
-        assert_eq!(back.to_json(), kb.to_json());
-        assert_eq!(back.generation(), kb.generation());
-        assert_eq!(back.index_count(), kb.index_count());
-        std::fs::remove_dir_all(&dir).ok();
+    /// `image` with the payload of its `index`-th section edited in
+    /// place and the section checksum recomputed, so only the reader's
+    /// own checks can reject it.
+    fn edit_section(image: &[u8], index: usize, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = image.to_vec();
+        let section_len =
+            |out: &[u8], pos: usize| u32::from_le_bytes(out[pos..pos + 4].try_into().unwrap());
+        let mut pos = 16;
+        for _ in 0..index {
+            pos += 8 + section_len(&out, pos) as usize;
+        }
+        let payload = pos + 8..pos + 8 + section_len(&out, pos) as usize;
+        edit(&mut out[payload.clone()]);
+        let crc = crc32(&out[payload]);
+        out[pos + 4..pos + 8].copy_from_slice(&crc.to_le_bytes());
+        out
     }
 
     #[test]
@@ -712,23 +600,45 @@ mod tests {
         let dir = temp_dir("corrupt");
         let path = dir.join("kb.snapshot");
         sample_kb().snapshot_to(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_snapshot(&path), Err(DurabilityError::Corrupt(_))));
-        // Truncated file: also hard corruption.
-        let full = {
-            sample_kb().snapshot_to(&path).unwrap();
-            std::fs::read(&path).unwrap()
-        };
-        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        assert!(matches!(read_snapshot(&path), Err(DurabilityError::Corrupt(_))));
-        // Trailing garbage after the final section: also hard corruption.
+        let full = std::fs::read(&path).unwrap();
+        let mut flipped = full.clone();
+        flipped[full.len() / 2] ^= 0x10;
         let mut padded = full.clone();
-        padded.extend_from_slice(b"\x00");
-        std::fs::write(&path, &padded).unwrap();
-        assert!(matches!(read_snapshot(&path), Err(DurabilityError::Corrupt(_))));
+        padded.push(0);
+        // Counts inflated behind a valid checksum: the META table count
+        // (the last field of section 0) and the first table's row count
+        // (the last field of its header, section 1). Both must be
+        // refused before anything is sized from them.
+        let huge_tables =
+            edit_section(&full, 0, |meta| meta[16..].copy_from_slice(&u32::MAX.to_le_bytes()));
+        let huge_rows = edit_section(&full, 1, |header| {
+            let at = header.len() - 8;
+            header[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        });
+        let older_build: &[u8] = b"OBCSSNP1";
+        let inputs: [(&str, &[u8]); 6] = [
+            ("flipped bit", &flipped),
+            ("truncated", &full[..full.len() - 5]),
+            ("trailing garbage", &padded),
+            ("table count u32::MAX", &huge_tables),
+            ("row count 2^40", &huge_rows),
+            ("older-build magic", older_build),
+        ];
+        for (what, bytes) in inputs {
+            std::fs::write(&path, bytes).unwrap();
+            match read_snapshot(&path) {
+                Err(DurabilityError::Corrupt(msg)) => {
+                    if bytes == older_build {
+                        assert!(
+                            msg.contains("OBCSSNB1"),
+                            "{what}: names the expected magic: {msg}"
+                        );
+                    }
+                }
+                Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("{what}: a damaged snapshot loaded"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -765,7 +675,6 @@ mod tests {
         assert_eq!(report.wal_records, 2);
         assert_eq!(report.wal_truncated_bytes, 0);
         assert_eq!(report.wal_discarded_records, 0);
-        assert_eq!(report.auto_indexes_created, 0, "policy came back from the envelope");
         assert_eq!(recovered.to_json(), kb.to_json());
         assert_eq!(recovered.generation(), kb.generation());
         assert_eq!(recovered.schema_generation(), kb.schema_generation());
@@ -831,125 +740,9 @@ mod tests {
         assert!(!report.snapshot_loaded);
         assert_eq!(report.wal_records, 2);
         assert_eq!(report.epoch, 0, "a fresh WAL starts the epoch sequence at 0");
-        // The WAL replays everything from the beginning — including any
-        // CreateIndex/AutoIndex records — so no safety-net sweep runs.
-        assert_eq!(report.auto_indexes_created, 0);
         assert_eq!(recovered.table("t").unwrap().len(), 1);
         assert_eq!(recovered.generation(), oracle.generation());
         assert_eq!(recovered.index_count(), oracle.index_count());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_snapshot_gets_the_auto_index_safety_net() {
-        let dir = temp_dir("legacy");
-        let snap = dir.join("kb.snapshot");
-        let wal_path = dir.join("kb.wal");
-        // A pre-durability envelope: no `generations`, no `index_policy`.
-        // Its indexes are unrecoverable from the file, so recovery
-        // re-runs the auto_index sweep and reports what it created.
-        let payload = br#"{
-            "tables": {
-                "drug": {
-                    "schema": {
-                        "name": "drug",
-                        "columns": [
-                            {"name": "drug_id", "ty": "Int"},
-                            {"name": "name", "ty": "Text"}
-                        ],
-                        "primary_key": "drug_id",
-                        "foreign_keys": []
-                    },
-                    "rows": [[{"Int": 1}, {"Text": "Aspirin"}]]
-                }
-            }
-        }"#;
-        let mut frame = Vec::new();
-        frame.extend_from_slice(SNAPSHOT_MAGIC);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        std::fs::write(&snap, &frame).unwrap();
-
-        let (recovered, report) = KnowledgeBase::recover_from(&snap, &wal_path).unwrap();
-        assert!(report.snapshot_loaded);
-        assert!(report.auto_indexes_created > 0, "sweep restores access paths");
-        assert!(recovered.index_count() > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interrupted_swap_is_completed_when_the_snapshot_committed() {
-        let dir = temp_dir("swap");
-        let snap = dir.join("kb.snapshot");
-        let wal_path = dir.join("kb.wal");
-        // The crash point after commit_snapshot but before the WAL
-        // rename: the live log still wears epoch 1 with superseded
-        // records, the staged successor wears epoch 2 with the delta.
-        let mut kb = sample_kb();
-        let (mut wal, _) = Wal::open(&wal_path).unwrap();
-        wal.reset(1).unwrap();
-        let superseded = WalRecord::Insert {
-            table: "drug".to_string(),
-            row: vec![Value::Int(3), Value::text("Naproxen")],
-        };
-        superseded.apply(&mut kb).unwrap();
-        wal.append(&superseded).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        write_snapshot(&kb, &snap, 2).unwrap();
-        let delta = WalRecord::Insert {
-            table: "drug".to_string(),
-            row: vec![Value::Int(4), Value::text("Ketoprofen")],
-        };
-        let mut staged = Wal::create(wal::swap_path(&wal_path), 2).unwrap();
-        staged.append(&delta).unwrap();
-        staged.sync().unwrap();
-        drop(staged);
-
-        let mut oracle = kb.clone();
-        delta.apply(&mut oracle).unwrap();
-        let (recovered, report) = KnowledgeBase::recover_from(&snap, &wal_path).unwrap();
-        assert_eq!(report.epoch, 2);
-        assert_eq!(report.wal_records, 1, "the staged delta replays");
-        assert_eq!(report.wal_discarded_records, 1, "the superseded record is discarded");
-        assert!(report.wal_discard_reason.as_deref().unwrap().contains("compaction swap"));
-        assert_eq!(recovered.to_json(), oracle.to_json(), "no duplicate, no lost delta");
-        assert!(!wal::swap_path(&wal_path).exists(), "the swap completed");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn uncommitted_swap_residue_is_deleted() {
-        let dir = temp_dir("residue");
-        let snap = dir.join("kb.snapshot");
-        let wal_path = dir.join("kb.wal");
-        // The crash point before commit_snapshot: snapshot and live log
-        // still agree at epoch 1; the staged epoch-2 successor never
-        // committed and must not clobber the live log.
-        let mut kb = sample_kb();
-        let (mut wal, _) = Wal::open(&wal_path).unwrap();
-        wal.reset(1).unwrap();
-        let live = WalRecord::Insert {
-            table: "drug".to_string(),
-            row: vec![Value::Int(3), Value::text("Naproxen")],
-        };
-        live.apply(&mut kb).unwrap();
-        wal.append(&live).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let mut pre_compaction = sample_kb();
-        write_snapshot(&pre_compaction, &snap, 1).unwrap();
-        let staged = Wal::create(wal::swap_path(&wal_path), 2).unwrap();
-        drop(staged);
-
-        live.apply(&mut pre_compaction).unwrap();
-        let (recovered, report) = KnowledgeBase::recover_from(&snap, &wal_path).unwrap();
-        assert_eq!(report.epoch, 1);
-        assert_eq!(report.wal_records, 1, "the live log replays untouched");
-        assert_eq!(report.wal_discarded_records, 0);
-        assert_eq!(recovered.to_json(), kb.to_json());
-        assert!(!wal::swap_path(&wal_path).exists(), "residue deleted");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

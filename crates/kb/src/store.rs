@@ -176,15 +176,14 @@ impl Table {
     }
 
     /// Reassembles a table from its durable parts — the binary snapshot
-    /// reader's entry point. Indexes (PK and the recorded policy) are
-    /// rebuilt from the rows, exactly as [`KnowledgeBase::from_json`]
-    /// does for the JSON envelope.
+    /// reader's entry point, which has already checked `schema`. Indexes
+    /// (PK and the recorded policy) are rebuilt from the rows, exactly as
+    /// [`KnowledgeBase::from_json`] does for the JSON envelope.
     pub(crate) fn assemble(
         schema: TableSchema,
         rows: Vec<Vec<Value>>,
         policy: &[IndexSpec],
     ) -> Result<Table, KbError> {
-        schema.check().map_err(KbError::SchemaInvalid)?;
         let mut t = Table::new(schema);
         for spec in policy {
             t.add_secondary(&spec.column, spec.kind)?;
@@ -323,7 +322,8 @@ pub struct KnowledgeBase {
     tables: HashMap<String, Table>,
     /// Persisted envelope copy of the generation counters; `None` in
     /// live KBs (the live counters below are authoritative) and in
-    /// pre-PR9 envelopes (those reload at generation zero, as before).
+    /// envelopes written before the stamp existed (those reload at
+    /// generation zero).
     generations: Option<GenerationStamp>,
     /// Data generation: bumped by every successful mutation
     /// ([`insert`](Self::insert) and [`create_table`](Self::create_table));
@@ -340,11 +340,6 @@ pub struct KnowledgeBase {
     /// see [`set_index_enabled`](Self::set_index_enabled).
     #[serde(skip)]
     indexes_disabled: bool,
-    /// Set by [`from_json`](Self::from_json) when the envelope predates
-    /// the durable format (no `generations` stamp). Recovery uses it to
-    /// decide whether an `auto_index` repair sweep is warranted.
-    #[serde(skip)]
-    legacy_envelope: bool,
     #[serde(skip)]
     caches: QueryCaches,
 }
@@ -608,12 +603,6 @@ impl KnowledgeBase {
         self.schema_generation
     }
 
-    /// Whether this KB was parsed from a pre-durability envelope (no
-    /// generation stamp, no index policy). See [`from_json`](Self::from_json).
-    pub fn from_legacy_envelope(&self) -> bool {
-        self.legacy_envelope
-    }
-
     /// Like [`KnowledgeBase::query`], recording a
     /// [`kb_execute`](obcs_telemetry::stage::KB_EXECUTE) span plus
     /// query/row counters on `rec` (see DESIGN.md §10).
@@ -677,12 +666,9 @@ impl KnowledgeBase {
     /// exactly as before: generation zero, scan-only.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let mut kb: KnowledgeBase = serde_json::from_str(json)?;
-        match kb.generations.take() {
-            Some(stamp) => {
-                kb.generation = stamp.data;
-                kb.schema_generation = stamp.schema;
-            }
-            None => kb.legacy_envelope = true,
+        if let Some(stamp) = kb.generations.take() {
+            kb.generation = stamp.data;
+            kb.schema_generation = stamp.schema;
         }
         for t in kb.tables.values_mut() {
             if let Some(policy) = t.index_policy.take() {
@@ -710,7 +696,6 @@ impl KnowledgeBase {
             generation: stamp.data,
             schema_generation: stamp.schema,
             indexes_disabled: false,
-            legacy_envelope: false,
             caches: QueryCaches::default(),
         }
     }

@@ -8,8 +8,7 @@
 //! [u32 payload_len LE] [u32 crc32(payload) LE] [payload: record JSON]
 //! ```
 //!
-//! after the file header. Two header versions exist: the legacy 8-byte
-//! `OBCSWAL1` magic, and the current `OBCSWAL2` magic followed by a
+//! after the 16-byte file header: the `OBCSWAL2` magic followed by a
 //! little-endian u64 **durability epoch** — the epoch of the snapshot
 //! this log extends (DESIGN.md §16). Recovery refuses to replay a log
 //! whose epoch does not match its snapshot's, which is what makes the
@@ -23,7 +22,7 @@
 //! tail*, the expected residue of a crash mid-append. The torn bytes
 //! are truncated away (never replayed, never panicked over), so
 //! recovery is always prefix-consistent: every state the log can
-//! produce is a state the original KB passed through. A v2 file cut
+//! produce is a state the original KB passed through. A file cut
 //! inside its epoch field (a crash mid-[`Wal::reset`]) is likewise
 //! expected residue: the truncation guarantees no record can follow a
 //! torn header, so the file reopens as a fresh epoch-0 log.
@@ -45,15 +44,12 @@ use crate::schema::TableSchema;
 use crate::store::{KbError, KnowledgeBase};
 use crate::value::Value;
 
-/// Magic header identifying a legacy WAL file (format version 1, no
-/// epoch field). Still readable; never written for new logs.
-pub const WAL_MAGIC: &[u8; 8] = b"OBCSWAL1";
-
-/// Magic header identifying a current WAL file (format version 2). The
-/// magic is followed by a little-endian u64 durability epoch.
+/// Magic header identifying a WAL file (format version 2). The magic is
+/// followed by a little-endian u64 durability epoch. Logs of any other
+/// version are rejected as [`DurabilityError::Corrupt`].
 pub const WAL_MAGIC_V2: &[u8; 8] = b"OBCSWAL2";
 
-/// Byte length of a v2 header: magic plus the u64 epoch.
+/// Byte length of the header: magic plus the u64 epoch.
 const WAL_HEADER_V2: usize = WAL_MAGIC_V2.len() + 8;
 
 /// Upper bound on a single record's payload. A length prefix beyond this
@@ -154,10 +150,8 @@ pub struct WalReplay {
     pub records: Vec<WalRecord>,
     /// Bytes of torn tail truncated away (0 for a cleanly closed log).
     pub truncated_bytes: u64,
-    /// The durability epoch in the header: `Some` for a v2 log (fresh
-    /// logs start at 0), `None` for a legacy `OBCSWAL1` log, which
-    /// predates epochs entirely.
-    pub epoch: Option<u64>,
+    /// The durability epoch in the header (fresh logs start at 0).
+    pub epoch: u64,
 }
 
 /// An open write-ahead log, positioned for appends past the last intact
@@ -165,9 +159,7 @@ pub struct WalReplay {
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// `Some` for a v2 log; `None` while the file still wears its legacy
-    /// v1 header (upgraded to v2 by the next [`Wal::reset`]).
-    epoch: Option<u64>,
+    epoch: u64,
 }
 
 impl fmt::Debug for Wal {
@@ -178,10 +170,9 @@ impl fmt::Debug for Wal {
 
 impl Wal {
     /// Opens (or creates) the log at `path`, replaying every intact
-    /// record and truncating a torn tail. Fresh logs are written in v2
-    /// form at epoch 0; legacy `OBCSWAL1` logs replay with
-    /// [`WalReplay::epoch`] `None`. Errors only on I/O failure or a
-    /// wrong magic header — a file that is not a WAL at all.
+    /// record and truncating a torn tail. Fresh logs start at epoch 0.
+    /// Errors only on I/O failure or a wrong magic header — a file that
+    /// is not a WAL of this format at all.
     pub fn open(path: impl AsRef<Path>) -> Result<(Wal, WalReplay), DurabilityError> {
         let path = path.as_ref().to_path_buf();
         // truncate(false): an existing log must be replayed, not wiped.
@@ -195,42 +186,38 @@ impl Wal {
             file.write_all(&0u64.to_le_bytes())?;
             file.sync_all()?;
             return Ok((
-                Wal { file, path, epoch: Some(0) },
-                WalReplay { records: Vec::new(), truncated_bytes: 0, epoch: Some(0) },
+                Wal { file, path, epoch: 0 },
+                WalReplay { records: Vec::new(), truncated_bytes: 0, epoch: 0 },
             ));
         }
-        let epoch = if bytes.len() >= WAL_MAGIC.len() && &bytes[..WAL_MAGIC.len()] == WAL_MAGIC {
-            None
-        } else if bytes.len() >= WAL_MAGIC_V2.len() && &bytes[..WAL_MAGIC_V2.len()] == WAL_MAGIC_V2
-        {
-            if bytes.len() < WAL_HEADER_V2 {
-                // A crash mid-reset tore the epoch field. The reset
-                // ordering (truncate, sync, then header) guarantees no
-                // record can follow a torn header, so rewrite the file
-                // as a fresh epoch-0 log.
-                let torn = (bytes.len() - WAL_MAGIC_V2.len()) as u64;
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(WAL_MAGIC_V2)?;
-                file.write_all(&0u64.to_le_bytes())?;
-                file.sync_all()?;
-                return Ok((
-                    Wal { file, path, epoch: Some(0) },
-                    WalReplay { records: Vec::new(), truncated_bytes: torn, epoch: Some(0) },
-                ));
-            }
-            let mut e = [0u8; 8];
-            e.copy_from_slice(&bytes[WAL_MAGIC_V2.len()..WAL_HEADER_V2]);
-            Some(u64::from_le_bytes(e))
-        } else {
+        if !bytes.starts_with(WAL_MAGIC_V2) {
             return Err(DurabilityError::Corrupt(format!(
-                "{} does not start with an OBCSWAL magic",
+                "{} does not start with the OBCSWAL2 magic",
                 path.display()
             )));
-        };
+        }
+        if bytes.len() < WAL_HEADER_V2 {
+            // A crash mid-reset tore the epoch field. The reset ordering
+            // (truncate, sync, then header) guarantees no record can
+            // follow a torn header, so rewrite the file as a fresh
+            // epoch-0 log.
+            let torn = (bytes.len() - WAL_MAGIC_V2.len()) as u64;
+            file.set_len(0)?;
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(WAL_MAGIC_V2)?;
+            file.write_all(&0u64.to_le_bytes())?;
+            file.sync_all()?;
+            return Ok((
+                Wal { file, path, epoch: 0 },
+                WalReplay { records: Vec::new(), truncated_bytes: torn, epoch: 0 },
+            ));
+        }
+        let epoch = u64::from_le_bytes(
+            bytes[WAL_MAGIC_V2.len()..WAL_HEADER_V2].try_into().expect("8 bytes"),
+        );
 
         let mut records = Vec::new();
-        let mut pos = if epoch.is_some() { WAL_HEADER_V2 } else { WAL_MAGIC.len() };
+        let mut pos = WAL_HEADER_V2;
         // Scan frame by frame; stop at the first incomplete or invalid
         // frame. Everything before `pos` is intact, everything after is
         // the torn tail.
@@ -272,21 +259,8 @@ impl Wal {
         Ok((Wal { file, path, epoch }, WalReplay { records, truncated_bytes, epoch }))
     }
 
-    /// Creates a fresh v2 log at `path` with the given epoch, truncating
-    /// anything already there. Used by the compaction swap, which builds
-    /// the successor log beside the live one before renaming it into
-    /// place (the open handle survives the rename).
-    pub(crate) fn create(path: impl AsRef<Path>, epoch: u64) -> Result<Wal, DurabilityError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        file.write_all(WAL_MAGIC_V2)?;
-        file.write_all(&epoch.to_le_bytes())?;
-        Ok(Wal { file, path, epoch: Some(epoch) })
-    }
-
-    /// Reads the epoch out of a v2 log header without opening, replaying
-    /// or repairing the file. `None` for a missing, legacy, or torn
+    /// Reads the epoch out of a log header without opening, replaying
+    /// or repairing the file. `None` for a missing, foreign, or torn
     /// file.
     pub(crate) fn peek_epoch(path: &Path) -> Option<u64> {
         let mut header = [0u8; WAL_HEADER_V2];
@@ -295,9 +269,7 @@ impl Wal {
         if &header[..WAL_MAGIC_V2.len()] != WAL_MAGIC_V2 {
             return None;
         }
-        let mut e = [0u8; 8];
-        e.copy_from_slice(&header[WAL_MAGIC_V2.len()..]);
-        Some(u64::from_le_bytes(e))
+        Some(u64::from_le_bytes(header[WAL_MAGIC_V2.len()..].try_into().expect("8 bytes")))
     }
 
     /// Appends one record frame. The bytes reach the OS here; call
@@ -321,8 +293,8 @@ impl Wal {
     }
 
     /// Compaction: drops every logged record and stamps `epoch` into a
-    /// fresh v2 header (upgrading a legacy v1 log in the process). Call
-    /// after a snapshot at `epoch` has made the records redundant.
+    /// fresh header. Call after a snapshot at `epoch` has made the
+    /// records redundant.
     ///
     /// The ordering is crash-critical: truncate to zero and sync
     /// *before* writing the new header. Writing the header first could
@@ -330,8 +302,8 @@ impl Wal {
     /// reached disk — exactly the double-apply the epoch exists to
     /// prevent. With truncate-first, every crash point leaves either the
     /// old log (intact, old epoch — discarded by the epoch check), an
-    /// empty file (a fresh log), or a torn v2 header (repaired to a
-    /// fresh log by [`Wal::open`]).
+    /// empty file (a fresh log), or a torn header (repaired to a fresh
+    /// log by [`Wal::open`]).
     pub fn reset(&mut self, epoch: u64) -> Result<(), DurabilityError> {
         self.file.set_len(0)?;
         self.file.sync_all()?;
@@ -339,13 +311,12 @@ impl Wal {
         self.file.write_all(WAL_MAGIC_V2)?;
         self.file.write_all(&epoch.to_le_bytes())?;
         self.file.sync_all()?;
-        self.epoch = Some(epoch);
+        self.epoch = epoch;
         Ok(())
     }
 
-    /// The durability epoch this log extends (`None` for a legacy v1
-    /// log that has not been reset yet).
-    pub fn epoch(&self) -> Option<u64> {
+    /// The durability epoch this log extends.
+    pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -353,23 +324,6 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Re-labels the handle after the file it owns was renamed (the
-    /// compaction swap); the descriptor itself survives a rename.
-    pub(crate) fn set_path(&mut self, path: PathBuf) {
-        self.path = path;
-    }
-}
-
-/// The staging path of the compaction swap: the successor WAL is built
-/// at `<wal>.new`, synced, and renamed over the live log only after the
-/// epoch-stamped snapshot commits. Recovery finding this file either
-/// redoes the rename (epoch matches the snapshot: the swap committed)
-/// or deletes it (any other state: the swap never committed).
-pub(crate) fn swap_path(wal_path: &Path) -> PathBuf {
-    let mut name = wal_path.as_os_str().to_os_string();
-    name.push(".new");
-    PathBuf::from(name)
 }
 
 const fn crc32_table() -> [u32; 256] {
@@ -526,8 +480,15 @@ mod tests {
     #[test]
     fn wrong_magic_is_an_error() {
         let path = temp_path("magic");
-        std::fs::write(&path, b"NOTAWAL!xxxx").unwrap();
-        assert!(matches!(Wal::open(&path), Err(DurabilityError::Corrupt(_))));
+        // A foreign file, and a log written by an older build: both fail
+        // naming the expected magic, never replay.
+        for bytes in [&b"NOTAWAL!xxxx"[..], &b"OBCSWAL1"[..]] {
+            std::fs::write(&path, bytes).unwrap();
+            match Wal::open(&path) {
+                Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("OBCSWAL2"), "{msg}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -536,44 +497,19 @@ mod tests {
         let path = temp_path("reset");
         {
             let (mut wal, replay) = Wal::open(&path).unwrap();
-            assert_eq!(replay.epoch, Some(0), "fresh logs are v2 at epoch 0");
+            assert_eq!(replay.epoch, 0, "fresh logs start at epoch 0");
             for r in sample_records() {
                 wal.append(&r).unwrap();
             }
             wal.reset(7).unwrap();
-            assert_eq!(wal.epoch(), Some(7));
+            assert_eq!(wal.epoch(), 7);
             wal.append(&sample_records()[0]).unwrap();
             wal.sync().unwrap();
         }
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records, sample_records()[..1], "only post-reset records survive");
-        assert_eq!(replay.epoch, Some(7), "the epoch survives reopen");
+        assert_eq!(replay.epoch, 7, "the epoch survives reopen");
         assert_eq!(Wal::peek_epoch(&path), Some(7));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_v1_logs_replay_without_an_epoch() {
-        let path = temp_path("v1");
-        // Hand-build a v1 log: legacy magic, then ordinary frames.
-        let mut bytes = WAL_MAGIC.to_vec();
-        for r in sample_records() {
-            let payload = serde_json::to_string(&r).unwrap().into_bytes();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let (mut wal, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, sample_records());
-        assert_eq!(replay.epoch, None, "v1 predates epochs");
-        assert_eq!(Wal::peek_epoch(&path), None);
-        // The first reset upgrades the file to v2.
-        wal.reset(3).unwrap();
-        drop(wal);
-        let (_, replay) = Wal::open(&path).unwrap();
-        assert!(replay.records.is_empty());
-        assert_eq!(replay.epoch, Some(3));
         std::fs::remove_file(&path).ok();
     }
 
@@ -593,7 +529,7 @@ mod tests {
             std::fs::write(&path, &full[..cut]).unwrap();
             let (_, replay) = Wal::open(&path).unwrap();
             assert!(replay.records.is_empty(), "cut at {cut}");
-            assert_eq!(replay.epoch, Some(0), "cut at {cut}: repaired to a fresh log");
+            assert_eq!(replay.epoch, 0, "cut at {cut}: repaired to a fresh log");
             assert_eq!(replay.truncated_bytes, (cut - WAL_MAGIC_V2.len()) as u64);
         }
         std::fs::remove_file(&path).ok();

@@ -1,5 +1,5 @@
 //! Torn-file recovery properties (DESIGN.md §16), for both durability
-//! formats. The WAL side: a log cut at *any* byte offset recovers to a
+//! files. The WAL side: a log cut at *any* byte offset recovers to a
 //! prefix-consistent KB — exactly the records whose frames survived in
 //! full, never a panic, never a half-applied record. The deterministic
 //! test walks every byte offset of the final record's frame; the
@@ -8,15 +8,14 @@
 //! side is the opposite contract: snapshot commits are atomic (tmp +
 //! rename), so a binary snapshot cut at *any* byte offset is hard
 //! `Corrupt` — never a silent partial load. A property test also pins
-//! the two snapshot formats to each other: JSON and binary images of
-//! the same KB load back observationally identical (rows, generations,
-//! index policy, planner access labels).
+//! a snapshot to its original: the image loads back observationally
+//! identical (rows, generations, index policy, planner access labels).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use obcs_kb::schema::{ColumnType, TableSchema};
-use obcs_kb::snapshot::{read_snapshot, write_snapshot, write_snapshot_json};
+use obcs_kb::snapshot::{read_snapshot, write_snapshot};
 use obcs_kb::{DurabilityError, IndexKind, KnowledgeBase, Value, Wal, WalRecord};
 use proptest::prelude::*;
 
@@ -195,8 +194,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Binary snapshot format: truncation is corruption, and the two formats
-// are observationally equivalent.
+// Snapshot format: truncation is corruption, and a snapshot is
+// observationally equivalent to its original.
 // ---------------------------------------------------------------------
 
 /// A KB with enough variety to exercise every value tag and the index
@@ -257,8 +256,8 @@ fn varied_kb(rows: &[(i64, u8, u8)]) -> KnowledgeBase {
     kb
 }
 
-/// Queries whose planner access labels must survive any snapshot format
-/// (point probe, LIKE prefix, FK join).
+/// Queries whose planner access labels must survive a snapshot (point
+/// probe, LIKE prefix, FK join).
 const LABEL_QUERIES: &[&str] = &[
     "SELECT name FROM drug WHERE drug_id = 3",
     "SELECT name FROM drug WHERE name LIKE 'Drug1%'",
@@ -289,17 +288,17 @@ fn every_byte_truncation_of_a_binary_snapshot_is_hard_corrupt() {
     // image rather than some always-rejected garbage.
     std::fs::write(&cut_path, &full).expect("write intact");
     let (back, epoch) = read_snapshot(&cut_path).expect("intact file loads");
-    assert_eq!(epoch, Some(9));
+    assert_eq!(epoch, 9);
     assert_eq!(back.to_json(), kb.to_json());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
-    /// JSON and binary snapshots of the same KB are observationally
-    /// identical after reload: same rows, same generation stamps, same
-    /// index policy, same planner access labels.
+    /// A snapshot loads back observationally identical to the KB it was
+    /// written from: same rows, same generation stamps, same index
+    /// policy, same planner access labels.
     #[test]
-    fn json_and_binary_snapshots_load_back_identical(
+    fn snapshots_load_back_identical_to_the_original(
         ids in proptest::collection::vec((0i64..64, 0u8..9, 0u8..16), 1..24),
         epoch in 0u64..1000,
     ) {
@@ -309,29 +308,19 @@ proptest! {
             ids.into_iter().filter(|(id, _, _)| seen.insert(*id)).collect();
         let kb = varied_kb(&rows);
 
-        let json_path = dir.join("kb_json.snapshot");
-        let bin_path = dir.join("kb_bin.snapshot");
-        write_snapshot_json(&kb, &json_path).expect("json write");
-        write_snapshot(&kb, &bin_path, epoch).expect("binary write");
-        let (from_json, json_epoch) = read_snapshot(&json_path).expect("json read");
-        let (from_bin, bin_epoch) = read_snapshot(&bin_path).expect("binary read");
-        prop_assert_eq!(json_epoch, None, "the JSON format predates epochs");
-        prop_assert_eq!(bin_epoch, Some(epoch));
+        let path = dir.join("kb.snapshot");
+        write_snapshot(&kb, &path, epoch).expect("write");
+        let (back, back_epoch) = read_snapshot(&path).expect("read");
+        prop_assert_eq!(back_epoch, epoch);
 
-        prop_assert_eq!(from_json.to_json(), from_bin.to_json());
-        prop_assert_eq!(from_bin.to_json(), kb.to_json());
-        prop_assert_eq!(from_json.generation(), from_bin.generation());
-        prop_assert_eq!(from_bin.generation(), kb.generation());
-        prop_assert_eq!(from_json.schema_generation(), from_bin.schema_generation());
-        prop_assert_eq!(from_bin.schema_generation(), kb.schema_generation());
-        prop_assert_eq!(from_json.index_count(), from_bin.index_count());
-        prop_assert_eq!(from_bin.index_count(), kb.index_count());
+        prop_assert_eq!(back.to_json(), kb.to_json());
+        prop_assert_eq!(back.generation(), kb.generation());
+        prop_assert_eq!(back.schema_generation(), kb.schema_generation());
+        prop_assert_eq!(back.index_count(), kb.index_count());
         for sql in LABEL_QUERIES {
-            let a = from_json.prepare(sql).expect("plan").access_label();
-            let b = from_bin.prepare(sql).expect("plan").access_label();
-            prop_assert_eq!(a, b, "access path diverged between formats for {}", sql);
             prop_assert_eq!(
-                a, kb.prepare(sql).expect("plan").access_label(),
+                back.prepare(sql).expect("plan").access_label(),
+                kb.prepare(sql).expect("plan").access_label(),
                 "access path diverged from the original for {}", sql
             );
         }

@@ -40,39 +40,23 @@ pub struct ServeConfig {
     /// Durability directory (DESIGN.md §16). When set, startup recovers
     /// the KB from the directory's snapshot + WAL if one exists —
     /// replacing the agent's KB with the recovered one — or seeds the
-    /// directory from the agent's KB if not, and shutdown fsyncs the
-    /// WAL. `None` (the default) serves purely in memory, as before.
+    /// directory from the agent's KB if not. `None` (the default) serves
+    /// purely in memory.
     pub durability: Option<DurabilityConfig>,
 }
 
-/// Where a durable server keeps its snapshot + WAL pair, and whether a
-/// background compactor folds the WAL into fresh snapshots while the
-/// server keeps taking turns.
+/// Where a durable server keeps its snapshot + WAL pair.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding [`obcs_kb::SNAPSHOT_FILE`] and
     /// [`obcs_kb::WAL_FILE`] (created if absent).
     pub dir: PathBuf,
-    /// Interval between background compaction checks. `None` (the
-    /// default) disables the compactor; shutdown still leaves a
-    /// recoverable snapshot + WAL pair, recovery just replays more
-    /// records.
-    pub compact_interval: Option<Duration>,
-    /// Pending WAL records below which a compaction tick does nothing,
-    /// so an idle log is not endlessly re-snapshotted.
-    pub compact_min_records: usize,
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir`, with background compaction off.
+    /// Durability rooted at `dir`.
     pub fn at(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig { dir: dir.into(), compact_interval: None, compact_min_records: 1 }
-    }
-
-    /// Enable background compaction roughly every `interval`.
-    pub fn compact_every(mut self, interval: Duration) -> Self {
-        self.compact_interval = Some(interval);
-        self
+        DurabilityConfig { dir: dir.into() }
     }
 }
 
@@ -94,10 +78,6 @@ struct Counters {
     shed: AtomicU64,
     protocol_errors: AtomicU64,
     connections: AtomicU64,
-    /// Background compactions committed. Process-local observability
-    /// (see [`Server::compactions`]); deliberately *not* part of the
-    /// wire [`StatsSnapshot`], whose shape is frozen by PROTOCOL.md.
-    compactions: AtomicU64,
 }
 
 struct Inner {
@@ -107,9 +87,6 @@ struct Inner {
     traces: Mutex<Vec<TraceReport>>,
     trace: bool,
     shutdown: AtomicBool,
-    /// Open durable handle when the server was started with a
-    /// [`DurabilityConfig`]; shutdown fsyncs its WAL.
-    durable: Option<Mutex<DurableKb>>,
 }
 
 impl Inner {
@@ -134,7 +111,6 @@ pub struct Server {
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    compactor: Option<JoinHandle<()>>,
     recovery: Option<RecoveryReport>,
 }
 
@@ -152,8 +128,11 @@ impl Server {
     /// WAL is recovered (torn tail truncated, generation counters and
     /// index policy restored — see [`Server::recovery`]) and installed
     /// on the agent; a fresh directory is seeded with a snapshot of the
-    /// agent's KB. Durability failures surface as `std::io::Error` here
-    /// rather than degrading to a silently non-durable server.
+    /// agent's KB. The server never mutates the KB, so it keeps no
+    /// durable handle past startup: every startup write (torn-tail
+    /// truncation, log realignment, the seed snapshot) is synced before
+    /// this returns. Durability failures surface as `std::io::Error`
+    /// here rather than degrading to a silently non-durable server.
     pub fn start(mut agent: ConversationAgent, config: ServeConfig) -> std::io::Result<Server> {
         if let Some(budget) = config.turn_budget {
             agent.set_resilience(ResilienceConfig {
@@ -161,19 +140,16 @@ impl Server {
                 ..ResilienceConfig::serving()
             });
         }
-        let mut durable = None;
         let mut recovery = None;
         if let Some(durability) = &config.durability {
             if DurableKb::exists(&durability.dir) {
                 let (d, report) =
                     DurableKb::open(&durability.dir).map_err(std::io::Error::other)?;
-                agent.set_kb(d.kb().clone());
-                durable = Some(Mutex::new(d));
+                agent.set_kb(d.into_kb());
                 recovery = Some(report);
             } else {
-                let d = DurableKb::create(&durability.dir, agent.kb().clone())
+                DurableKb::create(&durability.dir, agent.kb().clone())
                     .map_err(std::io::Error::other)?;
-                durable = Some(Mutex::new(d));
             }
         }
         let server_name = agent.config().name.clone();
@@ -186,7 +162,6 @@ impl Server {
             traces: Mutex::new(Vec::new()),
             trace: config.trace,
             shutdown: AtomicBool::new(false),
-            durable,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -211,21 +186,7 @@ impl Server {
             }
         });
 
-        // Background compaction (DESIGN.md §16): folds pending WAL
-        // records into a fresh snapshot at the next epoch while turns
-        // keep flowing. Turns never touch the DurableKb (the KB is
-        // seeded at startup), so the compactor contends only for the
-        // brief begin/finish critical sections.
-        let compactor = match (&inner.durable, config.durability.as_ref()) {
-            (Some(_), Some(durability)) => durability.compact_interval.map(|interval| {
-                let inner = Arc::clone(&inner);
-                let min_records = durability.compact_min_records;
-                std::thread::spawn(move || compaction_loop(&inner, interval, min_records))
-            }),
-            _ => None,
-        };
-
-        Ok(Server { inner, addr, accept: Some(accept), conns, compactor, recovery })
+        Ok(Server { inner, addr, accept: Some(accept), conns, recovery })
     }
 
     /// What startup recovery did, when this server was started with a
@@ -246,12 +207,6 @@ impl Server {
         self.inner.stats()
     }
 
-    /// Background compactions committed since startup (0 when the
-    /// compactor is disabled).
-    pub fn compactions(&self) -> u64 {
-        self.inner.counters.compactions.load(Ordering::Relaxed)
-    }
-
     /// Merge and take the per-connection trace reports collected so far.
     /// Returns `None` when the server was started with `trace: false` or
     /// no traced connection has closed yet.
@@ -265,13 +220,10 @@ impl Server {
 
     /// Stop accepting, wake the accept loop, and join every thread.
     /// Connection handlers notice shutdown within their read-timeout
-    /// tick (250ms) even if the peer keeps the socket open. On a
-    /// durable server, the WAL is fsynced after the last handler exits,
-    /// so a graceful shutdown never leaves logged state in page cache
-    /// only. Idempotent — a second call (or a call racing a first) just
-    /// re-joins nothing and re-syncs an already-synced log; the handle
-    /// stays usable for [`Server::stats`] / [`Server::take_trace`]
-    /// afterwards.
+    /// tick (250ms) even if the peer keeps the socket open. Idempotent —
+    /// a second call (or a call racing a first) just re-joins nothing;
+    /// the handle stays usable for [`Server::stats`] /
+    /// [`Server::take_trace`] afterwards.
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept() with a throwaway connection.
@@ -283,52 +235,6 @@ impl Server {
             std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
         for h in handles {
             let _ = h.join();
-        }
-        if let Some(compactor) = self.compactor.take() {
-            let _ = compactor.join();
-        }
-        if let Some(durable) = &self.inner.durable {
-            let _ = durable.lock().unwrap_or_else(|e| e.into_inner()).sync();
-        }
-    }
-}
-
-/// The background compactor: every `interval`, if at least
-/// `min_records` WAL records are pending, run the three-phase
-/// compaction protocol — clone under a brief lock, stream the snapshot
-/// to a tmp file with no lock held, swap by rename + epoch bump under a
-/// second brief lock ([`obcs_kb::CompactionJob`]). Sleeps in short
-/// ticks so shutdown is observed promptly.
-fn compaction_loop(inner: &Inner, interval: Duration, min_records: usize) {
-    let Some(durable) = &inner.durable else { return };
-    let tick = Duration::from_millis(10);
-    let mut elapsed = Duration::ZERO;
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(tick.min(interval));
-        elapsed += tick.min(interval);
-        if elapsed < interval {
-            continue;
-        }
-        elapsed = Duration::ZERO;
-        let job = {
-            let mut d = durable.lock().unwrap_or_else(|e| e.into_inner());
-            if d.pending_records() < min_records.max(1) {
-                continue;
-            }
-            d.begin_compaction()
-        };
-        if job.write().is_err() {
-            // Disk trouble streaming the tmp image; the live snapshot +
-            // WAL pair is untouched and still recoverable. Retry at the
-            // next interval.
-            continue;
-        }
-        let committed = {
-            let mut d = durable.lock().unwrap_or_else(|e| e.into_inner());
-            d.finish_compaction(job)
-        };
-        if let Ok(true) = committed {
-            inner.counters.compactions.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
