@@ -86,6 +86,19 @@ echo "==> protocol spec round-trip (docs/PROTOCOL.md vs serde types)"
 # as a protocol message and survive an encode/decode round trip.
 cargo test -q -p obcs-serve --test protocol_doc > /dev/null
 
+echo "==> servebench self-tests + clinic/deep_kb smokes"
+# The served-conversation benchmark (BENCHMARK.json) is a workspace of
+# its own with path deps on crates/*, so nothing above builds it: run
+# its self-tests, then a one-second run of each workload. A run exits
+# non-zero unless it is correct — served replies match the in-process
+# replay digests — so this also fails on a crates/* API change that stops
+# the benchmark from building.
+cargo test -q --offline --manifest-path servebench/Cargo.toml > /dev/null
+for workload in clinic deep_kb; do
+  cargo run -q --release --offline --manifest-path servebench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "==> spacelint + spaceverify over a large-world export"
 # Bind-checks the static-analysis chain at scale: export a 1000-drug
 # world (auto-indexed KB included) to target/ and run the same OBCS0xx /

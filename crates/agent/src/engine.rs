@@ -2,12 +2,17 @@
 //! instantiation, KB execution, and NLG into a single `respond` loop —
 //! the fully automated online process of the paper's Figure 1(b).
 //!
-//! The trained NLU (classifier weights + entity lexicon) is by far the
-//! most expensive part of agent assembly, so it is held behind an [`Arc`]:
+//! Everything a session only reads — the trained NLU (classifier weights
+//! and entity lexicon), the ontology, the mapping, the conversation
+//! space, the dialogue tree, and the KB's tables — is held behind an
+//! [`Arc`]:
 //! [`ConversationAgent::fork_session`] stamps out an independent session
-//! (own context, own log) that *shares* the trained NLU — the mechanism
-//! the traffic replay uses to run shards on separate threads without
-//! retraining per shard.
+//! (own context, own log, own KB caches) that *shares* all of it, so a
+//! fork costs a handful of reference-count increments whatever the size
+//! of the domain. That is the mechanism the traffic replay uses to run
+//! shards on separate threads and the server uses to open a session per
+//! first contact. The rare mutators (`tree_mut`, `retrain_with`, the KB
+//! writers) copy on write, so they never reach a live fork.
 
 use std::sync::Arc;
 
@@ -73,11 +78,11 @@ pub struct AgentReply {
 
 /// The online conversation agent.
 pub struct ConversationAgent {
-    onto: Ontology,
+    onto: Arc<Ontology>,
     kb: KnowledgeBase,
-    mapping: OntologyMapping,
-    space: ConversationSpace,
-    tree: DialogueTree,
+    mapping: Arc<OntologyMapping>,
+    space: Arc<ConversationSpace>,
+    tree: Arc<DialogueTree>,
     nlu: Arc<Nlu>,
     ctx: ConversationContext,
     pub log: InteractionLog,
@@ -104,6 +109,13 @@ pub struct ConversationAgent {
     chaos_clock: TickClock,
 }
 
+// Serving shares one base agent across connection threads and forks it
+// without a lock; keep that possible.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<ConversationAgent>();
+};
+
 impl ConversationAgent {
     /// Assembles the agent from a bootstrapped conversation space.
     pub fn new(
@@ -116,11 +128,11 @@ impl ConversationAgent {
         let tree = DialogueTree::from_space(&space, &onto, &config.name);
         let nlu = Arc::new(Nlu::from_space(&space, &onto, &kb, &mapping));
         ConversationAgent {
-            onto,
+            onto: Arc::new(onto),
             kb,
-            mapping,
-            space,
-            tree,
+            mapping: Arc::new(mapping),
+            space: Arc::new(space),
+            tree: Arc::new(tree),
             nlu,
             ctx: ConversationContext::new(),
             log: InteractionLog::new(),
@@ -191,9 +203,16 @@ impl ConversationAgent {
         Arc::clone(&self.recorder)
     }
 
+    /// The dialogue tree (read-only).
+    pub fn tree(&self) -> &DialogueTree {
+        &self.tree
+    }
+
     /// Access to the dialogue tree for customisation (glossary, prompts).
+    /// Forks taken earlier keep the tree they were forked with: the first
+    /// call after a fork copies the tree.
     pub fn tree_mut(&mut self) -> &mut DialogueTree {
-        &mut self.tree
+        Arc::make_mut(&mut self.tree)
     }
 
     /// Access to the NLU for synonym registration. Only available while
@@ -246,18 +265,20 @@ impl ConversationAgent {
         obcs_cache::record_stats(memo.recognize, "nlu_recognize", rec);
     }
 
-    /// Stamps out an independent conversation session sharing this agent's
-    /// trained NLU: the classifier and lexicon are behind the same `Arc`
-    /// (no retraining), while the context, pending disambiguation, and log
-    /// start fresh. Forks are `Send` — the traffic replay runs one per
-    /// shard thread.
+    /// Stamps out an independent conversation session. The fork shares
+    /// this agent's trained NLU, ontology, mapping, conversation space,
+    /// dialogue tree and KB tables (no retraining, no copy: the cost is a
+    /// few reference-count increments at any KB size), while its context,
+    /// pending disambiguation, log and KB query caches start fresh. Later
+    /// mutations on either side copy on write and never reach the other.
+    /// Forks are `Send` — the traffic replay runs one per shard thread.
     pub fn fork_session(&self) -> ConversationAgent {
         ConversationAgent {
-            onto: self.onto.clone(),
+            onto: Arc::clone(&self.onto),
             kb: self.kb.clone(),
-            mapping: self.mapping.clone(),
-            space: self.space.clone(),
-            tree: self.tree.clone(),
+            mapping: Arc::clone(&self.mapping),
+            space: Arc::clone(&self.space),
+            tree: Arc::clone(&self.tree),
             nlu: Arc::clone(&self.nlu),
             ctx: ConversationContext::new(),
             log: InteractionLog::new(),
@@ -305,11 +326,13 @@ impl ConversationAgent {
         let mut unknown = Vec::new();
         let mut added = false;
         for (utterance, intent_name) in labelled {
-            match self.space.intent_by_name(intent_name) {
+            match self.space.intent_by_name(intent_name).map(|i| i.id) {
                 Some(intent) => {
-                    self.space.training.push(TrainingExample {
+                    // Copy on write: forks keep the space they were
+                    // forked with.
+                    Arc::make_mut(&mut self.space).training.push(TrainingExample {
                         text: utterance.clone(),
-                        intent: intent.id,
+                        intent,
                         source: ExampleSource::SmeAugmented,
                     });
                     added = true;
@@ -1099,8 +1122,14 @@ mod tests {
         let mut a = agent();
         a.respond("show me the precaution for Aspirin");
         let mut forks: Vec<ConversationAgent> = (0..2).map(|_| a.fork_session()).collect();
-        // Forks share the trained NLU (same allocation)…
-        assert!(Arc::ptr_eq(&a.shared_nlu(), &forks[0].shared_nlu()));
+        // Forks share the trained NLU (same allocation), the KB tables,
+        // the conversation space and the dialogue tree…
+        for f in &forks {
+            assert!(Arc::ptr_eq(&a.shared_nlu(), &f.shared_nlu()));
+            assert!(std::ptr::eq(a.kb().table("drug").unwrap(), f.kb().table("drug").unwrap()));
+            assert!(std::ptr::eq(a.space(), f.space()));
+            assert!(std::ptr::eq(a.tree(), f.tree()));
+        }
         // …but start with a fresh context and log.
         assert!(forks[0].context().entities.is_empty());
         assert_eq!(forks[0].log.len(), 0);
@@ -1114,6 +1143,41 @@ mod tests {
         }
         // The parent's session state was untouched by the forks.
         assert!(!a.context().entities.is_empty());
+    }
+
+    #[test]
+    fn mutating_the_base_after_forking_leaves_live_forks_unchanged() {
+        const HAZARDS: &str = "gimme the lowdown on hazards of Aspirin";
+        let mut base = agent();
+        let mut live = base.fork_session();
+        // The witness never shares anything with `base`.
+        let mut witness = agent();
+        assert_eq!(
+            live.respond("show me the precaution"),
+            witness.respond("show me the precaution")
+        );
+
+        base.retrain_with(&[
+            (HAZARDS.to_string(), "Risks of Drug".to_string()),
+            ("lowdown on hazards of Ibuprofen".to_string(), "Risks of Drug".to_string()),
+        ]);
+        let precautions = base.space().intent_by_name("Precautions of Drug").unwrap().id;
+        let drug = base.tree().logic.row(precautions).unwrap().required[0].concept;
+        base.tree_mut().logic.set_elicitation(precautions, drug, "Which medicine?");
+        let mut kb = base.kb().clone();
+        let row = vec![obcs_kb::Value::Int(3), obcs_kb::Value::Int(0), obcs_kb::Value::text("NEW")];
+        kb.insert("precaution", row).unwrap();
+        base.set_kb(kb);
+        // The mutations are visible on the base…
+        assert_eq!(base.respond("show me the precaution").text, "Which medicine?");
+        assert!(base.respond("Aspirin").text.contains("NEW"));
+        let risks = base.space().intent_by_name("Risks of Drug").unwrap().id;
+        assert_eq!(base.respond(HAZARDS).intent, Some(risks));
+
+        // …and nowhere in the fork taken before them.
+        for utterance in ["Aspirin", "show me the precaution", "Ibuprofen", HAZARDS] {
+            assert_eq!(live.respond(utterance), witness.respond(utterance), "{utterance:?}");
+        }
     }
 
     #[test]

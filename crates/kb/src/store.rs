@@ -146,20 +146,25 @@ impl Table {
             .or_else(|| self.index_of_kind(col, IndexKind::Ordered))
     }
 
-    /// Adds (and builds) a secondary index; `false` if an identical one
-    /// already exists.
-    fn add_secondary(&mut self, column: &str, kind: IndexKind) -> Result<bool, KbError> {
+    /// The column position a new `kind` index on `column` would cover,
+    /// or `None` if an identical index already exists.
+    fn new_index_column(&self, column: &str, kind: IndexKind) -> Result<Option<usize>, KbError> {
         let col = self.schema.column_index(column).ok_or_else(|| KbError::UnknownColumn {
             table: self.schema.name.clone(),
             column: column.to_string(),
         })?;
-        if self.index_of_kind(col, kind).is_some() {
-            return Ok(false);
+        Ok(self.index_of_kind(col, kind).is_none().then_some(col))
+    }
+
+    /// Adds (and builds) a secondary index; a no-op if an identical one
+    /// already exists.
+    fn add_secondary(&mut self, column: &str, kind: IndexKind) -> Result<(), KbError> {
+        if let Some(col) = self.new_index_column(column, kind)? {
+            let mut idx = SecondaryIndex::new(column, col, kind);
+            idx.rebuild(&self.rows);
+            self.secondary.push(idx);
         }
-        let mut idx = SecondaryIndex::new(column, col, kind);
-        idx.rebuild(&self.rows);
-        self.secondary.push(idx);
-        Ok(true)
+        Ok(())
     }
 
     fn rebuild_pk_index(&mut self) {
@@ -249,8 +254,9 @@ pub struct KbCacheStats {
 /// The query caches riding on a [`KnowledgeBase`] (DESIGN.md §12): a
 /// prepared-plan cache validated against the *schema* generation and a
 /// result cache validated against the *data* generation. Cloning a KB
-/// (e.g. `fork_session`) starts the clone with fresh empty caches so
-/// forks never share mutable state; only the enabled flag carries over.
+/// (e.g. `fork_session`) shares the table data copy-on-write but starts
+/// the clone with fresh empty caches, so forks never share mutable
+/// state; only the enabled flag carries over.
 struct QueryCaches {
     enabled: bool,
     plan: Mutex<GenCache<Arc<sql::exec::BoundPlan>>>,
@@ -317,9 +323,15 @@ pub struct GenerationStamp {
 }
 
 /// The in-memory knowledge base: a named collection of tables.
+///
+/// The table map sits behind one [`Arc`] and is copied on write: a clone
+/// shares every row and index with its source until either side mutates,
+/// so forking a session costs a reference-count increment, not a copy
+/// of the data. Each mutator validates before it calls
+/// [`Arc::make_mut`], so a rejected mutation never copies.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KnowledgeBase {
-    tables: HashMap<String, Table>,
+    tables: Arc<HashMap<String, Table>>,
     /// Persisted envelope copy of the generation counters; `None` in
     /// live KBs (the live counters below are authoritative) and in
     /// envelopes written before the stamp existed (those reload at
@@ -355,7 +367,7 @@ impl KnowledgeBase {
         if self.tables.contains_key(&schema.name) {
             return Err(KbError::TableExists(schema.name));
         }
-        self.tables.insert(schema.name.clone(), Table::new(schema));
+        Arc::make_mut(&mut self.tables).insert(schema.name.clone(), Table::new(schema));
         self.generation += 1;
         self.schema_generation += 1;
         Ok(())
@@ -429,7 +441,7 @@ impl KnowledgeBase {
                 }
             }
         }
-        let t = self.tables.get_mut(table).expect("existence checked above");
+        let t = Arc::make_mut(&mut self.tables).get_mut(table).expect("existence checked above");
         if let Some(pk) = t.schema.primary_key.clone() {
             let idx = t.schema.column_index(&pk).expect("checked schema");
             t.pk_index.insert(row[idx].clone(), t.rows.len());
@@ -454,14 +466,14 @@ impl KnowledgeBase {
         column: &str,
         kind: IndexKind,
     ) -> Result<bool, KbError> {
-        let t =
-            self.tables.get_mut(table).ok_or_else(|| KbError::UnknownTable(table.to_string()))?;
-        let created = t.add_secondary(column, kind)?;
-        if created {
-            self.generation += 1;
-            self.schema_generation += 1;
+        if self.table(table)?.new_index_column(column, kind)?.is_none() {
+            return Ok(false);
         }
-        Ok(created)
+        let t = Arc::make_mut(&mut self.tables).get_mut(table).expect("existence checked above");
+        t.add_secondary(column, kind)?;
+        self.generation += 1;
+        self.schema_generation += 1;
+        Ok(true)
     }
 
     /// Stats-guided index selection over the whole KB (DESIGN.md §14):
@@ -653,7 +665,7 @@ impl KnowledgeBase {
 
     /// Rebuilds all PK indexes (after deserialisation).
     pub fn rebuild_indexes(&mut self) {
-        for t in self.tables.values_mut() {
+        for t in Arc::make_mut(&mut self.tables).values_mut() {
             t.rebuild_pk_index();
         }
     }
@@ -670,7 +682,7 @@ impl KnowledgeBase {
             kb.generation = stamp.data;
             kb.schema_generation = stamp.schema;
         }
-        for t in kb.tables.values_mut() {
+        for t in Arc::make_mut(&mut kb.tables).values_mut() {
             if let Some(policy) = t.index_policy.take() {
                 for spec in policy {
                     // The schema the policy was recorded against is the
@@ -691,7 +703,7 @@ impl KnowledgeBase {
     /// validation counters exactly as `from_json` does.
     pub(crate) fn assemble(tables: HashMap<String, Table>, stamp: GenerationStamp) -> Self {
         KnowledgeBase {
-            tables,
+            tables: Arc::new(tables),
             generations: None,
             generation: stamp.data,
             schema_generation: stamp.schema,
@@ -708,7 +720,7 @@ impl KnowledgeBase {
         let mut kb = self.clone();
         kb.generations =
             Some(GenerationStamp { data: self.generation, schema: self.schema_generation });
-        for t in kb.tables.values_mut() {
+        for t in Arc::make_mut(&mut kb.tables).values_mut() {
             t.index_policy = Some(t.secondary.iter().map(SecondaryIndex::spec).collect());
         }
         serde_json::to_string_pretty(&kb).expect("KB serialisation cannot fail")
@@ -881,6 +893,103 @@ mod tests {
         let fork = kb.clone();
         assert!(fork.cache_enabled());
         assert_eq!(fork.cache_stats(), KbCacheStats::default(), "no shared or carried state");
+    }
+
+    #[test]
+    fn clone_shares_tables_until_either_side_mutates() {
+        let mut kb = kb_with_drug();
+        kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
+        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        let mut fork = kb.clone();
+        assert!(Arc::ptr_eq(&kb.tables, &fork.tables), "a clone shares table storage");
+
+        // Rejected or no-op mutations never copy.
+        assert!(fork.insert("drug", vec![Value::Int(1), Value::text("dup")]).is_err());
+        assert!(fork.insert("nope", vec![]).is_err());
+        assert!(fork.create_table(TableSchema::new("drug").column("x", ColumnType::Int)).is_err());
+        assert!(fork.create_index("drug", "nope", IndexKind::Hash).is_err());
+        assert!(!fork.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
+        assert!(Arc::ptr_eq(&kb.tables, &fork.tables), "a rejected mutation copied the tables");
+
+        fork.insert("drug", vec![Value::Int(2), Value::text("B")]).unwrap();
+        assert!(!Arc::ptr_eq(&kb.tables, &fork.tables), "the fork's first write copies");
+        let twin = kb.clone();
+        kb.create_table(TableSchema::new("other").column("x", ColumnType::Int)).unwrap();
+        assert!(!Arc::ptr_eq(&kb.tables, &twin.tables), "the source's first write copies");
+    }
+
+    /// Probes whose results and access paths a sibling's mutation could
+    /// move if the twins shared more than read-only table storage.
+    const TWIN_PROBES: &[&str] = &[
+        "SELECT name FROM drug WHERE drug_id = 1",
+        "SELECT drug_id FROM drug WHERE name LIKE 'A%'",
+    ];
+
+    /// A KB and its clone, both with every probe answered once, so both
+    /// result caches are warm.
+    fn warm_twins() -> (KnowledgeBase, KnowledgeBase) {
+        let mut kb = kb_with_drug();
+        for (i, n) in [(1, "Aspirin"), (2, "Abacavir"), (3, "Ibuprofen")] {
+            kb.insert("drug", vec![Value::Int(i), Value::text(n)]).unwrap();
+        }
+        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        let twin = kb.clone();
+        for sql in TWIN_PROBES {
+            kb.query(sql).unwrap();
+            twin.query(sql).unwrap();
+        }
+        (kb, twin)
+    }
+
+    /// What one twin exposes: its JSON image (rows, schemas, index
+    /// policy, generation stamp), both generations, its index count and
+    /// the access path of every probe.
+    fn twin_view(kb: &KnowledgeBase) -> (String, u64, u64, usize, Vec<&'static str>) {
+        let labels =
+            TWIN_PROBES.iter().map(|sql| kb.prepare(sql).unwrap().access_label()).collect();
+        (kb.to_json(), kb.generation(), kb.schema_generation(), kb.index_count(), labels)
+    }
+
+    #[test]
+    fn mutating_either_twin_leaves_the_other_unchanged() {
+        type Mutation = fn(&mut KnowledgeBase);
+        let mutations: [(&str, Mutation); 3] = [
+            ("insert", |kb| {
+                kb.insert("drug", vec![Value::Int(9), Value::text("Acarbose")]).unwrap()
+            }),
+            ("create_table", |kb| {
+                kb.create_table(TableSchema::new("extra").column("x", ColumnType::Int)).unwrap()
+            }),
+            ("create_index", |kb| {
+                assert!(kb.create_index("drug", "name", IndexKind::Ordered).unwrap())
+            }),
+        ];
+        for (what, mutate) in mutations {
+            for mutate_source in [true, false] {
+                let (mut source, mut clone) = warm_twins();
+                let (changed, kept) = if mutate_source {
+                    (&mut source, &mut clone)
+                } else {
+                    (&mut clone, &mut source)
+                };
+                let view = twin_view(kept);
+                let results: Vec<ResultSet> =
+                    TWIN_PROBES.iter().map(|sql| kept.query(sql).unwrap()).collect();
+                let hits = kept.cache_stats().result.hits;
+
+                mutate(changed);
+                assert_ne!(twin_view(changed), view, "{what} had no effect");
+                assert_eq!(twin_view(kept), view, "{what} on one twin moved the other");
+                for (sql, expected) in TWIN_PROBES.iter().zip(&results) {
+                    assert_eq!(&kept.query(sql).unwrap(), expected, "{what} moved {sql:?}");
+                }
+                assert_eq!(
+                    kept.cache_stats().result.hits,
+                    hits + TWIN_PROBES.len() as u64,
+                    "{what} on one twin invalidated the other's cached results"
+                );
+            }
+        }
     }
 
     #[test]

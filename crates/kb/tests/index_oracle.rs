@@ -7,7 +7,11 @@
 //! schema mixes an `Int` PK, a high-cardinality text column, and a
 //! `Float` column that also admits `Int` values, so the dual-probe
 //! (`Int`↔`Float` `sql_eq`) and saturation (≥ 2^53) paths are all
-//! exercised mid-stream.
+//! exercised mid-stream. Mid-stream the indexed KB may also be cloned,
+//! after which the twins mutate independently: each must keep matching
+//! an oracle rebuilt from its own history, never from a clone.
+
+use std::collections::BTreeSet;
 
 use obcs_kb::schema::{ColumnType, TableSchema};
 use obcs_kb::{IndexKind, KnowledgeBase, Value};
@@ -78,6 +82,9 @@ enum Op {
     CreateIndex(usize),
     /// Toggle index-backed execution on the indexed KB mid-stream.
     SetIndexes(bool),
+    /// Clone the indexed KB into a new twin; later ops each land on one
+    /// twin, so the twins diverge.
+    Fork,
 }
 
 fn weight_value(id: i64, sel: u8) -> Value {
@@ -91,14 +98,21 @@ fn weight_value(id: i64, sel: u8) -> Value {
     }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..8, 0i64..24, 0i64..14, 0u8..8).prop_map(|(kind, id, drug, sel)| match kind {
-        0 | 1 => Op::InsertDrug(id % 12, sel % 4, sel),
-        2 => Op::InsertPrecaution(id, drug),
-        3 => Op::CreateIndex(id as usize % INDEXES.len()),
-        4 => Op::SetIndexes(sel % 2 == 0),
-        _ => Op::Query(id as usize),
-    })
+/// An op plus the selector of the twin it lands on.
+fn op_strategy() -> impl Strategy<Value = (usize, Op)> {
+    (0usize..9, 0i64..24, 0i64..14, 0u8..8, 0usize..MAX_TWINS).prop_map(
+        |(kind, id, drug, sel, twin)| {
+            let op = match kind {
+                0 | 1 => Op::InsertDrug(id % 12, sel % 4, sel),
+                2 => Op::InsertPrecaution(id, drug),
+                3 => Op::CreateIndex(id as usize % INDEXES.len()),
+                4 => Op::SetIndexes(sel % 2 == 0),
+                5 => Op::Fork,
+                _ => Op::Query(id as usize),
+            };
+            (twin, op)
+        },
+    )
 }
 
 fn apply_insert(kb: &mut KnowledgeBase, op: &Op) -> Result<(), obcs_kb::KbError> {
@@ -119,43 +133,104 @@ fn apply_insert(kb: &mut KnowledgeBase, op: &Op) -> Result<(), obcs_kb::KbError>
     }
 }
 
+/// Most twins one case may fork into.
+const MAX_TWINS: usize = 4;
+
+/// One line of descent: the indexed (and cached) KB, the inserts it has
+/// seen, the index targets it has built, and its scan-only oracle.
+struct Twin {
+    indexed: KnowledgeBase,
+    inserts: Vec<Op>,
+    indexes: BTreeSet<usize>,
+    oracle: KnowledgeBase,
+}
+
+/// A scan-only, cache-free KB built from `inserts` alone — never cloned,
+/// so it shares storage with nothing.
+fn oracle_of(inserts: &[Op]) -> KnowledgeBase {
+    let mut oracle = fresh_kb();
+    oracle.set_cache_enabled(false);
+    oracle.set_index_enabled(false);
+    for op in inserts {
+        let _ = apply_insert(&mut oracle, op);
+    }
+    oracle
+}
+
 proptest! {
     /// Indexed (and cached) execution is observationally identical to a
     /// scan-only, cache-free oracle over any interleaving of mutations,
-    /// queries, index creations, and index toggles.
+    /// queries, index creations, index toggles, and clones that go on
+    /// mutating independently.
     #[test]
     fn indexed_queries_match_scan_only_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..50),
     ) {
-        let mut indexed = fresh_kb();
-        let mut oracle = fresh_kb();
-        oracle.set_cache_enabled(false);
-        oracle.set_index_enabled(false);
-        prop_assert!(indexed.index_enabled());
+        let mut twins = vec![Twin {
+            indexed: fresh_kb(),
+            inserts: Vec::new(),
+            indexes: BTreeSet::new(),
+            oracle: oracle_of(&[]),
+        }];
+        prop_assert!(twins[0].indexed.index_enabled());
 
-        for op in &ops {
+        for (sel, op) in &ops {
+            let at = sel % twins.len();
             match op {
                 Op::Query(i) => {
                     let sql = QUERIES[i % QUERIES.len()];
-                    let expected = oracle.query(sql);
-                    // Twice: the second run exercises the cache-hit path
-                    // on top of the index-backed plan.
-                    prop_assert_eq!(&indexed.query(sql), &expected, "cold divergence on {}", sql);
-                    prop_assert_eq!(&indexed.query(sql), &expected, "warm divergence on {}", sql);
+                    // Every twin, so a sibling's mutation that leaked
+                    // into shared storage shows up here.
+                    for (n, twin) in twins.iter().enumerate() {
+                        let expected = twin.oracle.query(sql);
+                        // Twice: the second run exercises the cache-hit
+                        // path on top of the index-backed plan.
+                        prop_assert_eq!(
+                            &twin.indexed.query(sql), &expected, "twin {} cold on {}", n, sql
+                        );
+                        prop_assert_eq!(
+                            &twin.indexed.query(sql), &expected, "twin {} warm on {}", n, sql
+                        );
+                    }
                 }
                 Op::CreateIndex(i) => {
-                    let (table, column, kind) = INDEXES[i % INDEXES.len()];
-                    indexed.create_index(table, column, kind).expect("valid index target");
+                    let i = i % INDEXES.len();
+                    let (table, column, kind) = INDEXES[i];
+                    let twin = &mut twins[at];
+                    let created =
+                        twin.indexed.create_index(table, column, kind).expect("valid index target");
+                    prop_assert_eq!(
+                        created, twin.indexes.insert(i), "index {:?} on twin {}", INDEXES[i], at
+                    );
                 }
-                Op::SetIndexes(on) => indexed.set_index_enabled(*on),
+                Op::SetIndexes(on) => twins[at].indexed.set_index_enabled(*on),
+                Op::Fork => {
+                    if twins.len() < MAX_TWINS {
+                        let source = &twins[at];
+                        let twin = Twin {
+                            indexed: source.indexed.clone(),
+                            inserts: source.inserts.clone(),
+                            indexes: source.indexes.clone(),
+                            oracle: oracle_of(&source.inserts),
+                        };
+                        twins.push(twin);
+                    }
+                }
                 insert => {
-                    let a = apply_insert(&mut indexed, insert);
-                    let b = apply_insert(&mut oracle, insert);
+                    let twin = &mut twins[at];
+                    let a = apply_insert(&mut twin.indexed, insert);
+                    let b = apply_insert(&mut twin.oracle, insert);
                     prop_assert_eq!(a, b, "mutation outcomes diverged on {:?}", insert);
+                    twin.inserts.push(insert.clone());
                 }
             }
+            for (n, twin) in twins.iter().enumerate() {
+                prop_assert_eq!(
+                    twin.indexed.index_count(), twin.indexes.len(), "twin {} index count", n
+                );
+                prop_assert_eq!(twin.oracle.index_count(), 0, "the oracle must never index");
+            }
         }
-        prop_assert_eq!(oracle.index_count(), 0, "the oracle must never index");
     }
 }
 

@@ -5,7 +5,8 @@
 //! vendored-deps build has no async runtime) speaking a newline-delimited
 //! JSON protocol ([`protocol`], spec in `docs/PROTOCOL.md`), over a
 //! sharded [`SessionTable`] in which every live session owns an engine
-//! fork (`fork_session` + shared `Arc<Nlu>`). The table enforces TTL
+//! fork (`fork_session`: fresh dialogue state, with the NLU, space, tree
+//! and KB tables shared behind `Arc`s). The table enforces TTL
 //! eviction, per-session memory ceilings, and admission control that
 //! sheds new sessions with a `ReplyKind::Degraded` apology when the
 //! table is full; per-turn deadline budgets ride the `obcs-faults`

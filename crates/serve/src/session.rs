@@ -1,11 +1,14 @@
 //! The sharded session table.
 //!
-//! Each live session owns a full engine fork (`fork_session` clones the
-//! dialogue state and shares the immutable `Arc<Nlu>`), keyed by the
-//! client-chosen session id and hashed across N independently locked
-//! shards so concurrent connections only contend when their sessions
-//! collide on a shard. The table enforces three resource policies
-//! (DESIGN.md §15):
+//! Each live session owns an engine fork, keyed by the client-chosen
+//! session id and hashed across N independently locked shards so
+//! concurrent connections only contend when their sessions collide on a
+//! shard. A fork starts a fresh dialogue context, log and KB query
+//! caches and shares everything else with the base agent — NLU, space,
+//! dialogue tree, KB tables — behind `Arc`s, so opening a session costs
+//! a few reference-count increments and no lock: the base agent is never
+//! mutated once the table holds it. The table enforces three resource
+//! policies (DESIGN.md §15):
 //!
 //! * **TTL eviction** — sessions idle longer than `ttl` clock readings
 //!   are dropped; idleness is measured on a pluggable
@@ -14,7 +17,8 @@
 //! * **Per-session memory ceiling** — the fork's interaction log is the
 //!   only unbounded per-session allocation, so after every turn the
 //!   oldest records are trimmed until the log's approximate byte size
-//!   fits `byte_ceiling`.
+//!   fits `byte_ceiling`. The fork's KB query caches are bounded by
+//!   their own budgets, and no session holds a copy of the KB.
 //! * **Admission control** — when the table is at `capacity` live
 //!   sessions (after reclaiming expired ones), *new* sessions are shed
 //!   with a [`ReplyKind::Degraded`] apology instead of queuing;
@@ -100,7 +104,7 @@ impl Drop for Reservation<'_> {
 
 /// A sharded map of live sessions, each owning an engine fork.
 pub struct SessionTable {
-    base: Mutex<ConversationAgent>,
+    base: ConversationAgent,
     shards: Vec<Mutex<HashMap<String, SessionEntry>>>,
     clock: Box<dyn Clock>,
     config: SessionConfig,
@@ -127,7 +131,7 @@ impl SessionTable {
     ) -> Self {
         let shards = config.shards.max(1);
         SessionTable {
-            base: Mutex::new(base),
+            base,
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             clock,
             config: SessionConfig { shards, ..config },
@@ -224,13 +228,9 @@ impl SessionTable {
             let Some(mut reservation) = reservation else {
                 return Admission::Shed;
             };
-            let fork = {
-                let base = self.base.lock().unwrap_or_else(|e| e.into_inner());
-                base.fork_session()
-            };
             shard.insert(
                 session.to_string(),
-                SessionEntry { agent: fork, last_used: now, log_bytes: 0 },
+                SessionEntry { agent: self.base.fork_session(), last_used: now, log_bytes: 0 },
             );
             reservation.committed = true;
             self.opened.fetch_add(1, Ordering::Relaxed);
@@ -310,7 +310,6 @@ impl SessionTable {
     /// Resolve an engine intent id to its name via the base agent's
     /// conversation space (forks share the same space).
     pub fn intent_name(&self, id: Option<obcs_agent::IntentId>) -> Option<String> {
-        let base = self.base.lock().unwrap_or_else(|e| e.into_inner());
-        id.and_then(|i| base.space().intent(i)).map(|i| i.name.clone())
+        id.and_then(|i| self.base.space().intent(i)).map(|i| i.name.clone())
     }
 }
