@@ -36,6 +36,15 @@ for space in artifacts/*_space.json; do
   cargo run -q --release -p obcs-verify --bin spaceverify -- --deny-warnings "$space"
 done
 
+echo "==> repro export matches artifacts/"
+# The committed artifacts are generated, never hand-edited: export them
+# afresh into an emptied directory and fail on any byte difference, so a
+# change that moves a template, the ontology or the KB envelope must
+# regenerate artifacts/ in the same commit.
+rm -rf target/artifacts_export
+cargo run -q --release -p obcs-bench --bin repro -- export --dir target/artifacts_export > /dev/null
+diff -r artifacts target/artifacts_export
+
 echo "==> repro verify --quick"
 # Combined lint+verify pass exactly as the harness runs it (flow
 # exploration with the quick state cap; truncation is reported, never
@@ -72,8 +81,8 @@ echo "==> repro recover --quick --check BENCH_perf.json"
 # Durability gate: seeds a snapshot + WAL directory, logs a mutation
 # tail, kills the handle without a snapshot, tears the log tail with
 # garbage bytes, and recovers — asserting the recovered KB is
-# byte-identical to a live oracle (same JSON image, generation
-# counters, and access paths) and that a server restarted over the
+# byte-identical to a live oracle (same JSON image, index count, and
+# access paths) and that a server restarted over the
 # recovered directory serves byte-identical replies. The committed
 # min_speedup floor on recover_vs_rebuild fails the run if recovery
 # becomes materially slower than regenerating the world; the 5x

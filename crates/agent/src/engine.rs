@@ -253,13 +253,12 @@ impl ConversationAgent {
     }
 
     /// Publishes the cache counters through `rec` under the shared layer
-    /// labels (`kb_plan`, `kb_result`, `nlu_classify`, `nlu_recognize`).
+    /// labels (`kb_result`, `nlu_classify`, `nlu_recognize`).
     /// Call on demand — end of a replay, a stats endpoint — never per
     /// turn: hit patterns depend on shard layout, and per-turn recording
     /// would break trace determinism (DESIGN.md §12).
     pub fn record_cache_stats(&self, rec: &dyn Recorder) {
         let (kb, memo) = self.cache_stats();
-        obcs_cache::record_stats(kb.plan, "kb_plan", rec);
         obcs_cache::record_stats(kb.result, "kb_result", rec);
         obcs_cache::record_stats(memo.classify, "nlu_classify", rec);
         obcs_cache::record_stats(memo.recognize, "nlu_recognize", rec);
@@ -1449,7 +1448,7 @@ mod tests {
         let rec = CollectingRecorder::ticks();
         cached.record_cache_stats(&rec);
         let report = rec.take_report();
-        for layer in ["kb_plan", "kb_result", "nlu_classify", "nlu_recognize"] {
+        for layer in ["kb_result", "nlu_classify", "nlu_recognize"] {
             assert!(
                 report.counters.contains_key(&("cache_hit".into(), layer.into())),
                 "missing cache_hit counter for layer {layer}"

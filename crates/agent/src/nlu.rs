@@ -2,9 +2,9 @@
 //! bootstrapped training set plus dictionary-based entity recognition with
 //! synonyms and partial-name disambiguation (paper §6.1).
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use obcs_cache::{CacheConfig, CacheStats, GenCache};
+use obcs_cache::{CacheConfig, CacheStats, LruCache};
 use obcs_classifier::logreg::{LogReg, LogRegConfig};
 use obcs_classifier::naive_bayes::{NaiveBayes, NaiveBayesConfig};
 use obcs_classifier::{Classifier, Dataset};
@@ -51,15 +51,14 @@ pub struct NluMemoStats {
 
 /// Memoisation of classify/recognize on repeated utterances (DESIGN.md
 /// §12). Both results are pure functions of the utterance and the
-/// lexicon/classifier state, so entries are validated against a
-/// generation bumped on every post-build mutation
-/// ([`Nlu::add_instance_synonym`]). The memo sits inside `Nlu`, behind
-/// the engine's `Arc`, so forked sessions share one read-mostly memo —
-/// the `Mutex` keeps `Nlu: Sync` across shard threads.
+/// lexicon/classifier state, so the one post-build mutation
+/// ([`Nlu::add_instance_synonym`]) clears the memo. The memo sits inside
+/// `Nlu`, behind the engine's `Arc`, so forked sessions share one
+/// read-mostly memo — the `Mutex` keeps `Nlu: Sync` across shard threads.
 struct NluMemo {
     enabled: bool,
-    classify: Mutex<GenCache<Option<(IntentId, f64)>>>,
-    recognize: Mutex<GenCache<RecognizedEntities>>,
+    classify: Mutex<LruCache<Option<(IntentId, f64)>>>,
+    recognize: Mutex<LruCache<RecognizedEntities>>,
 }
 
 /// Utterances are short and results small; cap by count only.
@@ -69,16 +68,25 @@ impl Default for NluMemo {
     fn default() -> Self {
         NluMemo {
             enabled: true,
-            classify: Mutex::new(GenCache::new(CacheConfig::entries(MEMO_ENTRIES))),
-            recognize: Mutex::new(GenCache::new(CacheConfig::entries(MEMO_ENTRIES))),
+            classify: Mutex::new(LruCache::new(CacheConfig::entries(MEMO_ENTRIES))),
+            recognize: Mutex::new(LruCache::new(CacheConfig::entries(MEMO_ENTRIES))),
         }
+    }
+}
+
+impl NluMemo {
+    /// Drops every memoised entry. The caller holds `&mut`, so no lock
+    /// is taken.
+    fn clear(&mut self) {
+        self.classify.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+        self.recognize.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 
 /// Locks a memo layer, recovering from a poisoned mutex (the memo holds
 /// no cross-panic invariants).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// NLU component: classifier + entity lexicon.
@@ -91,8 +99,6 @@ pub struct Nlu {
     entity_only: Vec<(ConceptId, IntentId)>,
     /// Concept names needed for entity masking during classification.
     onto: Ontology,
-    /// Bumped on every post-build mutation; validates memo entries.
-    generation: u64,
     memo: NluMemo,
 }
 
@@ -179,7 +185,6 @@ impl Nlu {
             intents_by_name,
             entity_only,
             onto: onto.clone(),
-            generation: 0,
             memo: NluMemo::default(),
         }
     }
@@ -189,7 +194,7 @@ impl Nlu {
         self.lexicon
             .add_phrase(synonym, Evidence::Instance { concept, value: canonical.to_string() });
         // The lexicon changed: memoised results may now be stale.
-        self.generation += 1;
+        self.memo.clear();
     }
 
     /// Enables or disables the classify/recognize memo. Disabling drops
@@ -197,8 +202,7 @@ impl Nlu {
     pub fn set_memo_enabled(&mut self, on: bool) {
         self.memo.enabled = on;
         if !on {
-            lock(&self.memo.classify).clear();
-            lock(&self.memo.recognize).clear();
+            self.memo.clear();
         }
     }
 
@@ -230,7 +234,7 @@ impl Nlu {
         rec: &dyn obcs_telemetry::Recorder,
     ) -> Option<(IntentId, f64)> {
         if self.memo.enabled {
-            let memoised = lock(&self.memo.classify).get(utterance, self.generation);
+            let memoised = lock(&self.memo.classify).get(utterance);
             if let Some(result) = memoised {
                 // Replay the miss path's exact span structure — one
                 // `classify` span, nothing inside it — so a memo hit is
@@ -247,7 +251,7 @@ impl Nlu {
             .find(|(name, _)| *name == pred.label)
             .map(|&(_, id)| (id, pred.confidence));
         if self.memo.enabled {
-            lock(&self.memo.classify).put(utterance, self.generation, result, 1);
+            lock(&self.memo.classify).put(utterance, result, 1);
         }
         result
     }
@@ -284,7 +288,7 @@ impl Nlu {
         rec: &dyn obcs_telemetry::Recorder,
     ) -> RecognizedEntities {
         if self.memo.enabled {
-            let memoised = lock(&self.memo.recognize).get(utterance, self.generation);
+            let memoised = lock(&self.memo.recognize).get(utterance);
             if let Some(result) = memoised {
                 // One `annotate` span, like the miss path (partial
                 // matching runs outside the span there); see
@@ -317,7 +321,7 @@ impl Nlu {
             }
         }
         if self.memo.enabled {
-            lock(&self.memo.recognize).put(utterance, self.generation, out.clone(), 1);
+            lock(&self.memo.recognize).put(utterance, out.clone(), 1);
         }
         out
     }

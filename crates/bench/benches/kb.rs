@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use obcs_bench::World;
 use obcs_kb::sql::parser::parse;
 use obcs_kb::stats::{column_stats, table_is_categorical, CategoricalPolicy};
-use obcs_kb::KnowledgeBase;
+use obcs_kb::{IndexKind, KnowledgeBase};
 use obcs_mdx::data::{build_mdx_kb, MdxDataConfig};
 use std::hint::black_box;
 
@@ -69,10 +69,12 @@ fn bench_kb(c: &mut Criterion) {
     group.finish();
 }
 
-/// The auto-indexed KB and its scan-only twin, caches off on both so
-/// every iteration pays parse + bind + execute (never a cache hit).
+/// The auto-indexed KB, plus the ordered drug.name index the
+/// LIKE-prefix bench reads, and its scan-only twin; caches off on both
+/// so every iteration pays parse + bind + execute (never a cache hit).
 fn twins(drugs: usize) -> (KnowledgeBase, KnowledgeBase) {
     let mut indexed = build_mdx_kb(MdxDataConfig { drugs, seed: 7 });
+    indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
     indexed.set_cache_enabled(false);
     let mut scan = indexed.clone();
     scan.set_cache_enabled(false);

@@ -301,7 +301,7 @@ fn serve(args: &[String], seed: u64) {
 /// without a snapshot (kill-style), corrupts the log tail with garbage
 /// bytes, and recovers. The run itself enforces the correctness
 /// contract — recovered KB byte-identical to a live oracle (data,
-/// generation counters, secondary indexes, access paths) and a server
+/// secondary indexes, access paths) and a server
 /// restarted over the recovered directory serving byte-identical
 /// replies to the original. `--check` additionally compares the
 /// `recover_` stages against a committed baseline.

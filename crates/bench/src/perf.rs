@@ -209,8 +209,8 @@ pub fn run(opts: &PerfOptions) -> PerfReport {
     assert_eq!(seq, par, "parallel replay diverged from sequential replay");
     comparisons.push(comparison("replay", format!("{interactions} interactions"), before, after));
 
-    // Stage: cached replay — the generation-checked plan/result caches
-    // plus the NLU memo vs the same pipeline with every cache disabled,
+    // Stage: cached replay — the KB result cache plus the NLU memo vs
+    // the same pipeline with every cache disabled,
     // over a repeated fulfilment-heavy (KB-bound) utterance mix
     // (DESIGN.md §12). The committed baseline carries a hard speedup
     // floor for this stage, not just the regression ceiling.

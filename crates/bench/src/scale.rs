@@ -2,7 +2,8 @@
 //! §14): a latency-vs-KB-size curve for the three index-accelerated KB
 //! hot paths — point lookup, FK join, LIKE-prefix — measured at 150 /
 //! 1.5k / 15k drugs on the deterministic MDX generator. Each stage runs
-//! the identical query batch against the auto-indexed KB and a
+//! the identical query batch against the auto-indexed KB (plus an
+//! explicit ordered index on `drug.name` for LIKE-prefix) and a
 //! scan-only twin (`set_index_enabled(false)`), with the query caches
 //! off on both so the measurement is raw execution, and the results are
 //! asserted byte-identical before any timing counts. The stages join
@@ -13,7 +14,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use obcs_kb::KnowledgeBase;
+use obcs_kb::{IndexKind, KnowledgeBase};
 use obcs_mdx::data::{build_mdx_kb, MdxDataConfig};
 
 use crate::perf::{Comparison, PerfOptions, Timing};
@@ -94,10 +95,14 @@ pub fn run(opts: &PerfOptions) -> ScaleOutcome {
             ms: build_ms,
         });
 
-        // The scan twin: same rows, same (cold) caches, indexes routed
-        // off. Caches are disabled on both sides so every timed query
-        // pays parse + bind + execute, never a cache hit.
+        // The default policy indexes join keys only; the LIKE-prefix
+        // stage reads an ordered index on drug.name, created here,
+        // outside the timed build. The scan twin: same rows, same (cold)
+        // caches, indexes routed off. Caches are disabled on both sides
+        // so every timed query pays parse + bind + execute, never a
+        // cache hit.
         let mut indexed = indexed;
+        indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
         indexed.set_cache_enabled(false);
         let mut scan = indexed.clone();
         scan.set_cache_enabled(false);
@@ -186,8 +191,8 @@ mod tests {
         // A truncated run (just the 150-drug point) exercises the whole
         // stage machinery — equality assertions included — in test time.
         let opts = PerfOptions { quick: true, seed: 7 };
-        let indexed = build_mdx_kb(MdxDataConfig { drugs: SCALE_SIZES[0], seed: opts.seed });
-        let mut indexed = indexed;
+        let mut indexed = build_mdx_kb(MdxDataConfig { drugs: SCALE_SIZES[0], seed: opts.seed });
+        indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
         indexed.set_cache_enabled(false);
         let mut scan = indexed.clone();
         scan.set_cache_enabled(false);

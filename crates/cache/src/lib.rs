@@ -1,28 +1,27 @@
 //! # obcs-cache
 //!
-//! Generation-checked, byte-budgeted LRU caches for the turn pipeline
-//! (see DESIGN.md §12 "Caching").
+//! Byte-budgeted LRU caches for the turn pipeline (see DESIGN.md §12
+//! "Caching").
 //!
-//! Every cache layer in the system — the prepared-plan and result caches
-//! in `obcs-kb`, the NLU memo in `obcs-agent` — is an instance of one
-//! primitive: [`GenCache`], a string-keyed LRU whose entries carry the
-//! *generation* of the underlying data they were computed from. A lookup
-//! passes the current generation; an entry filled at an older generation
-//! is treated as absent (and dropped), so a mutation of the underlying
-//! store can never serve a stale value. Invalidation is O(1) per bump —
-//! nothing is scanned or cleared eagerly.
+//! Every cache layer in the system — the result cache in `obcs-kb`, the
+//! NLU memo in `obcs-agent` — is an instance of one primitive:
+//! [`LruCache`], a string-keyed LRU. Entries carry no validity stamp:
+//! the owner of a cache clears it in every method that mutates the data
+//! the entries were computed from. Those methods take `&mut self`, so
+//! the owner reaches its cache without a lock (`Mutex::get_mut`), and a
+//! clone starts with empty caches, so no stale entry survives anywhere.
 //!
 //! The cache also enforces a byte budget (for value-heavy layers such as
 //! KB result sets) and an entry cap, evicting least-recently-used entries
 //! past either limit. [`CacheStats`] counts hits, misses, evictions, and
-//! generation invalidations; [`record_stats`] publishes them through the
-//! `obcs-telemetry` metric vocabulary on demand. Stats are surfaced
-//! *on demand* rather than recorded per lookup: cache warm-up differs
-//! across replay shard layouts, so per-turn hit/miss counters would break
-//! the bit-for-bit determinism contract of traced replays (DESIGN.md §12
-//! spells out the argument).
+//! the entries [`LruCache::clear`] drops; [`record_stats`] publishes them
+//! through the `obcs-telemetry` metric vocabulary on demand. Stats are
+//! surfaced *on demand* rather than recorded per lookup: cache warm-up
+//! differs across replay shard layouts, so per-turn hit/miss counters
+//! would break the bit-for-bit determinism contract of traced replays
+//! (DESIGN.md §12 spells out the argument).
 //!
-//! `GenCache` itself is not synchronised — callers that share a cache
+//! `LruCache` itself is not synchronised — callers that share a cache
 //! across threads wrap it in a `Mutex`, which is how both `obcs-kb` and
 //! `obcs-agent` use it.
 
@@ -51,7 +50,7 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// A config for caches of small values (plans, predictions) where the
+    /// A config for caches of small values (NLU memo entries) where the
     /// entry count, not bytes, is the limit that matters.
     pub fn entries(max_entries: usize) -> Self {
         CacheConfig { max_entries, max_bytes: usize::MAX, max_entry_bytes: usize::MAX }
@@ -63,11 +62,11 @@ impl CacheConfig {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that found nothing usable (includes invalidations).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Entries dropped to stay within the entry/byte budget.
     pub evictions: u64,
-    /// Entries dropped because their generation no longer matched.
+    /// Entries dropped by [`LruCache::clear`].
     pub invalidations: u64,
 }
 
@@ -90,14 +89,12 @@ impl CacheStats {
 
 struct Entry<V> {
     value: V,
-    generation: u64,
     bytes: usize,
     stamp: u64,
 }
 
-/// A string-keyed LRU cache whose entries are validated against a data
-/// generation on every lookup (see the crate docs).
-pub struct GenCache<V> {
+/// A string-keyed, byte-budgeted LRU cache (see the crate docs).
+pub struct LruCache<V> {
     config: CacheConfig,
     map: HashMap<String, Entry<V>>,
     /// Recency index: stamp → key. Stamps are unique (monotone counter),
@@ -108,9 +105,9 @@ pub struct GenCache<V> {
     stats: CacheStats,
 }
 
-impl<V> GenCache<V> {
+impl<V> LruCache<V> {
     pub fn new(config: CacheConfig) -> Self {
-        GenCache {
+        LruCache {
             config,
             map: HashMap::new(),
             recency: BTreeMap::new(),
@@ -139,8 +136,14 @@ impl<V> GenCache<V> {
         self.stats
     }
 
-    /// Drops every entry; counters are kept.
+    /// Drops every entry, counting each as an invalidation; the other
+    /// counters are kept. A no-op on an empty cache, so a writer may
+    /// call it on every mutation.
     pub fn clear(&mut self) {
+        if self.map.is_empty() {
+            return;
+        }
+        self.stats.invalidations += self.map.len() as u64;
         self.map.clear();
         self.recency.clear();
         self.bytes = 0;
@@ -174,35 +177,23 @@ impl<V> GenCache<V> {
     }
 }
 
-impl<V: Clone> GenCache<V> {
-    /// Looks up `key`, accepting the entry only if it was filled at
-    /// exactly `generation`. A generation mismatch drops the entry and
-    /// counts as both an invalidation and a miss.
-    pub fn get(&mut self, key: &str, generation: u64) -> Option<V> {
-        match self.map.get(key) {
-            Some(entry) if entry.generation == generation => {
-                self.stats.hits += 1;
-                let value = entry.value.clone();
-                self.touch(key);
-                Some(value)
-            }
-            Some(_) => {
-                self.remove(key);
-                self.stats.invalidations += 1;
-                self.stats.misses += 1;
-                None
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+impl<V: Clone> LruCache<V> {
+    /// Looks up `key`, marking a hit as most recently used.
+    pub fn get(&mut self, key: &str) -> Option<V> {
+        let Some(entry) = self.map.get(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let value = entry.value.clone();
+        self.touch(key);
+        Some(value)
     }
 
-    /// Stores `value` for `key` at `generation`, costed at `bytes`.
-    /// Values over the per-entry budget are silently not cached; an
-    /// existing entry for the key is replaced.
-    pub fn put(&mut self, key: &str, generation: u64, value: V, bytes: usize) {
+    /// Stores `value` for `key`, costed at `bytes`. Values over the
+    /// per-entry budget are silently not cached; an existing entry for
+    /// the key is replaced.
+    pub fn put(&mut self, key: &str, value: V, bytes: usize) {
         if bytes > self.config.max_entry_bytes || self.config.max_entries == 0 {
             return;
         }
@@ -210,7 +201,7 @@ impl<V: Clone> GenCache<V> {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.bytes += bytes;
-        self.map.insert(key.to_string(), Entry { value, generation, bytes, stamp });
+        self.map.insert(key.to_string(), Entry { value, bytes, stamp });
         self.recency.insert(stamp, key.to_string());
         self.evict_past_budget();
     }
@@ -233,75 +224,78 @@ pub fn record_stats(stats: CacheStats, layer: &str, rec: &dyn obcs_telemetry::Re
 mod tests {
     use super::*;
 
-    fn cache(entries: usize) -> GenCache<String> {
-        GenCache::new(CacheConfig::entries(entries))
+    fn cache(entries: usize) -> LruCache<String> {
+        LruCache::new(CacheConfig::entries(entries))
     }
 
     #[test]
     fn get_put_roundtrip_and_stats() {
         let mut c = cache(8);
-        assert_eq!(c.get("k", 0), None);
-        c.put("k", 0, "v".to_string(), 1);
-        assert_eq!(c.get("k", 0), Some("v".to_string()));
+        assert_eq!(c.get("k"), None);
+        c.put("k", "v".to_string(), 1);
+        assert_eq!(c.get("k"), Some("v".to_string()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.invalidations), (1, 1, 0, 0));
         assert_eq!(s.lookups(), 2);
     }
 
     #[test]
-    fn generation_mismatch_invalidates() {
+    fn clear_counts_dropped_entries_as_invalidations() {
         let mut c = cache(8);
-        c.put("k", 3, "old".to_string(), 1);
-        assert_eq!(c.get("k", 4), None, "stale generation must not serve");
-        assert_eq!(c.len(), 0, "stale entry dropped");
-        assert_eq!(c.stats().invalidations, 1);
-        c.put("k", 4, "new".to_string(), 1);
-        assert_eq!(c.get("k", 4), Some("new".to_string()));
+        c.put("a", "old".to_string(), 1);
+        c.put("b", "old".to_string(), 1);
+        c.clear();
+        assert_eq!(c.get("a"), None, "a cleared entry must not serve");
+        assert_eq!(c.stats().invalidations, 2, "one per dropped entry");
+        c.clear();
+        assert_eq!(c.stats().invalidations, 2, "clearing an empty cache drops nothing");
+        c.put("a", "new".to_string(), 1);
+        assert_eq!(c.get("a"), Some("new".to_string()));
     }
 
     #[test]
     fn lru_eviction_by_entry_cap() {
         let mut c = cache(2);
-        c.put("a", 0, "1".into(), 1);
-        c.put("b", 0, "2".into(), 1);
-        assert_eq!(c.get("a", 0), Some("1".into()), "touch a so b is LRU");
-        c.put("c", 0, "3".into(), 1);
+        c.put("a", "1".into(), 1);
+        c.put("b", "2".into(), 1);
+        assert_eq!(c.get("a"), Some("1".into()), "touch a so b is LRU");
+        c.put("c", "3".into(), 1);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get("b", 0), None, "b was least recently used");
-        assert_eq!(c.get("a", 0), Some("1".into()));
-        assert_eq!(c.get("c", 0), Some("3".into()));
+        assert_eq!(c.get("b"), None, "b was least recently used");
+        assert_eq!(c.get("a"), Some("1".into()));
+        assert_eq!(c.get("c"), Some("3".into()));
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn byte_budget_evicts_and_oversized_values_skip() {
-        let mut c: GenCache<String> =
-            GenCache::new(CacheConfig { max_entries: 100, max_bytes: 10, max_entry_bytes: 8 });
-        c.put("big", 0, "x".into(), 9);
+        let mut c: LruCache<String> =
+            LruCache::new(CacheConfig { max_entries: 100, max_bytes: 10, max_entry_bytes: 8 });
+        c.put("big", "x".into(), 9);
         assert_eq!(c.len(), 0, "oversized value never cached");
-        c.put("a", 0, "1".into(), 6);
-        c.put("b", 0, "2".into(), 6);
+        c.put("a", "1".into(), 6);
+        c.put("b", "2".into(), 6);
         assert_eq!(c.len(), 1, "12 bytes > 10-byte budget evicts the older");
         assert_eq!(c.bytes(), 6);
-        assert_eq!(c.get("b", 0), Some("2".into()));
+        assert_eq!(c.get("b"), Some("2".into()));
     }
 
     #[test]
     fn replacing_a_key_updates_bytes() {
-        let mut c: GenCache<String> =
-            GenCache::new(CacheConfig { max_entries: 4, max_bytes: 100, max_entry_bytes: 100 });
-        c.put("k", 0, "v1".into(), 10);
-        c.put("k", 1, "v2".into(), 20);
+        let mut c: LruCache<String> =
+            LruCache::new(CacheConfig { max_entries: 4, max_bytes: 100, max_entry_bytes: 100 });
+        c.put("k", "v1".into(), 10);
+        c.put("k", "v2".into(), 20);
         assert_eq!(c.len(), 1);
         assert_eq!(c.bytes(), 20);
-        assert_eq!(c.get("k", 1), Some("v2".into()));
+        assert_eq!(c.get("k"), Some("v2".into()));
     }
 
     #[test]
     fn clear_keeps_counters() {
         let mut c = cache(8);
-        c.put("k", 0, "v".into(), 1);
-        let _ = c.get("k", 0);
+        c.put("k", "v".into(), 1);
+        let _ = c.get("k");
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.bytes(), 0);

@@ -11,10 +11,14 @@
 //! * a SQL-subset parser and executor covering the query fragment the
 //!   conversation system generates — `SELECT [DISTINCT] … FROM … INNER JOIN
 //!   … ON … WHERE … AND … [ORDER BY …] [LIMIT …]` ([`sql`]),
-//! * planner-selected secondary indexes — hash for equality and join
-//!   probes, ordered for LIKE-prefix range reads — chosen at bind time
-//!   and guaranteed byte-identical to scan execution ([`index`],
-//!   DESIGN.md §14),
+//! * secondary indexes — hash for equality and join probes, ordered for
+//!   LIKE-prefix range reads — picked by the planner at bind time and
+//!   guaranteed byte-identical to scan execution ([`index`], DESIGN.md
+//!   §14). The default policy ([`KnowledgeBase::auto_index`]) builds a
+//!   hash index on every primary and foreign key, the join keys template
+//!   SQL probes; ordered indexes are created explicitly,
+//! * a result cache keyed on SQL text, which every writer clears
+//!   (DESIGN.md §12),
 //! * data statistics (row counts, distinct counts, categorical-attribute
 //!   detection) used by the bootstrapper to identify dependent concepts
 //!   (paper §4.2.1) ([`stats`]),
@@ -24,8 +28,8 @@
 //! * durability: an append-only, checksummed write-ahead log of mutations
 //!   plus atomic point-in-time snapshots that compact it. Recovery replays
 //!   snapshot + WAL tail, truncates a torn final record instead of
-//!   panicking, and restores generation counters and secondary indexes so
-//!   a recovered KB serves with identical access paths ([`wal`],
+//!   panicking, and restores secondary indexes so a recovered KB serves
+//!   with identical access paths ([`wal`],
 //!   [`snapshot`], [`durable`], DESIGN.md §16).
 //!
 //! ## Example
@@ -62,6 +66,6 @@ pub use durable::{DurableKb, SNAPSHOT_FILE, WAL_FILE};
 pub use index::{IndexKind, IndexSpec, SecondaryIndex};
 pub use snapshot::RecoveryReport;
 pub use sql::exec::BoundPlan;
-pub use store::{GenerationStamp, KbCacheStats, KbError, KnowledgeBase, ResultSet};
+pub use store::{KbCacheStats, KbError, KnowledgeBase, ResultSet};
 pub use value::Value;
 pub use wal::{DurabilityError, Wal, WalRecord};

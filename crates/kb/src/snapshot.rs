@@ -4,8 +4,8 @@
 //! A snapshot is a **binary streamed** image:
 //!
 //! ```text
-//! OBCSSNB1 [u64 epoch LE]
-//!   section: meta            [u64 data_gen] [u64 schema_gen] [u32 table_count]
+//! OBCSSNB2 [u64 epoch LE]
+//!   section: meta            [u32 table_count]
 //!   per table (sorted by name):
 //!     section: table header  name, schema JSON, index specs, row count
 //!     section*: row chunks   [u32 rows] then rows, values tag-encoded
@@ -38,13 +38,13 @@ use std::path::Path;
 
 use crate::index::{IndexKind, IndexSpec};
 use crate::schema::TableSchema;
-use crate::store::{GenerationStamp, KnowledgeBase, Table};
+use crate::store::{KnowledgeBase, Table};
 use crate::value::{FiniteF64, Value};
 use crate::wal::{crc32, DurabilityError, Wal, MAX_RECORD_BYTES};
 
 /// Magic header identifying a binary streamed snapshot. The magic is
 /// followed by a little-endian u64 durability epoch.
-pub const SNAPSHOT_MAGIC_BINARY: &[u8; 8] = b"OBCSSNB1";
+pub const SNAPSHOT_MAGIC_BINARY: &[u8; 8] = b"OBCSSNB2";
 
 /// Target payload size of one row-chunk section. Large enough to keep
 /// framing overhead negligible, small enough that neither side ever
@@ -258,11 +258,7 @@ pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(),
     w.write_all(&epoch.to_le_bytes())?;
 
     let names = kb.table_names();
-    let mut meta = Vec::with_capacity(20);
-    meta.extend_from_slice(&kb.generation().to_le_bytes());
-    meta.extend_from_slice(&kb.schema_generation().to_le_bytes());
-    meta.extend_from_slice(&(names.len() as u32).to_le_bytes());
-    write_section(&mut w, &meta)?;
+    write_section(&mut w, &(names.len() as u32).to_le_bytes())?;
 
     for name in names {
         let table = kb.table(name).expect("table_names() returns existing tables");
@@ -330,8 +326,8 @@ pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(),
 // Readers
 // ---------------------------------------------------------------------
 
-/// Reads a snapshot back into a [`KnowledgeBase`] (indexes and
-/// generation counters restored), returning the header epoch. Any frame
+/// Reads a snapshot back into a [`KnowledgeBase`] (indexes restored),
+/// returning the header epoch. Any frame
 /// damage is [`DurabilityError::Corrupt`] — snapshot commits are atomic,
 /// so a torn snapshot means the file was damaged, not interrupted.
 pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityError> {
@@ -340,8 +336,9 @@ pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityErro
     read_exact_or_corrupt(&mut r, &mut magic, path, "magic header")?;
     if &magic != SNAPSHOT_MAGIC_BINARY {
         return Err(DurabilityError::Corrupt(format!(
-            "{} is not an OBCSSNB1 snapshot",
-            path.display()
+            "{} is not an {} snapshot",
+            path.display(),
+            String::from_utf8_lossy(SNAPSHOT_MAGIC_BINARY)
         )));
     }
     let mut epoch = [0u8; 8];
@@ -350,8 +347,6 @@ pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityErro
 
     let meta = read_section(&mut r, path)?;
     let mut c = Cursor::new(&meta, "meta section");
-    let data_gen = c.u64()?;
-    let schema_gen = c.u64()?;
     let table_count = c.u32()?;
     c.finish()?;
 
@@ -421,10 +416,7 @@ pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityErro
         return Err(corrupt("trailing bytes after the final section".to_string()));
     }
 
-    Ok((
-        KnowledgeBase::assemble(tables, GenerationStamp { data: data_gen, schema: schema_gen }),
-        epoch,
-    ))
+    Ok((KnowledgeBase::assemble(tables), epoch))
 }
 
 /// Reads the epoch out of a snapshot header without loading the image.
@@ -514,10 +506,9 @@ impl KnowledgeBase {
     /// replays every intact record of the log at `wal_path` — a torn
     /// final record is truncated, never applied, and a log whose epoch
     /// does not pair with the snapshot's is discarded outright (its
-    /// records are already in the snapshot). Generation counters,
-    /// secondary indexes, and PK indexes all come back, so a recovered
-    /// KB serves with the same access paths and the same
-    /// cache-validation stamps as the original (see `WalRecord::apply`).
+    /// records are already in the snapshot). Secondary and PK indexes
+    /// both come back, so a recovered KB serves with the same access
+    /// paths as the original (see `WalRecord::apply`).
     pub fn recover_from(
         snapshot_path: impl AsRef<Path>,
         wal_path: impl AsRef<Path>,
@@ -571,8 +562,6 @@ mod tests {
         let (back, epoch) = read_snapshot(&path).unwrap();
         assert_eq!(epoch, 42, "the header epoch comes back");
         assert_eq!(back.to_json(), kb.to_json());
-        assert_eq!(back.generation(), kb.generation());
-        assert_eq!(back.schema_generation(), kb.schema_generation());
         assert_eq!(back.index_count(), kb.index_count());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -610,27 +599,31 @@ mod tests {
         // (the last field of its header, section 1). Both must be
         // refused before anything is sized from them.
         let huge_tables =
-            edit_section(&full, 0, |meta| meta[16..].copy_from_slice(&u32::MAX.to_le_bytes()));
+            edit_section(&full, 0, |meta| meta.copy_from_slice(&u32::MAX.to_le_bytes()));
         let huge_rows = edit_section(&full, 1, |header| {
             let at = header.len() - 8;
             header[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
         });
         let older_build: &[u8] = b"OBCSSNP1";
-        let inputs: [(&str, &[u8]); 6] = [
+        // The previous binary format, whose META section differs.
+        let mut previous_format = full.clone();
+        previous_format[..8].copy_from_slice(b"OBCSSNB1");
+        let inputs: [(&str, &[u8]); 7] = [
             ("flipped bit", &flipped),
             ("truncated", &full[..full.len() - 5]),
             ("trailing garbage", &padded),
             ("table count u32::MAX", &huge_tables),
             ("row count 2^40", &huge_rows),
             ("older-build magic", older_build),
+            ("OBCSSNB1 magic", &previous_format),
         ];
         for (what, bytes) in inputs {
             std::fs::write(&path, bytes).unwrap();
             match read_snapshot(&path) {
                 Err(DurabilityError::Corrupt(msg)) => {
-                    if bytes == older_build {
+                    if bytes == older_build || bytes == previous_format {
                         assert!(
-                            msg.contains("OBCSSNB1"),
+                            msg.contains("OBCSSNB2"),
                             "{what}: names the expected magic: {msg}"
                         );
                     }
@@ -676,8 +669,6 @@ mod tests {
         assert_eq!(report.wal_truncated_bytes, 0);
         assert_eq!(report.wal_discarded_records, 0);
         assert_eq!(recovered.to_json(), kb.to_json());
-        assert_eq!(recovered.generation(), kb.generation());
-        assert_eq!(recovered.schema_generation(), kb.schema_generation());
         assert_eq!(recovered.index_count(), kb.index_count());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -741,7 +732,7 @@ mod tests {
         assert_eq!(report.wal_records, 2);
         assert_eq!(report.epoch, 0, "a fresh WAL starts the epoch sequence at 0");
         assert_eq!(recovered.table("t").unwrap().len(), 1);
-        assert_eq!(recovered.generation(), oracle.generation());
+        assert_eq!(recovered.to_json(), oracle.to_json());
         assert_eq!(recovered.index_count(), oracle.index_count());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,10 +1,10 @@
 //! Executor for the SQL subset, split into two phases (DESIGN.md §12):
 //!
 //! * **bind** — schema-dependent name resolution: table lookups, column
-//!   references, predicate lowering, projection naming. Produces a
-//!   [`BoundPlan`] that depends only on the schemas of the referenced
-//!   tables, so the store can reuse it across executions of the same SQL
-//!   text (the prepared-plan cache).
+//!   references, predicate lowering, projection naming, access-path
+//!   choice. Produces a [`BoundPlan`] that depends only on the schemas
+//!   and indexes of the referenced tables, so binding alone type-checks
+//!   a query without reading a row (`KnowledgeBase::prepare`).
 //! * **execute** — row-dependent work: hash joins, filtering, projection,
 //!   DISTINCT/ORDER BY/LIMIT, driven entirely by a `BoundPlan`.
 
@@ -57,8 +57,7 @@ pub struct BoundPlan {
     order: Option<(usize, bool)>,
     limit: Option<usize>,
     /// How the FROM table is read (DESIGN.md §14). Chosen at bind time
-    /// from the available indexes and cardinality estimates — safe to
-    /// cache because `create_index` bumps the schema generation.
+    /// from the available indexes and cardinality estimates.
     access: AccessPath,
 }
 

@@ -3,15 +3,14 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use obcs_cache::{CacheConfig, CacheStats, GenCache};
+use obcs_cache::{CacheConfig, CacheStats, LruCache};
 use serde::{Deserialize, Serialize};
 
 use crate::index::{IndexKind, IndexSpec, SecondaryIndex};
 use crate::schema::TableSchema;
 use crate::sql;
-use crate::stats;
 use crate::value::Value;
 
 /// Errors produced by the store and the SQL engine.
@@ -242,37 +241,38 @@ impl ResultSet {
     }
 }
 
-/// Hit/miss counters of the KB's two cache layers.
+/// Hit/miss counters of the KB's result cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KbCacheStats {
-    /// Prepared-plan cache (`kb_plan` telemetry layer).
+    /// Always zero: the KB has no plan cache. Kept only because the
+    /// servebench harness reads it.
     pub plan: CacheStats,
     /// Result cache (`kb_result` telemetry layer).
     pub result: CacheStats,
 }
 
-/// The query caches riding on a [`KnowledgeBase`] (DESIGN.md §12): a
-/// prepared-plan cache validated against the *schema* generation and a
-/// result cache validated against the *data* generation. Cloning a KB
-/// (e.g. `fork_session`) shares the table data copy-on-write but starts
-/// the clone with fresh empty caches, so forks never share mutable
+/// The query cache riding on a [`KnowledgeBase`] (DESIGN.md §12): results
+/// keyed by SQL text. Every KB writer takes `&mut self` and clears it, so
+/// an entry is never older than the data it was computed from. Cloning a
+/// KB (e.g. `fork_session`) shares the table data copy-on-write but
+/// starts the clone with an empty cache, so forks never share mutable
 /// state; only the enabled flag carries over.
 struct QueryCaches {
     enabled: bool,
-    plan: Mutex<GenCache<Arc<sql::exec::BoundPlan>>>,
-    result: Mutex<GenCache<ResultSet>>,
+    result: Mutex<LruCache<ResultSet>>,
 }
-
-/// Plans are small; cap by count only.
-const PLAN_CACHE_ENTRIES: usize = 512;
 
 impl Default for QueryCaches {
     fn default() -> Self {
-        QueryCaches {
-            enabled: true,
-            plan: Mutex::new(GenCache::new(CacheConfig::entries(PLAN_CACHE_ENTRIES))),
-            result: Mutex::new(GenCache::new(CacheConfig::default())),
-        }
+        QueryCaches { enabled: true, result: Mutex::new(LruCache::new(CacheConfig::default())) }
+    }
+}
+
+impl QueryCaches {
+    /// Drops every cached result. Writers hold `&mut`, so no lock is
+    /// taken; a no-op when the cache is empty.
+    fn clear(&mut self) {
+        self.result.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 
@@ -292,7 +292,7 @@ impl fmt::Debug for QueryCaches {
 /// invariants across panics (worst case a half-touched LRU order), so a
 /// poisoned lock is safe to re-enter.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Rough serialized size of a result set, used to cost result-cache
@@ -309,19 +309,6 @@ fn approx_result_bytes(rs: &ResultSet) -> usize {
     bytes
 }
 
-/// The durable form of the generation counters, stamped into the JSON
-/// envelope by [`KnowledgeBase::to_json`] and restored by `from_json`.
-/// Without it a reloaded KB would restart both counters at zero and
-/// could collide with generation stamps held by a live `GenCache`,
-/// serving stale plans or results (DESIGN.md §16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GenerationStamp {
-    /// The data generation at serialisation time.
-    pub data: u64,
-    /// The schema generation at serialisation time.
-    pub schema: u64,
-}
-
 /// The in-memory knowledge base: a named collection of tables.
 ///
 /// The table map sits behind one [`Arc`] and is copied on write: a clone
@@ -332,22 +319,6 @@ pub struct GenerationStamp {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KnowledgeBase {
     tables: Arc<HashMap<String, Table>>,
-    /// Persisted envelope copy of the generation counters; `None` in
-    /// live KBs (the live counters below are authoritative) and in
-    /// envelopes written before the stamp existed (those reload at
-    /// generation zero).
-    generations: Option<GenerationStamp>,
-    /// Data generation: bumped by every successful mutation
-    /// ([`insert`](Self::insert) and [`create_table`](Self::create_table));
-    /// validates result-cache entries.
-    #[serde(skip)]
-    generation: u64,
-    /// Schema generation: bumped by [`create_table`](Self::create_table)
-    /// and [`create_index`](Self::create_index); validates plan-cache
-    /// entries (plans depend on schemas and on the available access
-    /// paths, never on row data, and this KB has no DROP/ALTER).
-    #[serde(skip)]
-    schema_generation: u64,
     /// Inverted so the serde-skip `Default` (false) means "enabled":
     /// see [`set_index_enabled`](Self::set_index_enabled).
     #[serde(skip)]
@@ -368,8 +339,7 @@ impl KnowledgeBase {
             return Err(KbError::TableExists(schema.name));
         }
         Arc::make_mut(&mut self.tables).insert(schema.name.clone(), Table::new(schema));
-        self.generation += 1;
-        self.schema_generation += 1;
+        self.caches.clear();
         Ok(())
     }
 
@@ -451,15 +421,14 @@ impl KnowledgeBase {
             sec.insert_row(pos, &row[sec.column_pos()]);
         }
         t.rows.push(row);
-        self.generation += 1;
+        self.caches.clear();
         Ok(())
     }
 
     /// Creates (and builds) a secondary index on `table.column`; `false`
-    /// if an identical index already exists. Bumps both generations:
-    /// the schema generation because cached plans embed access-path
-    /// choices, and the data generation so PR 5's result cache revalidates
-    /// against index-backed execution (DESIGN.md §14).
+    /// if an identical index already exists. Like every writer it clears
+    /// the result cache, although an index never changes a result
+    /// (DESIGN.md §14).
     pub fn create_index(
         &mut self,
         table: &str,
@@ -471,40 +440,28 @@ impl KnowledgeBase {
         }
         let t = Arc::make_mut(&mut self.tables).get_mut(table).expect("existence checked above");
         t.add_secondary(column, kind)?;
-        self.generation += 1;
-        self.schema_generation += 1;
+        self.caches.clear();
         Ok(true)
     }
 
-    /// Stats-guided index selection over the whole KB (DESIGN.md §14):
-    /// hash indexes on every primary-key and foreign-key column (join
-    /// keys and point lookups), ordered indexes on high-cardinality
-    /// non-categorical text columns (LIKE-prefix targets). Idempotent;
-    /// returns the number of indexes newly created.
+    /// The default index policy (DESIGN.md §14.2): a hash index on every
+    /// primary-key and foreign-key column — the join keys and point
+    /// lookups that template SQL probes. An ordered index (LIKE-prefix
+    /// reads) exists only where [`create_index`](Self::create_index)
+    /// asks for one. Idempotent; returns the number of indexes newly
+    /// created.
     pub fn auto_index(&mut self) -> usize {
-        let policy = stats::CategoricalPolicy::default();
-        let mut wanted: Vec<(String, String, IndexKind)> = Vec::new();
+        let mut keys: Vec<(String, String)> = Vec::new();
         for name in self.table_names() {
-            let t = &self.tables[name];
-            if let Some(pk) = &t.schema.primary_key {
-                wanted.push((name.to_string(), pk.clone(), IndexKind::Hash));
-            }
-            for fk in &t.schema.foreign_keys {
-                wanted.push((name.to_string(), fk.column.clone(), IndexKind::Hash));
-            }
-            for col in &t.schema.columns {
-                if col.ty != crate::schema::ColumnType::Text {
-                    continue;
-                }
-                let Ok(s) = stats::column_stats(self, name, &col.name) else { continue };
-                if s.distinct_count > policy.max_distinct && !stats::is_categorical(&s, policy) {
-                    wanted.push((name.to_string(), col.name.clone(), IndexKind::Ordered));
-                }
+            let schema = &self.tables[name].schema;
+            let fks = schema.foreign_keys.iter().map(|fk| &fk.column);
+            for column in schema.primary_key.iter().chain(fks) {
+                keys.push((name.to_string(), column.clone()));
             }
         }
         let mut created = 0;
-        for (table, column, kind) in wanted {
-            if self.create_index(&table, &column, kind).unwrap_or(false) {
+        for (table, column) in keys {
+            if self.create_index(&table, &column, IndexKind::Hash).unwrap_or(false) {
                 created += 1;
             }
         }
@@ -513,8 +470,8 @@ impl KnowledgeBase {
 
     /// Enables or disables index-backed execution at run time. Purely a
     /// routing switch — indexed and scan execution return byte-identical
-    /// results (the index-oracle property test) — so no generation is
-    /// bumped and cached plans/results stay valid either way.
+    /// results (the index-oracle property test) — so cached results stay
+    /// valid either way.
     pub fn set_index_enabled(&mut self, on: bool) {
         self.indexes_disabled = !on;
     }
@@ -531,41 +488,22 @@ impl KnowledgeBase {
 
     /// Parses and executes a SQL query against the store.
     ///
-    /// With caching enabled (the default), the lookup goes through two
-    /// generation-checked layers keyed on the SQL text: the result cache
-    /// (validated against the data generation) and the prepared-plan
-    /// cache (validated against the schema generation). Cached and
-    /// uncached execution return identical values by construction — a hit
-    /// replays a value the same engine computed earlier at the same
-    /// generation — so callers cannot observe the cache except through
+    /// With caching enabled (the default), the result cache is consulted
+    /// first, keyed on the SQL text. Every writer clears it, so a hit
+    /// replays a value the same engine computed from the same data, and
+    /// callers cannot observe the cache except through
     /// [`cache_stats`](Self::cache_stats). Errors are never cached.
     pub fn query(&self, sql_text: &str) -> Result<ResultSet, KbError> {
-        if !self.caches.enabled {
-            let stmt = sql::parser::parse(sql_text)?;
-            return sql::exec::execute(self, &stmt);
-        }
-        if let Some(rs) = lock(&self.caches.result).get(sql_text, self.generation) {
-            return Ok(rs);
-        }
-        // Bind the lookup result before matching: a guard held across the
-        // match arms would self-deadlock on the `put` below.
-        let cached_plan = lock(&self.caches.plan).get(sql_text, self.schema_generation);
-        let plan = match cached_plan {
-            Some(plan) => plan,
-            None => {
-                let stmt = sql::parser::parse(sql_text)?;
-                let plan = Arc::new(sql::exec::bind(self, &stmt)?);
-                lock(&self.caches.plan).put(sql_text, self.schema_generation, plan.clone(), 1);
-                plan
+        if self.caches.enabled {
+            if let Some(rs) = lock(&self.caches.result).get(sql_text) {
+                return Ok(rs);
             }
-        };
-        let rs = sql::exec::execute_bound(self, &plan)?;
-        lock(&self.caches.result).put(
-            sql_text,
-            self.generation,
-            rs.clone(),
-            approx_result_bytes(&rs),
-        );
+        }
+        let stmt = sql::parser::parse(sql_text)?;
+        let rs = sql::exec::execute(self, &stmt)?;
+        if self.caches.enabled {
+            lock(&self.caches.result).put(sql_text, rs.clone(), approx_result_bytes(&rs));
+        }
         Ok(rs)
     }
 
@@ -582,37 +520,23 @@ impl KnowledgeBase {
         sql::exec::bind(self, &stmt)
     }
 
-    /// Enables or disables the query caches. Disabling drops every cached
+    /// Enables or disables the result cache. Disabling drops every cached
     /// entry (counters are kept), so a later re-enable starts cold.
     pub fn set_cache_enabled(&mut self, on: bool) {
         self.caches.enabled = on;
         if !on {
-            lock(&self.caches.plan).clear();
-            lock(&self.caches.result).clear();
+            self.caches.clear();
         }
     }
 
-    /// Whether the query caches are enabled.
+    /// Whether the result cache is enabled.
     pub fn cache_enabled(&self) -> bool {
         self.caches.enabled
     }
 
-    /// Counters accumulated by the plan and result caches so far.
+    /// Counters accumulated by the result cache so far.
     pub fn cache_stats(&self) -> KbCacheStats {
-        KbCacheStats {
-            plan: lock(&self.caches.plan).stats(),
-            result: lock(&self.caches.result).stats(),
-        }
-    }
-
-    /// The data generation (bumped by every successful mutation).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The schema generation (bumped by `create_table` / `create_index`).
-    pub fn schema_generation(&self) -> u64 {
-        self.schema_generation
+        KbCacheStats { plan: CacheStats::default(), result: lock(&self.caches.result).stats() }
     }
 
     /// Like [`KnowledgeBase::query`], recording a
@@ -671,17 +595,12 @@ impl KnowledgeBase {
     }
 
     /// Parses a KB from JSON, restoring the envelope (DESIGN.md §16):
-    /// generation counters come back from the [`GenerationStamp`], and
     /// each table's secondary indexes are rebuilt from its recorded
     /// index policy before the PK indexes are rebuilt. Pre-policy
-    /// envelopes (no `generations`, no `index_policy`) deserialise
-    /// exactly as before: generation zero, scan-only.
+    /// envelopes (no `index_policy`) deserialise scan-only; fields this
+    /// build no longer writes (an old `generations` stamp) are ignored.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let mut kb: KnowledgeBase = serde_json::from_str(json)?;
-        if let Some(stamp) = kb.generations.take() {
-            kb.generation = stamp.data;
-            kb.schema_generation = stamp.schema;
-        }
         for t in Arc::make_mut(&mut kb.tables).values_mut() {
             if let Some(policy) = t.index_policy.take() {
                 for spec in policy {
@@ -697,29 +616,18 @@ impl KnowledgeBase {
         Ok(kb)
     }
 
-    /// Reassembles a KB from tables plus its generation stamp — the
-    /// binary snapshot reader's entry point. The tables arrive already
-    /// indexed (see [`Table::assemble`]); the stamp restores the cache
-    /// validation counters exactly as `from_json` does.
-    pub(crate) fn assemble(tables: HashMap<String, Table>, stamp: GenerationStamp) -> Self {
-        KnowledgeBase {
-            tables: Arc::new(tables),
-            generations: None,
-            generation: stamp.data,
-            schema_generation: stamp.schema,
-            indexes_disabled: false,
-            caches: QueryCaches::default(),
-        }
+    /// Reassembles a KB from its tables — the binary snapshot reader's
+    /// entry point. The tables arrive already indexed (see
+    /// [`Table::assemble`]).
+    pub(crate) fn assemble(tables: HashMap<String, Table>) -> Self {
+        KnowledgeBase { tables: Arc::new(tables), ..KnowledgeBase::default() }
     }
 
-    /// Serialises the KB with its durable envelope stamped in: the
-    /// current generation counters and each table's index policy, so
-    /// [`from_json`](Self::from_json) restores an equivalent KB —
-    /// same data, same access paths, same cache-validation stamps.
+    /// Serialises the KB with its durable envelope stamped in: each
+    /// table's index policy, so [`from_json`](Self::from_json) restores
+    /// an equivalent KB — same data, same access paths.
     pub fn to_json(&self) -> String {
         let mut kb = self.clone();
-        kb.generations =
-            Some(GenerationStamp { data: self.generation, schema: self.schema_generation });
         for t in Arc::make_mut(&mut kb.tables).values_mut() {
             t.index_policy = Some(t.secondary.iter().map(SecondaryIndex::spec).collect());
         }
@@ -845,7 +753,7 @@ mod tests {
         assert_eq!(first, second);
         let stats = kb.cache_stats();
         assert_eq!(stats.result.hits, 1, "second run served from the result cache");
-        assert_eq!(stats.plan.misses, 1, "plan bound once");
+        assert_eq!(stats.result.misses, 1, "executed once");
 
         let mut oracle = kb.clone();
         oracle.set_cache_enabled(false);
@@ -853,27 +761,27 @@ mod tests {
     }
 
     #[test]
-    fn insert_invalidates_results_but_keeps_plans() {
+    fn insert_drops_cached_results() {
         let mut kb = kb_with_drug();
         kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
         let sql = "SELECT name FROM drug";
         assert_eq!(kb.query(sql).unwrap().rows.len(), 1);
         kb.insert("drug", vec![Value::Int(2), Value::text("B")]).unwrap();
         assert_eq!(kb.query(sql).unwrap().rows.len(), 2, "stale result must not serve");
-        let stats = kb.cache_stats();
-        assert_eq!(stats.result.invalidations, 1);
-        assert_eq!(stats.plan.hits, 1, "plans survive data mutations");
+        assert_eq!(kb.cache_stats().result.invalidations, 1);
     }
 
     #[test]
-    fn create_table_invalidates_plans() {
+    fn create_table_drops_cached_results() {
         let mut kb = kb_with_drug();
         kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
         let sql = "SELECT name FROM drug";
-        kb.query(sql).unwrap();
+        let before = kb.query(sql).unwrap();
         kb.create_table(TableSchema::new("other").column("x", ColumnType::Int)).unwrap();
-        kb.query(sql).unwrap();
-        assert_eq!(kb.cache_stats().plan.invalidations, 1, "schema bump drops the plan");
+        assert_eq!(kb.query(sql).unwrap(), before);
+        let stats = kb.cache_stats().result;
+        assert_eq!(stats.invalidations, 1, "create_table dropped the cached result");
+        assert_eq!(stats.hits, 0, "the re-run executed instead of hitting");
     }
 
     #[test]
@@ -881,8 +789,8 @@ mod tests {
         let kb = kb_with_drug();
         assert!(kb.query("SELECT nope FROM drug").is_err());
         assert!(kb.query("SELECT nope FROM drug").is_err());
-        let stats = kb.cache_stats();
-        assert_eq!(stats.plan.hits + stats.result.hits, 0);
+        let stats = kb.cache_stats().result;
+        assert_eq!((stats.hits, stats.misses), (0, 2));
     }
 
     #[test]
@@ -942,12 +850,11 @@ mod tests {
     }
 
     /// What one twin exposes: its JSON image (rows, schemas, index
-    /// policy, generation stamp), both generations, its index count and
-    /// the access path of every probe.
-    fn twin_view(kb: &KnowledgeBase) -> (String, u64, u64, usize, Vec<&'static str>) {
+    /// policy), its index count and the access path of every probe.
+    fn twin_view(kb: &KnowledgeBase) -> (String, usize, Vec<&'static str>) {
         let labels =
             TWIN_PROBES.iter().map(|sql| kb.prepare(sql).unwrap().access_label()).collect();
-        (kb.to_json(), kb.generation(), kb.schema_generation(), kb.index_count(), labels)
+        (kb.to_json(), kb.index_count(), labels)
     }
 
     #[test]
@@ -993,7 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn create_index_invalidates_plans_and_is_idempotent() {
+    fn create_index_drops_cached_results_and_is_idempotent() {
         let mut kb = kb_with_drug();
         for i in 0..20 {
             kb.insert("drug", vec![Value::Int(i), Value::text(format!("Drug{i}"))]).unwrap();
@@ -1003,14 +910,12 @@ mod tests {
         assert!(!kb.prepare(sql).unwrap().uses_index());
         assert!(kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
         assert_eq!(kb.query(sql).unwrap(), before, "index is value-invisible");
-        let stats = kb.cache_stats();
-        assert_eq!(stats.plan.invalidations, 1, "schema bump re-binds the plan");
-        assert_eq!(stats.result.invalidations, 1, "data bump revalidates the result");
+        assert_eq!(kb.cache_stats().result.invalidations, 1, "the writer dropped the result");
         assert!(kb.prepare(sql).unwrap().uses_index());
-        // Identical index again: no-op, no generation churn.
-        let gen = kb.generation();
+        // Identical index again: a no-op that keeps the cached result.
         assert!(!kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
-        assert_eq!(kb.generation(), gen);
+        kb.query(sql).unwrap();
+        assert_eq!(kb.cache_stats().result.hits, 1, "a no-op build dropped nothing");
         assert_eq!(kb.index_count(), 1);
     }
 
@@ -1040,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_index_covers_keys_and_high_cardinality_text() {
+    fn auto_index_covers_join_keys_only() {
         let mut kb = kb_with_drug();
         kb.create_table(
             TableSchema::new("dosage")
@@ -1055,13 +960,15 @@ mod tests {
             kb.insert("dosage", vec![Value::Int(i), Value::Int(i)]).unwrap();
         }
         let created = kb.auto_index();
-        // drug.drug_id (PK hash), drug.name (ordered), dosage.dosage_id
-        // (PK hash), dosage.drug_id (FK hash).
-        assert_eq!(created, 4);
+        // drug.drug_id (PK hash), dosage.dosage_id (PK hash),
+        // dosage.drug_id (FK hash). The high-cardinality drug.name gets
+        // nothing: no template reads it through an index.
+        assert_eq!(created, 3);
         assert_eq!(kb.auto_index(), 0, "idempotent");
         let drug = kb.table("drug").unwrap();
         assert!(drug.index_of_kind(0, IndexKind::Hash).is_some());
-        assert!(drug.index_of_kind(1, IndexKind::Ordered).is_some());
+        assert!(drug.index_for_eq(1).is_none(), "no index on drug.name");
+        assert!(drug.secondary_indexes().iter().all(|i| i.kind() == IndexKind::Hash));
         assert!(kb.index_enabled());
     }
 
@@ -1099,25 +1006,12 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_generation_counters() {
-        let mut kb = kb_with_drug();
-        kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
-        assert!(kb.generation() > 0 && kb.schema_generation() > 0);
-        let kb2 = KnowledgeBase::from_json(&kb.to_json()).unwrap();
-        assert_eq!(kb2.generation(), kb.generation(), "data generation survives reload");
-        assert_eq!(kb2.schema_generation(), kb.schema_generation(), "schema generation survives");
-        // And keeps advancing from there, never re-treading old stamps.
-        let mut kb3 = kb2.clone();
-        kb3.insert("drug", vec![Value::Int(2), Value::text("B")]).unwrap();
-        assert_eq!(kb3.generation(), kb.generation() + 1);
-    }
-
-    #[test]
-    fn pre_policy_envelope_still_loads_scan_only_at_generation_zero() {
-        // A committed artifact written before the durable envelope: no
-        // `generations`, no `index_policy`. It must parse, scan-only.
+    fn pre_policy_envelope_still_loads_scan_only() {
+        // An envelope with no `index_policy` must parse, scan-only. It
+        // also carries the `generations` stamp older builds wrote, which
+        // this build ignores.
         let json = r#"{
+            "generations": {"data": 7, "schema": 2},
             "tables": {
                 "drug": {
                     "schema": {
@@ -1134,9 +1028,8 @@ mod tests {
             }
         }"#;
         let kb = KnowledgeBase::from_json(json).expect("old envelope parses");
-        assert_eq!(kb.generation(), 0);
-        assert_eq!(kb.schema_generation(), 0);
         assert_eq!(kb.index_count(), 0, "no recorded policy, no indexes");
+        assert!(!kb.to_json().contains("generations"), "the stamp is not written back");
         assert_eq!(kb.query("SELECT name FROM drug WHERE drug_id = 1").unwrap().rows.len(), 1);
     }
 

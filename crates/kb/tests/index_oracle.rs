@@ -1,8 +1,8 @@
 //! Property-based equivalence of index-backed execution against a
 //! scan-only oracle (DESIGN.md §14): over arbitrary interleavings of
 //! inserts, queries, index creations, and index enable/disable toggles,
-//! a KB answering through its secondary indexes (and its plan/result
-//! caches) must return byte-identical results — including errors — to a
+//! a KB answering through its secondary indexes (and its result cache)
+//! must return byte-identical results — including errors — to a
 //! KB that never builds an index and executes with caching off. The
 //! schema mixes an `Int` PK, a high-cardinality text column, and a
 //! `Float` column that also admits `Int` values, so the dual-probe
@@ -235,7 +235,9 @@ proptest! {
 }
 
 /// Deterministic end-to-end check of the headline path: a fully indexed
-/// KB agrees with its scan twin on every query shape above.
+/// KB — the default join-key policy plus explicit ordered indexes for
+/// the prefix and ordered-equality shapes — agrees with its scan twin on
+/// every query shape above.
 #[test]
 fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     let mut indexed = fresh_kb();
@@ -263,6 +265,16 @@ fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     scan.set_index_enabled(false);
     scan.set_cache_enabled(false);
     assert!(indexed.auto_index() > 0);
+    for (table, column) in [("drug", "name"), ("drug", "weight"), ("precautions", "description")] {
+        assert!(indexed.create_index(table, column, IndexKind::Ordered).expect("index"));
+    }
+    assert_eq!(
+        indexed
+            .prepare("SELECT name FROM drug WHERE name LIKE 'Drug1%'")
+            .expect("plan")
+            .access_label(),
+        "index_prefix"
+    );
     for sql in QUERIES {
         assert_eq!(indexed.query(sql), scan.query(sql), "divergence on {sql}");
     }

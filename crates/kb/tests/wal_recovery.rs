@@ -9,7 +9,7 @@
 //! rename), so a binary snapshot cut at *any* byte offset is hard
 //! `Corrupt` — never a silent partial load. A property test also pins
 //! a snapshot to its original: the image loads back observationally
-//! identical (rows, generations, index policy, planner access labels).
+//! identical (rows, index policy, planner access labels).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,13 +43,13 @@ fn write_wal(path: &Path, records: &[WalRecord]) -> Vec<u64> {
 }
 
 /// KB states after applying each prefix of `records`: `oracles[k]` is
-/// the serialized KB (plus generation stamps) after records `0..k`.
-fn prefix_oracles(records: &[WalRecord]) -> Vec<(String, u64, u64)> {
+/// the serialized KB after records `0..k`.
+fn prefix_oracles(records: &[WalRecord]) -> Vec<String> {
     let mut kb = KnowledgeBase::new();
-    let mut oracles = vec![(kb.to_json(), kb.generation(), kb.schema_generation())];
+    let mut oracles = vec![kb.to_json()];
     for r in records {
         r.apply(&mut kb).expect("oracle apply");
-        oracles.push((kb.to_json(), kb.generation(), kb.schema_generation()));
+        oracles.push(kb.to_json());
     }
     oracles
 }
@@ -83,19 +83,20 @@ fn assert_prefix_consistent(
     full: &[u8],
     cut: usize,
     boundaries: &[u64],
-    oracles: &[(String, u64, u64)],
+    oracles: &[String],
 ) {
     let wal_path = dir.join(format!("cut_{cut}.wal"));
     std::fs::write(&wal_path, &full[..cut]).expect("write cut file");
     let (kb, report) = KnowledgeBase::recover_from(dir.join("no_snapshot"), &wal_path)
         .expect("torn tails recover, never error");
     let survivors = boundaries.iter().filter(|b| **b <= cut as u64).count() - 1;
-    let (json, generation, schema_generation) = &oracles[survivors];
     assert_eq!(report.wal_records, survivors, "cut at {cut}");
     assert_eq!(report.wal_truncated_bytes, cut as u64 - boundaries[survivors], "cut at {cut}");
-    assert_eq!(&kb.to_json(), json, "cut at {cut}: state must match the {survivors}-record prefix");
-    assert_eq!(kb.generation(), *generation, "cut at {cut}");
-    assert_eq!(kb.schema_generation(), *schema_generation, "cut at {cut}");
+    assert_eq!(
+        kb.to_json(),
+        oracles[survivors],
+        "cut at {cut}: state must match the {survivors}-record prefix"
+    );
     // The truncation is persisted: a second recovery replays the same
     // prefix cleanly with nothing left to truncate.
     let (_, again) =
@@ -295,8 +296,8 @@ fn every_byte_truncation_of_a_binary_snapshot_is_hard_corrupt() {
 
 proptest! {
     /// A snapshot loads back observationally identical to the KB it was
-    /// written from: same rows, same generation stamps, same index
-    /// policy, same planner access labels.
+    /// written from: same rows, same index policy, same planner access
+    /// labels.
     #[test]
     fn snapshots_load_back_identical_to_the_original(
         ids in proptest::collection::vec((0i64..64, 0u8..9, 0u8..16), 1..24),
@@ -314,8 +315,6 @@ proptest! {
         prop_assert_eq!(back_epoch, epoch);
 
         prop_assert_eq!(back.to_json(), kb.to_json());
-        prop_assert_eq!(back.generation(), kb.generation());
-        prop_assert_eq!(back.schema_generation(), kb.schema_generation());
         prop_assert_eq!(back.index_count(), kb.index_count());
         for sql in LABEL_QUERIES {
             prop_assert_eq!(

@@ -562,9 +562,8 @@ pub fn build_mdx_kb(config: MdxDataConfig) -> KnowledgeBase {
     let drug_names = populate_drugs(&mut kb, &mut rng, config.drugs);
     populate_bridges(&mut kb, &mut rng, &drug_names);
     populate_dependents(&mut kb, &mut rng, &drug_names);
-    // Stats-guided secondary indexes (DESIGN.md §14): hash on PK/FK join
-    // keys, ordered on high-cardinality text (e.g. drug.name for
-    // LIKE-prefix). Purely an access-path change — results are
+    // Hash indexes on every PK/FK join key (DESIGN.md §14.2), the keys
+    // template SQL probes. Purely an access-path change — results are
     // byte-identical to scans (the index-oracle property).
     kb.auto_index();
     kb
@@ -1481,6 +1480,35 @@ mod tests {
         let kb = build_mdx_kb(MdxDataConfig::default());
         let rs = kb.query("SELECT name FROM drug WHERE name LIKE 'Calcium%'").unwrap();
         assert_eq!(rs.rows.len(), 2, "Calcium Carbonate and Calcium Citrate");
+    }
+
+    #[test]
+    fn default_world_indexes_exactly_its_join_keys() {
+        let kb = build_mdx_kb(MdxDataConfig::default());
+        for name in kb.table_names() {
+            let t = kb.table(name).unwrap();
+            let fks = t.schema.foreign_keys.iter().map(|fk| &fk.column);
+            let mut keys: Vec<usize> = t
+                .schema
+                .primary_key
+                .iter()
+                .chain(fks)
+                .map(|c| t.schema.column_index(c).unwrap())
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut indexed: Vec<usize> = t
+                .secondary_indexes()
+                .iter()
+                .map(|i| {
+                    assert_eq!(i.kind(), obcs_kb::IndexKind::Hash, "{name}: ordered index");
+                    i.column_pos()
+                })
+                .collect();
+            indexed.sort_unstable();
+            assert_eq!(indexed, keys, "{name}: one hash index per PK or FK column");
+        }
+        assert_eq!(kb.index_count(), 116);
     }
 
     #[test]

@@ -73,19 +73,35 @@ impl QueryTemplate {
 
     /// Instantiates the template: every marker is replaced by the supplied
     /// value for its concept (single-quote-escaped). All parameters must be
-    /// supplied.
+    /// supplied. Substitution is one left-to-right pass over the template,
+    /// so an inserted value is never scanned again: a value that contains
+    /// marker text stays literal.
     pub fn instantiate(&self, values: &[(ConceptId, String)]) -> Result<String, TemplateError> {
-        let mut sql = self.sql.clone();
+        let mut hits: Vec<(usize, &str, &str)> = Vec::new();
         for p in &self.params {
             let value = values
                 .iter()
                 .find(|(c, _)| *c == p.concept)
                 .map(|(_, v)| v.as_str())
                 .ok_or_else(|| TemplateError::MissingParam(p.marker.clone()))?;
+            hits.extend(self.sql.match_indices(&p.marker).map(|(at, _)| (at, &*p.marker, value)));
+        }
+        // Stable sort: at one position the first parameter wins, and a
+        // repeated parameter's second set of hits is skipped below.
+        hits.sort_by_key(|&(at, ..)| at);
+        let mut sql = String::with_capacity(self.sql.len());
+        let mut end = 0;
+        for (at, marker, value) in hits {
+            if at < end {
+                continue;
+            }
+            sql.push_str(&self.sql[end..at]);
             // The marker sits inside single quotes in the SQL; escape the
             // value for that context.
-            sql = sql.replace(&p.marker, &value.replace('\'', "''"));
+            sql.push_str(&value.replace('\'', "''"));
+            end = at + marker.len();
         }
+        sql.push_str(&self.sql[end..]);
         Ok(sql)
     }
 }
@@ -139,6 +155,18 @@ mod tests {
         assert_eq!(tpl.required_concepts(), vec![drug, ind]);
         let sql = tpl.instantiate(&[(drug, "X".into()), (ind, "Y".into())]).unwrap();
         assert_eq!(sql, "a = 'X' AND b = 'Y' AND c = 'X'");
+    }
+
+    #[test]
+    fn inserted_values_are_never_rescanned_for_markers() {
+        let o = onto();
+        let drug = o.concept_id("Drug").unwrap();
+        let ind = o.concept_id("Indication").unwrap();
+        let tpl =
+            QueryTemplate::new("a = '<@Drug>' AND b = '<@Indication>'".into(), vec![drug, ind], &o);
+        let sql =
+            tpl.instantiate(&[(drug, "<@Indication>".into()), (ind, "Fever".into())]).unwrap();
+        assert_eq!(sql, "a = '<@Indication>' AND b = 'Fever'");
     }
 
     #[test]

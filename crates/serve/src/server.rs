@@ -125,8 +125,8 @@ impl Server {
     ///
     /// With [`ServeConfig::durability`] set, the agent's KB is first
     /// reconciled with the durability directory: an existing snapshot +
-    /// WAL is recovered (torn tail truncated, generation counters and
-    /// index policy restored — see [`Server::recovery`]) and installed
+    /// WAL is recovered (torn tail truncated, index policy restored —
+    /// see [`Server::recovery`]) and installed
     /// on the agent; a fresh directory is seeded with a snapshot of the
     /// agent's KB. The server never mutates the KB, so it keeps no
     /// durable handle past startup: every startup write (torn-tail
@@ -373,8 +373,11 @@ enum LineRead {
     TooLarge,
 }
 
-/// `read_line` with a byte ceiling and timeout awareness. On `TooLarge`
-/// the rest of the oversized line is drained so the stream stays framed.
+/// `read_line` with a byte ceiling and timeout awareness. An oversized
+/// line is discarded through its newline before `TooLarge` is returned,
+/// so the stream stays framed. The discard survives read timeouts — a
+/// slow writer's tail is never served as a request of its own — and
+/// stops only at the newline, EOF, or shutdown.
 fn read_bounded_line(
     reader: &mut BufReader<TcpStream>,
     line: &mut String,
@@ -383,6 +386,7 @@ fn read_bounded_line(
     // Read raw bytes up to the newline ourselves: BufReader::read_line
     // would buffer an unbounded line before returning.
     let mut bytes: Vec<u8> = Vec::new();
+    let mut discarding = false;
     loop {
         let available = match reader.fill_buf() {
             Ok(buf) => buf,
@@ -394,7 +398,7 @@ fn read_bounded_line(
                 if shutdown.load(Ordering::SeqCst) {
                     return LineRead::Eof;
                 }
-                if bytes.is_empty() {
+                if bytes.is_empty() && !discarding {
                     return LineRead::TimedOut;
                 }
                 continue;
@@ -402,32 +406,23 @@ fn read_bounded_line(
             Err(_) => return LineRead::Eof,
         };
         if available.is_empty() {
-            return if bytes.is_empty() { LineRead::Eof } else { LineRead::Line };
+            return if discarding {
+                LineRead::TooLarge
+            } else if bytes.is_empty() {
+                LineRead::Eof
+            } else {
+                LineRead::Line
+            };
         }
         let newline = available.iter().position(|&b| b == b'\n');
         let take = newline.map(|i| i + 1).unwrap_or(available.len());
-        if bytes.len() + take > MAX_LINE_BYTES {
+        if discarding || bytes.len() + take > MAX_LINE_BYTES {
             reader.consume(take);
             if newline.is_some() {
                 return LineRead::TooLarge;
             }
-            // Drain the rest of the oversized line.
-            bytes.clear();
-            loop {
-                let buf = match reader.fill_buf() {
-                    Ok(b) => b,
-                    Err(_) => return LineRead::TooLarge,
-                };
-                if buf.is_empty() {
-                    return LineRead::TooLarge;
-                }
-                let pos = buf.iter().position(|&b| b == b'\n');
-                let n = pos.map(|i| i + 1).unwrap_or(buf.len());
-                reader.consume(n);
-                if pos.is_some() {
-                    return LineRead::TooLarge;
-                }
-            }
+            discarding = true;
+            continue;
         }
         bytes.extend_from_slice(&available[..take]);
         reader.consume(take);

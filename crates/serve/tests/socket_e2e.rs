@@ -163,6 +163,34 @@ fn malformed_and_oversized_lines_get_protocol_errors() {
 }
 
 #[test]
+fn oversized_line_from_a_slow_writer_is_discarded_through_its_newline() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let mut server = Server::start(fig2_agent(), ServeConfig::default()).expect("bind");
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    // The head of an oversized line, then a pause longer than the
+    // server's 250 ms read timeout, then the line's tail and a request.
+    writer.write_all("x".repeat(obcs_serve::MAX_LINE_BYTES + 10).as_bytes()).expect("head");
+    writer.flush().expect("flush");
+    std::thread::sleep(std::time::Duration::from_millis(600));
+    writer.write_all(b"tail of the oversized line\n\"Stats\"\n").expect("tail");
+
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"too_large\""), "{line}");
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"protocol_errors\":1"), "the tail was served as a request: {line}");
+
+    drop(writer);
+    drop(reader);
+    server.shutdown();
+}
+
+#[test]
 fn per_connection_traces_merge_into_one_report() {
     let config = ServeConfig { trace: true, ..ServeConfig::default() };
     let mut server = Server::start(fig2_agent(), config).expect("bind");

@@ -110,7 +110,7 @@ pub mod metric {
     /// template-skip path, by cause label.
     pub const PIPELINE_ERRORS: &str = "pipeline_error";
     /// Counter: cache lookups answered from a cache, by layer label
-    /// (`kb_plan`, `kb_result`, `nlu_classify`, `nlu_recognize`).
+    /// (`kb_result`, `nlu_classify`, `nlu_recognize`).
     ///
     /// Cache counters are published *on demand* (end of a replay, stats
     /// endpoint) via `obcs_cache::record_stats`, never per turn: the hit
@@ -122,8 +122,9 @@ pub mod metric {
     /// Counter: cache entries evicted to stay within budget, by layer
     /// label.
     pub const CACHE_EVICTIONS: &str = "cache_evict";
-    /// Counter: cache entries dropped on a generation mismatch, by layer
-    /// label.
+    /// Counter: cache entries dropped because their owner mutated the
+    /// data they were computed from (the writer clears its cache), by
+    /// layer label.
     pub const CACHE_INVALIDATIONS: &str = "cache_invalidate";
     /// Counter: turns shed by serving admission control before reaching
     /// the engine, by cause label (`capacity`).
