@@ -394,7 +394,9 @@ impl ConversationAgent {
         };
         // Management patterns outrank entity heuristics: "hi" must greet,
         // not fuzzy-match a drug name.
-        let catalog_handles = self.tree.catalog.detect(utterance).is_some();
+        let tree = Arc::clone(&self.tree);
+        let management = tree.catalog.detect(utterance);
+        let catalog_handles = management.is_some();
 
         // Resolve a pending partial-name disambiguation: the user's next
         // input picks one of the offered candidates.
@@ -605,7 +607,7 @@ impl ConversationAgent {
         };
         let action = {
             let _eval = obcs_telemetry::span(&*rec, stage::DIALOGUE_EVAL);
-            self.tree.evaluate(&mut self.ctx, &input)
+            tree.evaluate_detected(&mut self.ctx, &input, management)
         };
 
         // --- Action execution ---
@@ -684,7 +686,10 @@ impl ConversationAgent {
         turn_start: u64,
     ) -> Result<AgentReply, ObcsError> {
         let rec = Arc::clone(&self.recorder);
-        let Some(intent) = self.space.intent(intent_id).cloned() else {
+        // Borrowed through a handle on the shared space, so `self` stays
+        // free for the mutable calls below without copying the intent.
+        let space = Arc::clone(&self.space);
+        let Some(intent) = space.intent(intent_id) else {
             // Historically a stringly "Internal error" fallback; now a
             // typed engine fault that degrades like any other.
             return Err(ObcsError::UnknownIntent(format!("{intent_id:?}")));

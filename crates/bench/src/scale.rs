@@ -1,7 +1,10 @@
 //! The "large world" scaling harness behind `repro scale` (DESIGN.md
 //! §14): a latency-vs-KB-size curve for the three index-accelerated KB
-//! hot paths — point lookup, FK join, LIKE-prefix — measured at 150 /
-//! 1.5k / 15k drugs on the deterministic MDX generator. Each stage runs
+//! hot paths — point lookup, FK join, LIKE-prefix — and for the three
+//! shapes the served templates issue — one hop (dosage by drug name), a
+//! bridge (black-box warning via risk) and the condition-driven drug
+//! list with an age group — measured at 150 / 1.5k / 15k drugs on the
+//! deterministic MDX generator. Each stage runs
 //! the identical query batch against the auto-indexed KB (plus an
 //! explicit ordered index on `drug.name` for LIKE-prefix) and a
 //! scan-only twin (`set_index_enabled(false)`), with the query caches
@@ -14,7 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use obcs_kb::{IndexKind, KnowledgeBase};
+use obcs_kb::{IndexKind, KnowledgeBase, Value};
 use obcs_mdx::data::{build_mdx_kb, MdxDataConfig};
 
 use crate::perf::{Comparison, PerfOptions, Timing};
@@ -30,6 +33,15 @@ pub const POINT_LOOKUP_FLOOR_15K: f64 = 10.0;
 pub const FK_JOIN_FLOOR_15K: f64 = 5.0;
 /// Committed floor for the LIKE-prefix range read at 15k.
 pub const LIKE_PREFIX_FLOOR_15K: f64 = 3.0;
+/// Committed floor at 15k for the served one-hop shape: a join probe
+/// on `drug.name` must beat scanning the dosage table.
+pub const SERVED_ONE_HOP_FLOOR_15K: f64 = 100.0;
+/// Committed floor at 15k for the served bridge shape (two hops back
+/// to the FROM table).
+pub const SERVED_BRIDGE_FLOOR_15K: f64 = 100.0;
+/// Committed floor at 15k for the condition-driven drug list: its probe
+/// still fans out to every drug treating the condition.
+pub const SERVED_CONDITION_FLOOR_15K: f64 = 3.0;
 
 /// What one size-point of the curve measured.
 pub struct ScaleOutcome {
@@ -39,6 +51,18 @@ pub struct ScaleOutcome {
 
 /// How many queries one timed batch executes.
 const BATCH: usize = 40;
+
+/// `v` as a SQL string literal.
+fn quoted(v: &Value) -> String {
+    format!("'{}'", v.as_text().expect("text label").replace('\'', "''"))
+}
+
+/// `BATCH` values of `table.column`'s distinct values, strided so a
+/// batch spreads over the whole table.
+fn strided(kb: &KnowledgeBase, table: &str, column: &str) -> Vec<String> {
+    let values = kb.distinct_values(table, column).expect("label column");
+    (0..BATCH).map(|i| quoted(&values[(i * 37 + 11) % values.len()])).collect()
+}
 
 fn batch_ms(reps: usize, kb: &KnowledgeBase, queries: &[String]) -> f64 {
     let mut best = f64::INFINITY;
@@ -95,7 +119,7 @@ pub fn run(opts: &PerfOptions) -> ScaleOutcome {
             ms: build_ms,
         });
 
-        // The default policy indexes join keys only; the LIKE-prefix
+        // The default policy builds hash indexes only; the LIKE-prefix
         // stage reads an ordered index on drug.name, created here,
         // outside the timed build. The scan twin: same rows, same (cold)
         // caches, indexes routed off. Caches are disabled on both sides
@@ -165,6 +189,69 @@ pub fn run(opts: &PerfOptions) -> ScaleOutcome {
             &queries,
             floor(LIKE_PREFIX_FLOOR_15K),
         ));
+
+        // The served shapes, as the MDX templates write them: the
+        // key-concept filter sits on a joined table, so the indexed side
+        // binds a join probe (DESIGN.md §14.1).
+        let drug_names = strided(&indexed, "drug", "name");
+        let one_hop: Vec<String> = drug_names
+            .iter()
+            .map(|name| {
+                format!(
+                    "SELECT DISTINCT oDosage.description, oDosage.amount, oDosage.regimen, \
+                     oDosage.note FROM dosage oDosage \
+                     INNER JOIN drug oDrug ON oDosage.drug_id = oDrug.drug_id \
+                     WHERE oDrug.name = {name}"
+                )
+            })
+            .collect();
+        let bridge: Vec<String> = drug_names
+            .iter()
+            .map(|name| {
+                format!(
+                    "SELECT DISTINCT oBlackBoxWarning.description, oBlackBoxWarning.boxed_text, \
+                     oBlackBoxWarning.note FROM black_box_warning oBlackBoxWarning \
+                     INNER JOIN risk oRisk ON oBlackBoxWarning.risk_id = oRisk.risk_id \
+                     INNER JOIN drug oDrug ON oRisk.drug_id = oDrug.drug_id \
+                     WHERE oDrug.name = {name}"
+                )
+            })
+            .collect();
+        let age_groups = strided(&indexed, "age_group", "name");
+        let condition: Vec<String> = strided(&indexed, "condition", "name")
+            .iter()
+            .zip(&age_groups)
+            .map(|(condition, age_group)| {
+                format!(
+                    "SELECT DISTINCT oDrug.name FROM drug oDrug \
+                     INNER JOIN treats b1 ON oDrug.drug_id = b1.drug_id \
+                     INNER JOIN condition oCondition ON b1.condition_id = oCondition.condition_id \
+                     INNER JOIN dosage oDosage ON oDrug.drug_id = oDosage.drug_id \
+                     INNER JOIN age_group oAgeGroup ON oDosage.age_group_id = oAgeGroup.age_group_id \
+                     WHERE oCondition.name = {condition} AND oAgeGroup.name = {age_group}"
+                )
+            })
+            .collect();
+        for (kind, queries, what, min_speedup) in [
+            ("one_hop", one_hop, "dosage-by-drug", SERVED_ONE_HOP_FLOOR_15K),
+            ("bridge", bridge, "black-box-via-risk", SERVED_BRIDGE_FLOOR_15K),
+            ("condition", condition, "drugs-for-condition", SERVED_CONDITION_FLOOR_15K),
+        ] {
+            assert_eq!(
+                indexed.prepare(&queries[0]).expect("served shape binds").access_label(),
+                "join_probe",
+                "the served {kind} shape must start from an index"
+            );
+            comparisons.push(stage(
+                format!("scale_served_{kind}_{drugs}"),
+                format!("{BATCH} {what} queries, {drugs}-drug world"),
+                reps,
+                &indexed,
+                &scan,
+                &queries,
+                floor(min_speedup),
+            ));
+        }
     }
 
     ScaleOutcome { timings, comparisons }
@@ -179,7 +266,14 @@ mod tests {
         // The committed baseline keys stages by these names; keep the
         // cross-product stable.
         for drugs in SCALE_SIZES {
-            for kind in ["point_lookup", "fk_join", "like_prefix"] {
+            for kind in [
+                "point_lookup",
+                "fk_join",
+                "like_prefix",
+                "served_one_hop",
+                "served_bridge",
+                "served_condition",
+            ] {
                 let name = format!("scale_{kind}_{drugs}");
                 assert!(name.starts_with("scale_"));
             }

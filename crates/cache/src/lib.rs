@@ -149,16 +149,6 @@ impl<V> LruCache<V> {
         self.bytes = 0;
     }
 
-    fn touch(&mut self, key: &str) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if let Some(entry) = self.map.get_mut(key) {
-            self.recency.remove(&entry.stamp);
-            entry.stamp = stamp;
-            self.recency.insert(stamp, key.to_string());
-        }
-    }
-
     fn remove(&mut self, key: &str) -> Option<Entry<V>> {
         let entry = self.map.remove(key)?;
         self.recency.remove(&entry.stamp);
@@ -180,14 +170,18 @@ impl<V> LruCache<V> {
 impl<V: Clone> LruCache<V> {
     /// Looks up `key`, marking a hit as most recently used.
     pub fn get(&mut self, key: &str) -> Option<V> {
-        let Some(entry) = self.map.get(key) else {
+        let Some(entry) = self.map.get_mut(key) else {
             self.stats.misses += 1;
             return None;
         };
         self.stats.hits += 1;
-        let value = entry.value.clone();
-        self.touch(key);
-        Some(value)
+        // One hash lookup: re-stamp the entry in place and move its key
+        // `String` to the new recency slot instead of re-allocating it.
+        let key = self.recency.remove(&entry.stamp).expect("every entry has a recency slot");
+        entry.stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.recency.insert(entry.stamp, key);
+        Some(entry.value.clone())
     }
 
     /// Stores `value` for `key`, costed at `bytes`. Values over the

@@ -16,7 +16,13 @@
 //! representative catalog that covers every pattern family the paper's
 //! transcripts exercise. The catalog is data-driven and extensible.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
+
+/// Lowercase, alphanumeric words joined by single spaces — the same
+/// normal form the lexicon matches.
+pub use obcs_nlq::annotate::normalize;
 
 /// Whether a pattern manages a single sequence or the whole conversation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,8 +76,10 @@ pub struct ManagementPattern {
     pub level: PatternLevel,
     pub name: String,
     pub action: ManagementAction,
-    /// Normalised trigger phrases. A phrase ending in `*` matches by
-    /// prefix; otherwise the whole (normalised) utterance must match.
+    /// Normalised trigger phrases. A `*` matches any non-empty span:
+    /// `what do you mean by *` is a prefix pattern, `what does * mean`
+    /// an infix pattern. A phrase without one must equal the whole
+    /// (normalised) utterance.
     pub triggers: Vec<String>,
     /// Agent response template; `{repeat}`, `{definition}`, `{term}` are
     /// substituted by the engine.
@@ -96,19 +104,33 @@ impl ManagementPattern {
             response: response.to_string(),
         }
     }
-
-    /// Whether a normalised utterance triggers this pattern. A `*` in a
-    /// trigger matches any non-empty span: `what do you mean by *` is a
-    /// prefix pattern, `what does * mean` an infix pattern.
-    pub fn matches(&self, normalized: &str) -> bool {
-        self.triggers.iter().any(|t| wildcard_capture(t, normalized).is_some())
-    }
 }
 
 /// The catalog of conversation-management patterns.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(from = "CatalogPatterns")]
 pub struct ManagementCatalog {
-    pub patterns: Vec<ManagementPattern>,
+    patterns: Vec<ManagementPattern>,
+    /// Exact trigger → index of the first pattern that holds it.
+    #[serde(skip)]
+    exact: HashMap<String, usize>,
+    /// Wildcard triggers as (pattern index, trigger index), in catalog
+    /// order.
+    #[serde(skip)]
+    wildcards: Vec<(usize, usize)>,
+}
+
+/// The serialised form of a [`ManagementCatalog`]: its patterns alone;
+/// the trigger lookups are rebuilt from them.
+#[derive(Deserialize)]
+struct CatalogPatterns {
+    patterns: Vec<ManagementPattern>,
+}
+
+impl From<CatalogPatterns> for ManagementCatalog {
+    fn from(c: CatalogPatterns) -> Self {
+        ManagementCatalog::from_patterns(c.patterns)
+    }
 }
 
 impl Default for ManagementCatalog {
@@ -123,8 +145,8 @@ impl ManagementCatalog {
         use ManagementAction::*;
         use PatternLevel::*;
         let p = ManagementPattern::new;
-        ManagementCatalog {
-            patterns: vec![
+        ManagementCatalog::from_patterns(
+            vec![
                 // --- Conversation-level (A) patterns ---
                 p("A1.0", Conversation, "Opening Greeting", Greeting,
                   &["hello", "hello there", "hi", "hi there", "hey", "hey there", "good morning", "good afternoon", "good evening", "good day", "greetings"],
@@ -227,16 +249,43 @@ impl ManagementCatalog {
                   &["is that all", "is that everything", "anything else i should know"],
                   "That's everything recorded for this request. You can ask about {capabilities}."),
             ],
-        }
+        )
     }
 
-    /// Finds the first pattern matching a raw utterance, if any.
+    /// A catalog of `patterns`, in order.
+    fn from_patterns(patterns: Vec<ManagementPattern>) -> Self {
+        let mut catalog = ManagementCatalog {
+            patterns: Vec::new(),
+            exact: HashMap::new(),
+            wildcards: Vec::new(),
+        };
+        for pattern in patterns {
+            catalog.add(pattern);
+        }
+        catalog
+    }
+
+    /// The patterns, in catalog order.
+    pub fn patterns(&self) -> &[ManagementPattern] {
+        &self.patterns
+    }
+
+    /// Finds the first pattern, in catalog order, matching a raw
+    /// utterance, if any. Exact triggers are one hash lookup; only the
+    /// wildcard triggers of earlier patterns are scanned.
     pub fn detect(&self, utterance: &str) -> Option<&ManagementPattern> {
         let normalized = normalize(utterance);
         if normalized.is_empty() {
             return None;
         }
-        self.patterns.iter().find(|p| p.matches(&normalized))
+        let exact = self.exact.get(&normalized).copied();
+        let wildcard = self
+            .wildcards
+            .iter()
+            .take_while(|&&(p, _)| exact.is_none_or(|e| p < e))
+            .find(|&&(p, t)| wildcard_capture(&self.patterns[p].triggers[t], &normalized).is_some())
+            .map(|&(p, _)| p);
+        wildcard.or(exact).map(|p| &self.patterns[p])
     }
 
     /// Patterns at a given level.
@@ -246,6 +295,14 @@ impl ManagementCatalog {
 
     /// Adds a custom pattern (designer extension).
     pub fn add(&mut self, pattern: ManagementPattern) {
+        let at = self.patterns.len();
+        for (t, trigger) in pattern.triggers.iter().enumerate() {
+            if trigger.contains('*') {
+                self.wildcards.push((at, t));
+            } else {
+                self.exact.entry(trigger.clone()).or_insert(at);
+            }
+        }
         self.patterns.push(pattern);
     }
 
@@ -278,22 +335,6 @@ fn wildcard_capture(trigger: &str, normalized: &str) -> Option<Option<String>> {
             (!middle.is_empty()).then(|| Some(middle.to_string()))
         }
     }
-}
-
-/// Lowercase, alphanumeric words joined by single spaces.
-pub fn normalize(utterance: &str) -> String {
-    let mut out = String::with_capacity(utterance.len());
-    let mut last_space = true;
-    for ch in utterance.chars() {
-        if ch.is_alphanumeric() {
-            out.extend(ch.to_lowercase());
-            last_space = false;
-        } else if !last_space {
-            out.push(' ');
-            last_space = true;
-        }
-    }
-    out.trim_end().to_string()
 }
 
 #[cfg(test)]

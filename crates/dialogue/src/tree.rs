@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::context::ConversationContext;
 use crate::logic_table::DialogueLogicTable;
-use crate::management::{ManagementAction, ManagementCatalog};
+use crate::management::{ManagementAction, ManagementCatalog, ManagementPattern};
 
 /// What the dialogue tree tells the engine to do next.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -153,10 +153,22 @@ impl DialogueTree {
     /// Evaluates one turn (Fig. 10). Mutates the context (entities, active
     /// intent, pending elicitation/proposal) and returns the action.
     pub fn evaluate(&self, ctx: &mut ConversationContext, input: &TurnInput) -> AgentAction {
+        self.evaluate_detected(ctx, input, self.catalog.detect(&input.utterance))
+    }
+
+    /// [`evaluate`](Self::evaluate) for a caller that has already run
+    /// `self.catalog.detect` on the utterance this turn: `management` is
+    /// its result, so the catalog is not scanned twice.
+    pub fn evaluate_detected(
+        &self,
+        ctx: &mut ConversationContext,
+        input: &TurnInput,
+        management: Option<&ManagementPattern>,
+    ) -> AgentAction {
         ctx.begin_turn();
 
         // 1. Conversation-management nodes (step-3 augmentation).
-        if let Some(pattern) = self.catalog.detect(&input.utterance) {
+        if let Some(pattern) = management {
             match pattern.action {
                 ManagementAction::Greeting => {
                     return AgentAction::Say {

@@ -8,7 +8,7 @@ use obcs_dialogue::{ManagementPattern, PatternLevel};
 #[test]
 fn every_pattern_is_reachable_by_its_own_triggers() {
     let c = ManagementCatalog::standard();
-    for p in &c.patterns {
+    for p in c.patterns() {
         for t in &p.triggers {
             // Wildcards stand in for some concrete term.
             let probe = t.replace('*', "something");
@@ -30,7 +30,7 @@ fn every_pattern_is_reachable_by_its_own_triggers() {
 #[test]
 fn trigger_phrases_are_normalised_and_unique_per_action() {
     let c = ManagementCatalog::standard();
-    for p in &c.patterns {
+    for p in c.patterns() {
         for t in &p.triggers {
             // Each non-wildcard fragment must already be normalised (so
             // matching against normalised utterances can succeed).
@@ -42,7 +42,7 @@ fn trigger_phrases_are_normalised_and_unique_per_action() {
     }
     // No exact trigger appears under two different actions.
     let mut seen: Vec<(&str, ManagementAction)> = Vec::new();
-    for p in &c.patterns {
+    for p in c.patterns() {
         for t in &p.triggers {
             if let Some((prev, action)) = seen.iter().find(|(s, _)| s == t) {
                 assert_eq!(*action, p.action, "trigger `{prev}` is claimed by two actions");
@@ -76,7 +76,7 @@ fn paper_transcript_phrasings_resolve() {
 #[test]
 fn levels_partition_a_and_b_pattern_ids() {
     let c = ManagementCatalog::standard();
-    for p in &c.patterns {
+    for p in c.patterns() {
         match p.level {
             PatternLevel::Conversation => assert!(p.id.starts_with('A'), "{}", p.id),
             PatternLevel::Sequence => assert!(p.id.starts_with('B'), "{}", p.id),
@@ -87,7 +87,7 @@ fn levels_partition_a_and_b_pattern_ids() {
 #[test]
 fn catalog_is_extensible_without_breaking_detection() {
     let mut c = ManagementCatalog::standard();
-    let before = c.patterns.len();
+    let before = c.patterns().len();
     c.add(ManagementPattern {
         id: "B9.0".into(),
         level: PatternLevel::Sequence,
@@ -96,7 +96,7 @@ fn catalog_is_extensible_without_breaking_detection() {
         triggers: vec!["tell me a story".into()],
         response: "No stories, only drug facts.".into(),
     });
-    assert_eq!(c.patterns.len(), before + 1);
+    assert_eq!(c.patterns().len(), before + 1);
     assert_eq!(c.detect("tell me a story").unwrap().id, "B9.0");
     // Existing detection unchanged.
     assert_eq!(c.detect("thanks").unwrap().action, ManagementAction::Appreciation);

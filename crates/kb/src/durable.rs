@@ -236,7 +236,7 @@ mod tests {
                 d.insert("drug", vec![Value::Int(i), Value::text(format!("Drug{i}"))]).unwrap();
             }
             d.create_index("drug", "name", IndexKind::Ordered).unwrap();
-            assert_eq!(d.auto_index().unwrap(), 1, "PK hash index");
+            assert_eq!(d.auto_index().unwrap(), 2, "PK and name-column hash indexes");
             d.sync().unwrap();
             assert_eq!(d.pending_records(), 13);
             d.into_kb() // dropped without snapshot(): kill-style exit

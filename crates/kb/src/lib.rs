@@ -14,9 +14,12 @@
 //! * secondary indexes — hash for equality and join probes, ordered for
 //!   LIKE-prefix range reads — picked by the planner at bind time and
 //!   guaranteed byte-identical to scan execution ([`index`], DESIGN.md
-//!   §14). The default policy ([`KnowledgeBase::auto_index`]) builds a
-//!   hash index on every primary and foreign key, the join keys template
-//!   SQL probes; ordered indexes are created explicitly,
+//!   §14). A filter on a joined table's indexed column probes that
+//!   index and walks the join keys back to the FROM table. The default
+//!   policy ([`KnowledgeBase::auto_index`]) builds a hash index on every
+//!   primary and foreign key, the join keys template SQL probes, and on
+//!   each table's name column, where its filters land; ordered indexes
+//!   are created explicitly,
 //! * a result cache keyed on SQL text, which every writer clears
 //!   (DESIGN.md §12),
 //! * data statistics (row counts, distinct counts, categorical-attribute

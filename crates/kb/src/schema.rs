@@ -107,6 +107,25 @@ impl TableSchema {
         self.foreign_keys.iter().any(|fk| fk.column == column)
     }
 
+    /// The text column a row is referred to by: the non-FK text column
+    /// called `name`, else the first non-FK text column.
+    pub fn label_column(&self) -> Option<&str> {
+        let texts = || {
+            self.columns
+                .iter()
+                .filter(|c| c.ty == ColumnType::Text && !self.is_foreign_key(&c.name))
+                .map(|c| c.name.as_str())
+        };
+        texts().find(|&c| c == "name").or_else(|| texts().next())
+    }
+
+    /// The label column when it carries a proper name ([`is_name_column`])
+    /// — the only column instance filters land on, and the one the
+    /// default index policy hashes (DESIGN.md §14.2).
+    pub fn name_column(&self) -> Option<&str> {
+        self.label_column().filter(|c| is_name_column(c))
+    }
+
     /// Validates internal consistency: at least one column, PK exists as
     /// a column, FK columns exist, column names unique.
     pub fn check(&self) -> Result<(), String> {
@@ -133,6 +152,13 @@ impl TableSchema {
         }
         Ok(())
     }
+}
+
+/// Whether a label column carries a proper name: it is literally called
+/// `name`, `title`, or `label`. Free-text label columns (`description`,
+/// `note`, …) do not.
+pub fn is_name_column(column: &str) -> bool {
+    matches!(column, "name" | "title" | "label")
 }
 
 #[cfg(test)]
@@ -188,6 +214,30 @@ mod tests {
         // Ints are admissible in float columns (numeric widening).
         assert!(ColumnType::Float.admits(&Value::Int(1)));
         assert!(!ColumnType::Bool.admits(&Value::Int(1)));
+    }
+
+    #[test]
+    fn label_and_name_columns() {
+        let s = TableSchema::new("risk")
+            .column("risk_id", ColumnType::Int)
+            .column("drug_ref", ColumnType::Text)
+            .column("description", ColumnType::Text)
+            .column("name", ColumnType::Text)
+            .foreign_key("drug_ref", "drug", "code");
+        assert_eq!(s.label_column(), Some("name"), "`name` beats an earlier text column");
+        assert_eq!(s.name_column(), Some("name"));
+        let s = TableSchema::new("note")
+            .column("drug_ref", ColumnType::Text)
+            .column("description", ColumnType::Text)
+            .column("title", ColumnType::Text)
+            .foreign_key("drug_ref", "drug", "code");
+        assert_eq!(s.label_column(), Some("description"), "first non-FK text column");
+        assert_eq!(s.name_column(), None, "a free-text label is not a name");
+        let s = TableSchema::new("book")
+            .column("id", ColumnType::Int)
+            .column("title", ColumnType::Text);
+        assert_eq!(s.name_column(), Some("title"));
+        assert_eq!(TableSchema::new("n").column("id", ColumnType::Int).label_column(), None);
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //!   and indexes of the referenced tables, so binding alone type-checks
 //!   a query without reading a row (`KnowledgeBase::prepare`).
 //! * **execute** — row-dependent work: hash joins, filtering, projection,
-//!   DISTINCT/ORDER BY/LIMIT, driven entirely by a `BoundPlan`.
+//!   DISTINCT/ORDER BY/LIMIT, driven entirely by a `BoundPlan`. A tuple
+//!   is one row position per joined slot, stored flat, and each
+//!   predicate runs as soon as the slots it reads are bound.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::index::IndexKind;
 use crate::stats;
-use crate::store::{KbError, KnowledgeBase, ResultSet};
+use crate::store::{KbError, KnowledgeBase, ResultSet, Table};
 use crate::value::Value;
 
 use super::ast::{ColumnRef, CompareOp, Predicate, Select, SelectItem};
@@ -40,6 +42,17 @@ struct BoundJoin {
     incoming: Bound,
 }
 
+/// One lowered WHERE predicate.
+#[derive(Debug)]
+struct BoundPred {
+    lhs: Bound,
+    op: CompareOp,
+    rhs: PredRhs,
+    /// The last slot the predicate reads: it runs right after the join
+    /// that binds this slot (slot 0: on the FROM rows themselves).
+    slot: usize,
+}
+
 /// A fully bound, reusable query plan: every name resolved to slot/column
 /// indices, every predicate lowered, the projection list and output
 /// headers fixed. A plan depends only on the *schemas* of the referenced
@@ -49,7 +62,7 @@ struct BoundJoin {
 pub struct BoundPlan {
     from_table: String,
     joins: Vec<BoundJoin>,
-    preds: Vec<(Bound, CompareOp, PredRhs)>,
+    preds: Vec<BoundPred>,
     projections: Vec<Bound>,
     out_cols: Vec<String>,
     distinct: bool,
@@ -73,6 +86,11 @@ enum AccessPath {
     /// Range-read an ordered index over the literal prefix of the LIKE
     /// pattern in `preds[pred]`.
     IndexPrefix { pred: usize, prefix: String },
+    /// Probe an equality index on the *joined* slot `preds[pred]` reads,
+    /// then walk the joins back to slot 0, mapping positions hop by hop
+    /// through the hash index on each hop's existing-side key column
+    /// (DESIGN.md §14.1).
+    JoinProbe { pred: usize },
 }
 
 impl BoundPlan {
@@ -101,13 +119,81 @@ impl BoundPlan {
     }
 
     /// A short human-readable label for the chosen access path
-    /// (`scan`, `index_eq`, `index_prefix`) — used by the verify
-    /// bind-check report and tests.
+    /// (`scan`, `index_eq`, `index_prefix`, `join_probe`) — used by the
+    /// verify bind-check report and tests.
     pub fn access_label(&self) -> &'static str {
         match self.access {
             AccessPath::Scan => "scan",
             AccessPath::IndexEq { .. } => "index_eq",
             AccessPath::IndexPrefix { .. } => "index_prefix",
+            AccessPath::JoinProbe { .. } => "join_probe",
+        }
+    }
+
+    /// The ascending FROM-table positions the access path yields — a
+    /// superset of the rows any output tuple starts from — or `None` to
+    /// scan (no path, or a probe that declines).
+    fn candidates(&self, slots: &Slots<'_>) -> Option<Vec<u32>> {
+        let literal = |pred: usize| match &self.preds[pred].rhs {
+            PredRhs::Literal(key) => Some(key),
+            _ => None,
+        };
+        match &self.access {
+            AccessPath::Scan => None,
+            AccessPath::IndexEq { pred } => {
+                slots.0[0].index_for_eq(self.preds[*pred].lhs.col)?.probe_sql_eq(literal(*pred)?)
+            }
+            AccessPath::IndexPrefix { pred, prefix } => slots.0[0]
+                .index_of_kind(self.preds[*pred].lhs.col, IndexKind::Ordered)?
+                .probe_prefix(prefix),
+            AccessPath::JoinProbe { pred } => {
+                let probe = self.preds[*pred].lhs;
+                let mut positions =
+                    slots.0[probe.slot].index_for_eq(probe.col)?.probe_sql_eq(literal(*pred)?)?;
+                let mut slot = probe.slot;
+                while slot > 0 {
+                    // A row of `slot` joins exactly the rows of the
+                    // existing side whose key raw-equals its own: the
+                    // join's equality, which `probe_raw` answers. NULL
+                    // keys find nothing, as NULL is never indexed.
+                    let join = &self.joins[slot - 1];
+                    let from = slots.0[slot];
+                    let hop = slots.0[join.existing.slot]
+                        .index_of_kind(join.existing.col, IndexKind::Hash)?;
+                    let mut next: Vec<u32> = positions
+                        .iter()
+                        .filter_map(|&p| hop.probe_raw(&from.rows[p as usize][join.incoming.col]))
+                        .flatten()
+                        .copied()
+                        .collect();
+                    next.sort_unstable();
+                    next.dedup();
+                    positions = next;
+                    slot = join.existing.slot;
+                }
+                Some(positions)
+            }
+        }
+    }
+}
+
+/// The tables of a plan's slots, in slot order: a flat tuple's `slot`-th
+/// position is a row of `self.0[slot]`.
+struct Slots<'a>(Vec<&'a Table>);
+
+impl<'a> Slots<'a> {
+    fn value(&self, tuple: &[u32], b: Bound) -> &'a Value {
+        &self.0[b.slot].rows[tuple[b.slot] as usize][b.col]
+    }
+}
+
+impl BoundPred {
+    fn holds(&self, slots: &Slots<'_>, tuple: &[u32]) -> bool {
+        let lhs = slots.value(tuple, self.lhs);
+        match &self.rhs {
+            PredRhs::Literal(v) => compare(lhs, self.op, v),
+            PredRhs::Column(b) => compare(lhs, self.op, slots.value(tuple, *b)),
+            PredRhs::Needle(needle) => lhs.as_text().is_some_and(|s| contains_lowered(s, needle)),
         }
     }
 }
@@ -210,7 +296,7 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
     }
 
     // Lower predicates.
-    let preds: Vec<(Bound, CompareOp, PredRhs)> = stmt
+    let preds: Vec<BoundPred> = stmt
         .predicates
         .iter()
         .map(|p| match p {
@@ -220,10 +306,13 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
                     (CompareOp::Contains, Some(t)) => PredRhs::Needle(t.to_lowercase()),
                     _ => PredRhs::Literal(literal.clone()),
                 };
-                Ok((resolve(column)?, *op, rhs))
+                let lhs = resolve(column)?;
+                Ok(BoundPred { lhs, op: *op, rhs, slot: lhs.slot })
             }
             Predicate::ColumnColumn { left, op, right } => {
-                Ok((resolve(left)?, *op, PredRhs::Column(resolve(right)?)))
+                let (lhs, rhs) = (resolve(left)?, resolve(right)?);
+                let slot = lhs.slot.max(rhs.slot);
+                Ok(BoundPred { lhs, op: *op, rhs: PredRhs::Column(rhs), slot })
             }
         })
         .collect::<Result<_, KbError>>()?;
@@ -299,7 +388,7 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
     let rows = from_table.len() as f64;
     let mut access = AccessPath::Scan;
     let mut best = rows / 2.0;
-    for (i, (bound, op, rhs)) in preds.iter().enumerate() {
+    for (i, BoundPred { lhs: bound, op, rhs, .. }) in preds.iter().enumerate() {
         if bound.slot != 0 {
             continue;
         }
@@ -332,6 +421,23 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
             _ => {}
         }
     }
+    // A literal equality on a joined slot probes that slot's index and
+    // walks the join keys back to the FROM table. It must beat every
+    // FROM-side path, so it is costed only after them.
+    for (i, pred) in preds.iter().enumerate() {
+        if pred.lhs.slot == 0
+            || pred.op != CompareOp::Eq
+            || !matches!(pred.rhs, PredRhs::Literal(_))
+        {
+            continue;
+        }
+        if let Some(est) = join_probe_estimate(kb, &bindings, &joins, pred.lhs) {
+            if est < best {
+                best = est;
+                access = AccessPath::JoinProbe { pred: i };
+            }
+        }
+    }
 
     Ok(BoundPlan {
         from_table: stmt.from.table.clone(),
@@ -346,122 +452,108 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
     })
 }
 
+/// The FROM rows a join probe on `probe` is estimated to yield: the
+/// probe's `estimated_eq_rows` times that of each hop's existing-side key
+/// column, walking `joins[slot - 1].existing` back to slot 0. `None` when
+/// the probe column has no equality index or a hop has no hash index on
+/// its existing-side key (the walk needs `probe_raw`).
+fn join_probe_estimate(
+    kb: &KnowledgeBase,
+    bindings: &[Binding<'_>],
+    joins: &[BoundJoin],
+    probe: Bound,
+) -> Option<f64> {
+    let column = |b: Bound| (bindings[b.slot].table, bindings[b.slot].columns[b.col]);
+    let (table, col) = column(probe);
+    let mut est = stats::estimated_eq_rows(kb, table, col)?;
+    let mut slot = probe.slot;
+    while slot > 0 {
+        let existing = joins[slot - 1].existing;
+        let (table, col) = column(existing);
+        kb.table(table).ok()?.index_of_kind(existing.col, IndexKind::Hash)?;
+        est *= stats::estimated_eq_rows(kb, table, col)?;
+        slot = existing.slot;
+    }
+    Some(est)
+}
+
 /// Executes a bound plan against the knowledge base's current rows.
 pub fn execute_bound(kb: &KnowledgeBase, plan: &BoundPlan) -> Result<ResultSet, KbError> {
-    // Start with the base table's rows as single-slot tuples — either
-    // every row (scan) or the ascending candidate positions an index
-    // yields. Candidates are a superset of the matching rows in row
+    // Start with the FROM rows — either every row (scan) or the
+    // ascending candidate positions an access path yields. Candidates
+    // are a superset of the rows any output tuple starts from, in row
     // order, and every predicate is re-applied below, so both starts
     // produce byte-identical results. A probe may decline (`None` from
     // a saturated or inexact index), in which case we scan.
-    // A tuple is a Vec of row references, one per slot filled so far.
-    let from_table = kb.table(&plan.from_table)?;
-    let candidates: Option<Vec<u32>> = if kb.index_enabled() {
-        match &plan.access {
-            AccessPath::Scan => None,
-            AccessPath::IndexEq { pred } => {
-                let (bound, _, rhs) = &plan.preds[*pred];
-                match rhs {
-                    PredRhs::Literal(key) => {
-                        from_table.index_for_eq(bound.col).and_then(|idx| idx.probe_sql_eq(key))
-                    }
-                    _ => None,
-                }
-            }
-            AccessPath::IndexPrefix { pred, prefix } => {
-                let (bound, _, _) = &plan.preds[*pred];
-                from_table
-                    .index_of_kind(bound.col, IndexKind::Ordered)
-                    .and_then(|idx| idx.probe_prefix(prefix))
-            }
-        }
-    } else {
-        None
+    let slots = Slots(plan.tables().map(|t| kb.table(t)).collect::<Result<_, _>>()?);
+    let passes = |tuple: &[u32], slot: usize| {
+        plan.preds.iter().filter(|p| p.slot == slot).all(|p| p.holds(&slots, tuple))
     };
-    let mut tuples: Vec<Vec<&[Value]>> = match &candidates {
-        Some(positions) => {
-            positions.iter().map(|&p| vec![from_table.rows[p as usize].as_slice()]).collect()
-        }
-        None => from_table.rows.iter().map(|r| vec![r.as_slice()]).collect(),
-    };
+    let candidates = if kb.index_enabled() { plan.candidates(&slots) } else { None };
+    // A tuple is `width` row positions, one per slot filled so far, and
+    // `tuples` holds them back to back.
+    let mut tuples: Vec<u32> = candidates.unwrap_or_else(|| (0..slots.0[0].len() as u32).collect());
+    tuples.retain(|&p| passes(&[p], 0));
+    let mut width = 1;
 
     // Apply each join with a hash join on the equality key. When the
     // incoming table carries a persistent hash index on the key column,
     // probe it instead of building a per-query map: both group rows by
     // raw `Value` equality in insertion order, so the output tuples are
-    // identical either way.
-    for join in &plan.joins {
-        let right_table = kb.table(&join.table)?;
+    // identical either way. A joined tuple is kept only if the
+    // predicates its new slot completes hold.
+    for (j, join) in plan.joins.iter().enumerate() {
+        let slot = j + 1;
+        let right = slots.0[slot];
         let persistent = if kb.index_enabled() {
-            right_table.index_of_kind(join.incoming.col, IndexKind::Hash)
+            right.index_of_kind(join.incoming.col, IndexKind::Hash)
         } else {
             None
         };
-        let mut next = Vec::new();
-        if let Some(idx) = persistent {
-            for tuple in &tuples {
-                let key = &tuple[join.existing.slot][join.existing.col];
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(positions) = idx.probe_raw(key) {
-                    for &p in positions {
-                        let mut t = tuple.clone();
-                        t.push(right_table.rows[p as usize].as_slice());
-                        next.push(t);
-                    }
-                }
-            }
-        } else {
-            // Build hash index over the incoming table's key column.
-            let mut index: HashMap<&Value, Vec<&[Value]>> = HashMap::new();
-            for row in &right_table.rows {
+        let mut built: HashMap<&Value, Vec<u32>> = HashMap::new();
+        if persistent.is_none() {
+            for (p, row) in right.rows.iter().enumerate() {
                 let key = &row[join.incoming.col];
                 if !key.is_null() {
-                    index.entry(key).or_default().push(row.as_slice());
+                    built.entry(key).or_default().push(p as u32);
                 }
             }
-            for tuple in &tuples {
-                let key = &tuple[join.existing.slot][join.existing.col];
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(matches) = index.get(key) {
-                    for m in matches {
-                        let mut t = tuple.clone();
-                        t.push(m);
-                        next.push(t);
-                    }
+        }
+        let mut next: Vec<u32> = Vec::new();
+        for tuple in tuples.chunks_exact(width) {
+            let key = slots.value(tuple, join.existing);
+            if key.is_null() {
+                continue;
+            }
+            let matches = match persistent {
+                Some(idx) => idx.probe_raw(key),
+                None => built.get(key).map(Vec::as_slice),
+            };
+            for &p in matches.unwrap_or_default() {
+                let start = next.len();
+                next.extend_from_slice(tuple);
+                next.push(p);
+                if !passes(&next[start..], slot) {
+                    next.truncate(start);
                 }
             }
         }
         tuples = next;
+        width += 1;
     }
-
-    // Filter.
-    tuples.retain(|tuple| {
-        plan.preds.iter().all(|(bound, op, rhs)| {
-            let lhs = &tuple[bound.slot][bound.col];
-            match rhs {
-                PredRhs::Literal(v) => compare(lhs, *op, v),
-                PredRhs::Column(b) => compare(lhs, *op, &tuple[b.slot][b.col]),
-                PredRhs::Needle(needle) => {
-                    lhs.as_text().is_some_and(|s| contains_lowered(s, needle))
-                }
-            }
-        })
-    });
 
     // Project.
     let mut rows: Vec<Vec<Value>> = tuples
-        .iter()
-        .map(|t| plan.projections.iter().map(|b| t[b.slot][b.col].clone()).collect())
+        .chunks_exact(width)
+        .map(|t| plan.projections.iter().map(|&b| slots.value(t, b).clone()).collect())
         .collect();
 
-    // DISTINCT.
+    // DISTINCT: keep each row's first occurrence.
     if plan.distinct {
-        let mut seen = HashSet::new();
-        rows.retain(|r| seen.insert(r.clone()));
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
+        let mut first =
+            rows.iter().map(|r| seen.insert(r.as_slice())).collect::<Vec<_>>().into_iter();
+        rows.retain(|_| first.next().unwrap_or(false));
     }
 
     // ORDER BY (bound to a projection position at bind time).
@@ -923,6 +1015,76 @@ mod tests {
         let join = "SELECT p.description FROM precautions p \
                     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.drug_id <= 5";
         assert_eq!(kb.query(join).unwrap(), scan.query(join).unwrap());
+    }
+
+    /// The paper's template shape: the key-concept filter sits on the
+    /// joined `drug` table.
+    const PAPER_TEMPLATE: &str = "SELECT p.description FROM precautions p \
+                                  INNER JOIN drug d ON p.drug_id = d.drug_id \
+                                  WHERE d.name = 'Ibuprofen'";
+
+    /// `medical_kb` plus 96 generic drugs with one precaution each, so an
+    /// index probe beats a scan.
+    fn wide_medical_kb() -> KnowledgeBase {
+        let mut kb = medical_kb();
+        for i in 4..100 {
+            kb.insert("drug", vec![Value::Int(i), Value::text(format!("Generic{i}"))]).unwrap();
+            kb.insert("precautions", vec![Value::Int(i), Value::Int(i), Value::text("generic")])
+                .unwrap();
+        }
+        kb
+    }
+
+    #[test]
+    fn paper_join_template_binds_join_probe() {
+        let mut kb = wide_medical_kb();
+        let mut scan = kb.clone();
+        scan.set_index_enabled(false);
+        assert_eq!(kb.prepare(PAPER_TEMPLATE).unwrap().access_label(), "scan", "no indexes yet");
+        kb.auto_index();
+        let plan = kb.prepare(PAPER_TEMPLATE).unwrap();
+        assert_eq!(plan.access_label(), "join_probe");
+        assert!(plan.uses_index());
+        assert_eq!(kb.query(PAPER_TEMPLATE).unwrap(), scan.query(PAPER_TEMPLATE).unwrap());
+        assert_eq!(
+            kb.query(PAPER_TEMPLATE).unwrap().rows,
+            vec![
+                vec![Value::text("take with food")],
+                vec![Value::text("avoid in third trimester")]
+            ]
+        );
+        // A FROM-side equality at least as selective keeps its own path.
+        let both = format!("{PAPER_TEMPLATE} AND p.prec_id = 2");
+        assert_eq!(kb.prepare(&both).unwrap().access_label(), "index_eq");
+        assert_eq!(kb.query(&both).unwrap(), scan.query(&both).unwrap());
+    }
+
+    #[test]
+    fn join_probe_declines_to_scan_without_a_hop_index() {
+        let mut kb = wide_medical_kb();
+        // The probe column is indexed, but the hop's existing-side key
+        // (precautions.drug_id) is not: the walk cannot map positions
+        // back to the FROM table, so the plan scans.
+        kb.create_index("drug", "name", IndexKind::Hash).unwrap();
+        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        assert_eq!(kb.prepare(PAPER_TEMPLATE).unwrap().access_label(), "scan");
+        // An ordered index on the hop key cannot answer raw equality.
+        kb.create_index("precautions", "drug_id", IndexKind::Ordered).unwrap();
+        assert_eq!(kb.prepare(PAPER_TEMPLATE).unwrap().access_label(), "scan");
+        kb.create_index("precautions", "drug_id", IndexKind::Hash).unwrap();
+        assert_eq!(kb.prepare(PAPER_TEMPLATE).unwrap().access_label(), "join_probe");
+    }
+
+    #[test]
+    fn predicates_run_once_their_slots_are_bound() {
+        let kb = medical_kb();
+        // Column-column predicate across both slots, plus one per slot.
+        let sql = "SELECT p.description FROM precautions p \
+                   INNER JOIN drug d ON p.drug_id = d.drug_id \
+                   WHERE p.prec_id >= d.drug_id AND d.name != 'Aspirin' AND p.prec_id < 3";
+        let plan = kb.prepare(sql).unwrap();
+        assert_eq!(plan.preds.iter().map(|p| p.slot).collect::<Vec<_>>(), [1, 1, 0]);
+        assert_eq!(kb.query(sql).unwrap().rows, vec![vec![Value::text("take with food")]]);
     }
 
     #[test]

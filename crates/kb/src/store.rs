@@ -179,10 +179,10 @@ impl Table {
         }
     }
 
-    /// Reassembles a table from its durable parts — the binary snapshot
-    /// reader's entry point, which has already checked `schema`. Indexes
-    /// (PK and the recorded policy) are rebuilt from the rows, exactly as
-    /// [`KnowledgeBase::from_json`] does for the JSON envelope.
+    /// Reassembles a table from its durable parts — the entry point of
+    /// the binary snapshot reader (which has already checked `schema`)
+    /// and of [`KnowledgeBase::from_json`]. Indexes (PK and the recorded
+    /// policy) are built once, from the rows.
     pub(crate) fn assemble(
         schema: TableSchema,
         rows: Vec<Vec<Value>>,
@@ -446,17 +446,21 @@ impl KnowledgeBase {
 
     /// The default index policy (DESIGN.md §14.2): a hash index on every
     /// primary-key and foreign-key column — the join keys and point
-    /// lookups that template SQL probes. An ordered index (LIKE-prefix
-    /// reads) exists only where [`create_index`](Self::create_index)
-    /// asks for one. Idempotent; returns the number of indexes newly
-    /// created.
+    /// lookups that template SQL probes — and on each table's
+    /// [name column](TableSchema::name_column), where every instance
+    /// filter lands. Free-text label columns get none. An ordered index
+    /// (LIKE-prefix reads) exists only where
+    /// [`create_index`](Self::create_index) asks for one. Idempotent;
+    /// returns the number of indexes newly created.
     pub fn auto_index(&mut self) -> usize {
         let mut keys: Vec<(String, String)> = Vec::new();
         for name in self.table_names() {
             let schema = &self.tables[name].schema;
-            let fks = schema.foreign_keys.iter().map(|fk| &fk.column);
-            for column in schema.primary_key.iter().chain(fks) {
-                keys.push((name.to_string(), column.clone()));
+            let fks = schema.foreign_keys.iter().map(|fk| fk.column.as_str());
+            for column in
+                schema.primary_key.as_deref().into_iter().chain(fks).chain(schema.name_column())
+            {
+                keys.push((name.to_string(), column.to_string()));
             }
         }
         let mut created = 0;
@@ -587,38 +591,34 @@ impl KnowledgeBase {
         Ok(vals)
     }
 
-    /// Rebuilds all PK indexes (after deserialisation).
-    pub fn rebuild_indexes(&mut self) {
-        for t in Arc::make_mut(&mut self.tables).values_mut() {
-            t.rebuild_pk_index();
-        }
-    }
-
     /// Parses a KB from JSON, restoring the envelope (DESIGN.md §16):
-    /// each table's secondary indexes are rebuilt from its recorded
-    /// index policy before the PK indexes are rebuilt. Pre-policy
-    /// envelopes (no `index_policy`) deserialise scan-only; fields this
-    /// build no longer writes (an old `generations` stamp) are ignored.
+    /// each table is reassembled with the secondary indexes its recorded
+    /// index policy names, every index built once from the rows.
+    /// Pre-policy envelopes (no `index_policy`) deserialise scan-only;
+    /// fields this build no longer writes (an old `generations` stamp)
+    /// are ignored.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut kb: KnowledgeBase = serde_json::from_str(json)?;
-        for t in Arc::make_mut(&mut kb.tables).values_mut() {
-            if let Some(policy) = t.index_policy.take() {
-                for spec in policy {
-                    // The schema the policy was recorded against is the
-                    // schema being deserialised, so the column resolves;
-                    // a hand-edited envelope that broke this simply
-                    // loses that index (add_secondary rejects it).
-                    let _ = t.add_secondary(&spec.column, spec.kind);
-                }
-            }
-        }
-        kb.rebuild_indexes();
-        Ok(kb)
+        let kb: KnowledgeBase = serde_json::from_str(json)?;
+        let tables = Arc::unwrap_or_clone(kb.tables)
+            .into_iter()
+            .map(|(name, t)| {
+                let mut policy = t.index_policy.unwrap_or_default();
+                // The schema the policy was recorded against is the
+                // schema being deserialised, so the columns resolve; a
+                // hand-edited envelope that broke this simply loses
+                // that index.
+                policy.retain(|spec| t.schema.column_index(&spec.column).is_some());
+                let table = Table::assemble(t.schema, t.rows, &policy)
+                    .expect("every retained spec names a column");
+                (name, table)
+            })
+            .collect();
+        Ok(KnowledgeBase::assemble(tables))
     }
 
-    /// Reassembles a KB from its tables — the binary snapshot reader's
-    /// entry point. The tables arrive already indexed (see
-    /// [`Table::assemble`]).
+    /// Reassembles a KB from its tables — the entry point of the binary
+    /// snapshot reader and of [`from_json`](Self::from_json). The tables
+    /// arrive already indexed (see [`Table::assemble`]).
     pub(crate) fn assemble(tables: HashMap<String, Table>) -> Self {
         KnowledgeBase { tables: Arc::new(tables), ..KnowledgeBase::default() }
     }
@@ -945,30 +945,36 @@ mod tests {
     }
 
     #[test]
-    fn auto_index_covers_join_keys_only() {
+    fn auto_index_covers_join_keys_and_name_columns() {
         let mut kb = kb_with_drug();
         kb.create_table(
             TableSchema::new("dosage")
                 .column("dosage_id", ColumnType::Int)
                 .column("drug_id", ColumnType::Int)
+                .column("description", ColumnType::Text)
                 .primary_key("dosage_id")
                 .foreign_key("drug_id", "drug", "drug_id"),
         )
         .unwrap();
         for i in 0..100 {
             kb.insert("drug", vec![Value::Int(i), Value::text(format!("Drug{i}"))]).unwrap();
-            kb.insert("dosage", vec![Value::Int(i), Value::Int(i)]).unwrap();
+            kb.insert("dosage", vec![Value::Int(i), Value::Int(i), Value::text("daily")]).unwrap();
         }
         let created = kb.auto_index();
-        // drug.drug_id (PK hash), dosage.dosage_id (PK hash),
-        // dosage.drug_id (FK hash). The high-cardinality drug.name gets
-        // nothing: no template reads it through an index.
-        assert_eq!(created, 3);
+        // drug.drug_id (PK hash), drug.name (name-column hash),
+        // dosage.dosage_id (PK hash), dosage.drug_id (FK hash). The
+        // free-text label dosage.description gets nothing: no instance
+        // filter lands on it.
+        assert_eq!(created, 4);
         assert_eq!(kb.auto_index(), 0, "idempotent");
         let drug = kb.table("drug").unwrap();
         assert!(drug.index_of_kind(0, IndexKind::Hash).is_some());
-        assert!(drug.index_for_eq(1).is_none(), "no index on drug.name");
-        assert!(drug.secondary_indexes().iter().all(|i| i.kind() == IndexKind::Hash));
+        assert!(drug.index_of_kind(1, IndexKind::Hash).is_some(), "drug.name is hashed");
+        assert!(kb.table("dosage").unwrap().index_for_eq(2).is_none(), "no free-text index");
+        let hashed = |t: &str| {
+            kb.table(t).unwrap().secondary_indexes().iter().all(|i| i.kind() == IndexKind::Hash)
+        };
+        assert!(hashed("drug") && hashed("dosage"));
         assert!(kb.index_enabled());
     }
 

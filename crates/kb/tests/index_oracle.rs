@@ -1,15 +1,19 @@
 //! Property-based equivalence of index-backed execution against a
-//! scan-only oracle (DESIGN.md §14): over arbitrary interleavings of
-//! inserts, queries, index creations, and index enable/disable toggles,
+//! scan-only oracle (DESIGN.md §14): starting from no index or from the
+//! default policy, over arbitrary interleavings of inserts, queries,
+//! index creations, and index enable/disable toggles,
 //! a KB answering through its secondary indexes (and its result cache)
 //! must return byte-identical results — including errors — to a
 //! KB that never builds an index and executes with caching off. The
 //! schema mixes an `Int` PK, a high-cardinality text column, and a
 //! `Float` column that also admits `Int` values, so the dual-probe
 //! (`Int`↔`Float` `sql_eq`) and saturation (≥ 2^53) paths are all
-//! exercised mid-stream. Mid-stream the indexed KB may also be cloned,
-//! after which the twins mutate independently: each must keep matching
-//! an oracle rebuilt from its own history, never from a clone.
+//! exercised mid-stream. Equalities on *joined* tables exercise the join
+//! probe (DESIGN.md §14.1): one and two hops back to the FROM table,
+//! across NULL join keys and filters that match several drugs.
+//! Mid-stream the indexed KB may also be cloned, after which the twins
+//! mutate independently: each must keep matching an oracle rebuilt from
+//! its own history, never from a clone.
 
 use std::collections::BTreeSet;
 
@@ -36,14 +40,26 @@ fn fresh_kb() -> KnowledgeBase {
             .foreign_key("drug_id", "drug", "drug_id"),
     )
     .expect("schema");
+    kb.create_table(
+        TableSchema::new("advisory")
+            .column("adv_id", ColumnType::Int)
+            .column("prec_id", ColumnType::Int)
+            .column("note", ColumnType::Text)
+            .primary_key("adv_id")
+            .foreign_key("prec_id", "precautions", "prec_id"),
+    )
+    .expect("schema");
     kb
 }
 
 /// Query shapes covering every index-eligible path: hash point lookup,
 /// ordered LIKE-prefix, equality through an ordered text index, the
 /// `Int`/`Float` dual probe both ways, a join over the FK hash index,
-/// an unanchored LIKE (must stay a scan), a huge-magnitude equality
-/// (the index must decline and scan), and error shapes.
+/// join probes (a name, a weight matching several drugs with both twin
+/// types, a filter on the FROM side's partner whose keys may be NULL,
+/// and a two-hop walk), an unanchored LIKE (must stay a scan), a
+/// huge-magnitude equality (the index must decline and scan), and error
+/// shapes.
 const QUERIES: &[&str] = &[
     "SELECT name FROM drug WHERE drug_id = 5",
     "SELECT name FROM drug WHERE name LIKE 'Drug1%'",
@@ -58,26 +74,70 @@ const QUERIES: &[&str] = &[
      INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.drug_id = 2",
     "SELECT d.name, p.description FROM drug d \
      INNER JOIN precautions p ON d.drug_id = p.drug_id ORDER BY name ASC",
+    "SELECT p.description FROM precautions p \
+     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.name = 'Drug3x1'",
+    "SELECT p.prec_id, d.weight FROM precautions p \
+     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.weight = 2",
+    "SELECT DISTINCT d.name FROM precautions p \
+     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.weight = 2.0 ORDER BY name ASC",
+    "SELECT d.name FROM drug d \
+     INNER JOIN precautions p ON d.drug_id = p.drug_id WHERE p.description = 'precaution 3'",
+    "SELECT a.note, d.name FROM advisory a \
+     INNER JOIN precautions p ON a.prec_id = p.prec_id \
+     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.name = 'Drug5x0'",
+    "SELECT a.adv_id, p.description FROM advisory a \
+     INNER JOIN precautions p ON a.prec_id = p.prec_id \
+     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.drug_id = 3",
+    "SELECT a.adv_id FROM advisory a \
+     INNER JOIN precautions p ON a.prec_id = p.prec_id \
+     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.weight = 1 AND a.adv_id < 20",
     "SELECT nope FROM drug",
 ];
 
 /// The index targets the `CreateIndex` op draws from.
 const INDEXES: &[(&str, &str, IndexKind)] = &[
     ("drug", "drug_id", IndexKind::Hash),
+    ("drug", "name", IndexKind::Hash),
     ("drug", "name", IndexKind::Ordered),
     ("drug", "weight", IndexKind::Hash),
     ("drug", "weight", IndexKind::Ordered),
     ("precautions", "drug_id", IndexKind::Hash),
     ("precautions", "description", IndexKind::Ordered),
+    ("precautions", "prec_id", IndexKind::Hash),
+    ("advisory", "adv_id", IndexKind::Hash),
+    ("advisory", "prec_id", IndexKind::Hash),
 ];
+
+/// A fresh indexed KB — empty, or under the default policy (PK, FK and
+/// name-column hash indexes, every one an `INDEXES` target), so the join
+/// probe is live from the first insert — and the `INDEXES` targets it
+/// already holds.
+fn fresh_indexed(auto_index: bool) -> (KnowledgeBase, BTreeSet<usize>) {
+    let mut kb = fresh_kb();
+    if auto_index {
+        kb.auto_index();
+    }
+    let held = (0..INDEXES.len())
+        .filter(|&i| {
+            let (table, column, kind) = INDEXES[i];
+            let t = kb.table(table).expect("table");
+            t.index_of_kind(t.schema.column_index(column).expect("column"), kind).is_some()
+        })
+        .collect();
+    (kb, held)
+}
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Insert a drug row; the selector picks the weight's type so the
     /// Float column holds a mix of `Int`, `Float`, NULL, and huge keys.
     InsertDrug(i64, u8, u8),
-    /// Insert a precaution referencing drug `drug_id` (may violate FK).
+    /// Insert a precaution referencing drug `drug_id` (may violate FK;
+    /// NULL for the largest selector).
     InsertPrecaution(i64, i64),
+    /// Insert an advisory referencing precaution `prec_id` (may violate
+    /// FK; NULL for the largest selector).
+    InsertAdvisory(i64, i64),
     Query(usize),
     CreateIndex(usize),
     /// Toggle index-backed execution on the indexed KB mid-stream.
@@ -100,7 +160,7 @@ fn weight_value(id: i64, sel: u8) -> Value {
 
 /// An op plus the selector of the twin it lands on.
 fn op_strategy() -> impl Strategy<Value = (usize, Op)> {
-    (0usize..9, 0i64..24, 0i64..14, 0u8..8, 0usize..MAX_TWINS).prop_map(
+    (0usize..10, 0i64..24, 0i64..14, 0u8..8, 0usize..MAX_TWINS).prop_map(
         |(kind, id, drug, sel, twin)| {
             let op = match kind {
                 0 | 1 => Op::InsertDrug(id % 12, sel % 4, sel),
@@ -108,11 +168,21 @@ fn op_strategy() -> impl Strategy<Value = (usize, Op)> {
                 3 => Op::CreateIndex(id as usize % INDEXES.len()),
                 4 => Op::SetIndexes(sel % 2 == 0),
                 5 => Op::Fork,
+                6 => Op::InsertAdvisory(id, drug),
                 _ => Op::Query(id as usize),
             };
             (twin, op)
         },
     )
+}
+
+/// A referencing key: `Int(key)`, or NULL for the largest selector.
+fn key_or_null(key: i64) -> Value {
+    if key == 13 {
+        Value::Null
+    } else {
+        Value::Int(key)
+    }
 }
 
 fn apply_insert(kb: &mut KnowledgeBase, op: &Op) -> Result<(), obcs_kb::KbError> {
@@ -127,7 +197,11 @@ fn apply_insert(kb: &mut KnowledgeBase, op: &Op) -> Result<(), obcs_kb::KbError>
         ),
         Op::InsertPrecaution(id, drug) => kb.insert(
             "precautions",
-            vec![Value::Int(*id), Value::Int(*drug), Value::text(format!("precaution {id}"))],
+            vec![Value::Int(*id), key_or_null(*drug), Value::text(format!("precaution {id}"))],
+        ),
+        Op::InsertAdvisory(id, prec) => kb.insert(
+            "advisory",
+            vec![Value::Int(*id), key_or_null(*prec), Value::text(format!("advisory {id}"))],
         ),
         _ => unreachable!("only insert ops reach apply_insert"),
     }
@@ -164,14 +238,12 @@ proptest! {
     /// mutating independently.
     #[test]
     fn indexed_queries_match_scan_only_oracle(
+        auto_index in any::<bool>(),
         ops in proptest::collection::vec(op_strategy(), 1..50),
     ) {
-        let mut twins = vec![Twin {
-            indexed: fresh_kb(),
-            inserts: Vec::new(),
-            indexes: BTreeSet::new(),
-            oracle: oracle_of(&[]),
-        }];
+        let (indexed, indexes) = fresh_indexed(auto_index);
+        let mut twins =
+            vec![Twin { indexed, inserts: Vec::new(), indexes, oracle: oracle_of(&[]) }];
         prop_assert!(twins[0].indexed.index_enabled());
 
         for (sel, op) in &ops {
@@ -235,9 +307,10 @@ proptest! {
 }
 
 /// Deterministic end-to-end check of the headline path: a fully indexed
-/// KB — the default join-key policy plus explicit ordered indexes for
-/// the prefix and ordered-equality shapes — agrees with its scan twin on
-/// every query shape above.
+/// KB — the default policy (join keys and name columns) plus explicit
+/// indexes for the prefix, ordered-equality and weight shapes — agrees
+/// with its scan twin on every query shape above, and the name filters
+/// on joined tables bind the join probe.
 #[test]
 fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     let mut indexed = fresh_kb();
@@ -254,11 +327,19 @@ fn auto_indexed_kb_matches_scan_twin_exhaustively() {
             .expect("insert");
     }
     for id in 0..60i64 {
+        // Every seventh precaution has a NULL drug.
+        let drug = if id % 7 == 6 { Value::Null } else { Value::Int(id % 12) };
         indexed
             .insert(
                 "precautions",
-                vec![Value::Int(id), Value::Int(id % 12), Value::text(format!("precaution {id}"))],
+                vec![Value::Int(id), drug, Value::text(format!("precaution {id}"))],
             )
+            .expect("insert");
+    }
+    for id in 0..90i64 {
+        let prec = if id % 11 == 10 { Value::Null } else { Value::Int((id * 7) % 60) };
+        indexed
+            .insert("advisory", vec![Value::Int(id), prec, Value::text(format!("advisory {id}"))])
             .expect("insert");
     }
     let mut scan = indexed.clone();
@@ -268,6 +349,7 @@ fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     for (table, column) in [("drug", "name"), ("drug", "weight"), ("precautions", "description")] {
         assert!(indexed.create_index(table, column, IndexKind::Ordered).expect("index"));
     }
+    assert!(indexed.create_index("drug", "weight", IndexKind::Hash).expect("index"));
     assert_eq!(
         indexed
             .prepare("SELECT name FROM drug WHERE name LIKE 'Drug1%'")
@@ -275,6 +357,9 @@ fn auto_indexed_kb_matches_scan_twin_exhaustively() {
             .access_label(),
         "index_prefix"
     );
+    for sql in QUERIES.iter().filter(|q| q.contains("d.name = ")) {
+        assert_eq!(indexed.prepare(sql).expect("plan").access_label(), "join_probe", "{sql}");
+    }
     for sql in QUERIES {
         assert_eq!(indexed.query(sql), scan.query(sql), "divergence on {sql}");
     }

@@ -562,9 +562,10 @@ pub fn build_mdx_kb(config: MdxDataConfig) -> KnowledgeBase {
     let drug_names = populate_drugs(&mut kb, &mut rng, config.drugs);
     populate_bridges(&mut kb, &mut rng, &drug_names);
     populate_dependents(&mut kb, &mut rng, &drug_names);
-    // Hash indexes on every PK/FK join key (DESIGN.md §14.2), the keys
-    // template SQL probes. Purely an access-path change — results are
-    // byte-identical to scans (the index-oracle property).
+    // Hash indexes on every PK/FK join key and name column (DESIGN.md
+    // §14.2), the columns template SQL probes. Purely an access-path
+    // change — results are byte-identical to scans (the index-oracle
+    // property).
     kb.auto_index();
     kb
 }
@@ -1483,16 +1484,18 @@ mod tests {
     }
 
     #[test]
-    fn default_world_indexes_exactly_its_join_keys() {
+    fn default_world_indexes_exactly_its_join_keys_and_names() {
         let kb = build_mdx_kb(MdxDataConfig::default());
         for name in kb.table_names() {
             let t = kb.table(name).unwrap();
-            let fks = t.schema.foreign_keys.iter().map(|fk| &fk.column);
+            let fks = t.schema.foreign_keys.iter().map(|fk| fk.column.as_str());
             let mut keys: Vec<usize> = t
                 .schema
                 .primary_key
-                .iter()
+                .as_deref()
+                .into_iter()
                 .chain(fks)
+                .chain(t.schema.name_column())
                 .map(|c| t.schema.column_index(c).unwrap())
                 .collect();
             keys.sort_unstable();
@@ -1506,9 +1509,10 @@ mod tests {
                 })
                 .collect();
             indexed.sort_unstable();
-            assert_eq!(indexed, keys, "{name}: one hash index per PK or FK column");
+            assert_eq!(indexed, keys, "{name}: one hash index per PK, FK or name column");
         }
-        assert_eq!(kb.index_count(), 116);
+        // 116 join keys, plus 37 `name` and 2 `title` columns.
+        assert_eq!(kb.index_count(), 155);
     }
 
     #[test]

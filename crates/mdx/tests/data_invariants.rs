@@ -3,9 +3,41 @@
 //! scale and seed.
 
 use obcs_kb::Value;
+use obcs_mdx::assemble::ConversationalMdx;
 use obcs_mdx::data::{build_mdx_kb, MdxDataConfig, CONDITIONS, CURATED_DRUGS};
 use obcs_mdx::ontology::build_mdx_ontology;
 use obcs_nlq::OntologyMapping;
+
+/// Every template filters a key concept by name on a joined table, and
+/// the default index policy hashes that name column and every join key,
+/// so each instantiated template's plan starts from an index probe and
+/// walks the joins back to its FROM table (DESIGN.md §14.1).
+#[test]
+fn every_template_plan_starts_from_an_index() {
+    let (_, kb, mapping, space) = ConversationalMdx::bootstrap_space(MdxDataConfig::default());
+    let mut scan = kb.clone();
+    scan.set_index_enabled(false);
+    let mut checked = 0;
+    for labeled in space.templates.iter().flat_map(|t| &t.templates) {
+        let values: Vec<(_, String)> = labeled
+            .template
+            .required_concepts()
+            .into_iter()
+            .map(|c| {
+                let (table, label) =
+                    (mapping.table(c).expect("table"), mapping.label(c).expect("label"));
+                let first = kb.distinct_values(table, label).expect("label column").remove(0);
+                (c, first.as_text().expect("text label").to_string())
+            })
+            .collect();
+        let sql = labeled.template.instantiate(&values).expect("instantiate");
+        let plan = kb.prepare(&sql).expect("bind");
+        assert_eq!(plan.access_label(), "join_probe", "{}: {sql}", labeled.topic);
+        assert_eq!(kb.query(&sql), scan.query(&sql), "{}: {sql}", labeled.topic);
+        checked += 1;
+    }
+    assert_eq!(checked, 27, "every MDX template");
+}
 
 #[test]
 fn every_concept_with_instances_has_a_table() {

@@ -428,7 +428,21 @@ fn number_variants(norm: &str) -> Vec<String> {
 /// Normalises a phrase: lowercase, alphanumeric tokens joined by single
 /// spaces.
 pub fn normalize(phrase: &str) -> String {
-    tokens_of(phrase).join(" ")
+    // `tokens_of(phrase).join(" ")`, built in one allocation.
+    let mut out = String::with_capacity(phrase.len());
+    for ch in phrase.chars() {
+        if ch.is_ascii_alphanumeric() {
+            out.push(ch.to_ascii_lowercase());
+        } else if ch.is_alphanumeric() {
+            out.extend(ch.to_lowercase());
+        } else if !out.is_empty() && !out.ends_with(' ') {
+            out.push(' ');
+        }
+    }
+    if out.ends_with(' ') {
+        out.pop();
+    }
+    out
 }
 
 fn tokens_of(text: &str) -> Vec<String> {
@@ -578,6 +592,11 @@ mod tests {
     #[test]
     fn normalize_and_split_camel() {
         assert_eq!(normalize("  Hello,  WORLD! "), "hello world");
+        // The one-pass form agrees with joining the tokens, Unicode
+        // lowercasing (`İ` → `i̇`, `ẞ` → `ß`) and punctuation runs included.
+        for s in ["", "  ", "Co-Q10 (200mg)", "İstanbul ẞtraße!", "naïve--café, já", "a.b"] {
+            assert_eq!(normalize(s), tokens_of(s).join(" "), "{s:?}");
+        }
         assert_eq!(split_camel("DrugFoodInteraction"), "Drug Food Interaction");
         assert_eq!(split_camel("Drug"), "Drug");
         // Consecutive capitals (acronyms) stay together.

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use obcs_kb::schema::ColumnType;
+use obcs_kb::schema::is_name_column;
 use obcs_kb::KnowledgeBase;
 use obcs_ontology::{ConceptId, ObjectPropertyId, Ontology};
 use serde::{Deserialize, Serialize};
@@ -66,8 +66,9 @@ pub struct OntologyMapping {
 
 impl OntologyMapping {
     /// Infers the mapping by convention: concept `DrugFoodInteraction` ↔
-    /// table `drug_food_interaction`; the label column is the first text
-    /// column named `name`, else the first text column; each non-hierarchy
+    /// table `drug_food_interaction`; the label column is the table's
+    /// [`TableSchema::label_column`](obcs_kb::schema::TableSchema::label_column)
+    /// (its `name` text column, else its first text column); each non-hierarchy
     /// object property binds to a foreign key between the two tables
     /// (looked up in either direction, preferring an FK column whose name
     /// resembles the relationship).
@@ -82,10 +83,10 @@ impl OntologyMapping {
             if !kb.has_table(&table) {
                 continue;
             }
-            m.table_of.insert(c.id, table.clone());
-            if let Some(col) = label_column(kb, &table) {
-                m.label_column.insert(c.id, col);
+            if let Some(col) = kb.table(&table).ok().and_then(|t| t.schema.label_column()) {
+                m.label_column.insert(c.id, col.to_string());
             }
+            m.table_of.insert(c.id, table);
         }
         for op in onto.object_properties() {
             let (Some(src), Some(tgt)) = (m.table_of.get(&op.source), m.table_of.get(&op.target))
@@ -130,11 +131,12 @@ impl OntologyMapping {
     }
 
     /// Whether a concept's instances carry a proper *name* — a label
-    /// column literally called `name`, `title`, or `label`. The paper's
+    /// column literally called `name`, `title`, or `label`
+    /// ([`is_name_column`], the rule `obcs-kb`'s index policy shares). The paper's
     /// key concepts are entities users refer to by name; dependent
     /// concepts typically only have free-text descriptions.
     pub fn is_nameable(&self, concept: ConceptId) -> bool {
-        matches!(self.label(concept), Some("name" | "title" | "label"))
+        self.label(concept).is_some_and(is_name_column)
     }
 
     /// Concepts that have both a table and a label column — i.e. whose
@@ -165,20 +167,6 @@ pub fn snake_case(camel: &str) -> String {
         }
     }
     out
-}
-
-fn label_column(kb: &KnowledgeBase, table: &str) -> Option<String> {
-    let t = kb.table(table).ok()?;
-    let mut first_text: Option<&str> = None;
-    for col in &t.schema.columns {
-        if col.ty == ColumnType::Text && !t.schema.is_foreign_key(&col.name) {
-            if col.name == "name" {
-                return Some(col.name.clone());
-            }
-            first_text.get_or_insert(&col.name);
-        }
-    }
-    first_text.map(str::to_string)
 }
 
 /// How strongly an FK column name matches a (snake-cased) relationship
@@ -255,7 +243,7 @@ fn find_join(kb: &KnowledgeBase, src: &str, tgt: &str, rel_name: &str) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obcs_kb::schema::TableSchema;
+    use obcs_kb::schema::{ColumnType, TableSchema};
     use obcs_kb::Value;
     use obcs_ontology::OntologyBuilder;
 
