@@ -1,13 +1,13 @@
-//! The conversation engine: ties NLU, the dialogue tree, template
-//! instantiation, KB execution, and NLG into a single `respond` loop —
+//! The conversation engine: ties NLU, the dialogue tree, prepared
+//! template queries, KB execution, and NLG into a single `respond` loop —
 //! the fully automated online process of the paper's Figure 1(b).
 //!
 //! Everything a session only reads — the trained NLU (classifier weights
 //! and entity lexicon), the ontology, the mapping, the conversation
-//! space, the dialogue tree, and the KB's tables — is held behind an
-//! [`Arc`]:
+//! space, the dialogue tree, the KB's tables and the queries prepared
+//! against them — is held behind an [`Arc`]:
 //! [`ConversationAgent::fork_session`] stamps out an independent session
-//! (own context, own log, own KB caches) that *shares* all of it, so a
+//! (own context, own log) that *shares* all of it, so a
 //! fork costs a handful of reference-count increments whatever the size
 //! of the domain. That is the mechanism the traffic replay uses to run
 //! shards on separate threads and the server uses to open a session per
@@ -23,7 +23,7 @@ use obcs_faults::{
     run_resilient, FaultInjector, FaultStage, InjectedFault, NoFaults, ObcsError, Recovery,
     ResilienceConfig,
 };
-use obcs_kb::KnowledgeBase;
+use obcs_kb::{KnowledgeBase, Value};
 use obcs_nlq::OntologyMapping;
 use obcs_ontology::{ConceptId, Ontology};
 use obcs_telemetry::{metric, stage, Clock, NoopRecorder, Recorder, TickClock};
@@ -32,6 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::log::{Feedback, InteractionLog, InteractionRecord, LoggedAction};
 use crate::nlg;
 use crate::nlu::Nlu;
+use crate::prepared::{PreparedQueries, PreparedQuery, MAX_FILTERING_OPTIONALS};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,6 +85,8 @@ pub struct ConversationAgent {
     space: Arc<ConversationSpace>,
     tree: Arc<DialogueTree>,
     nlu: Arc<Nlu>,
+    /// Every query a fulfilment can issue, bound against `kb` once.
+    prepared: Arc<PreparedQueries>,
     ctx: ConversationContext,
     pub log: InteractionLog,
     config: AgentConfig,
@@ -127,6 +130,7 @@ impl ConversationAgent {
     ) -> Self {
         let tree = DialogueTree::from_space(&space, &onto, &config.name);
         let nlu = Arc::new(Nlu::from_space(&space, &onto, &kb, &mapping));
+        let prepared = Arc::new(PreparedQueries::new(&space, &onto, &kb, &mapping));
         ConversationAgent {
             onto: Arc::new(onto),
             kb,
@@ -134,6 +138,7 @@ impl ConversationAgent {
             space: Arc::new(space),
             tree: Arc::new(tree),
             nlu,
+            prepared,
             ctx: ConversationContext::new(),
             log: InteractionLog::new(),
             config,
@@ -183,12 +188,20 @@ impl ConversationAgent {
     }
 
     /// Replaces the agent's knowledge base, e.g. with one recovered from
-    /// a snapshot + WAL (DESIGN.md §16). The conversation space, NLU, and
-    /// dialogue tree are untouched: they are derived from the schema and
-    /// instance names, which recovery restores identically — a recovered
-    /// KB with the same data yields byte-identical replies.
+    /// a snapshot + WAL (DESIGN.md §16), and prepares the fulfilment
+    /// queries against it. The conversation space, NLU, and dialogue tree
+    /// are untouched: they are derived from the schema and instance
+    /// names, which recovery restores identically — a recovered KB with
+    /// the same data yields byte-identical replies. Forks taken earlier
+    /// keep the KB and the prepared queries they were forked with.
     pub fn set_kb(&mut self, kb: KnowledgeBase) {
+        self.prepared = Arc::new(PreparedQueries::new(&self.space, &self.onto, &kb, &self.mapping));
         self.kb = kb;
+    }
+
+    /// The queries fulfilments issue, prepared against this agent's KB.
+    pub fn prepared_queries(&self) -> &PreparedQueries {
+        &self.prepared
     }
 
     /// Installs a telemetry recorder; every subsequent turn records spans
@@ -228,48 +241,47 @@ impl ConversationAgent {
         Arc::clone(&self.nlu)
     }
 
-    /// Enables or disables every cache layer of this agent's pipeline:
-    /// the KB's plan/result caches and the NLU classify/recognize memo
-    /// (DESIGN.md §12). All layers are on by default. Like
-    /// [`nlu_mut`](Self::nlu_mut), the NLU side requires sole ownership —
-    /// configure caching *before* forking sessions.
+    /// Enables or disables the pipeline's one cache layer, the NLU
+    /// classify/recognize memo (DESIGN.md §12); it is on by default. Like
+    /// [`nlu_mut`](Self::nlu_mut), this requires sole ownership of the
+    /// NLU — configure caching *before* forking sessions.
     pub fn set_caching(&mut self, enabled: bool) {
-        self.kb.set_cache_enabled(enabled);
         Arc::get_mut(&mut self.nlu)
             .expect("NLU is shared by forked sessions; configure caching before forking")
             .set_memo_enabled(enabled);
     }
 
-    /// Whether the pipeline caches are enabled (they toggle together).
+    /// Whether the NLU memo is enabled.
     pub fn caching_enabled(&self) -> bool {
-        self.kb.cache_enabled()
+        self.nlu.memo_enabled()
     }
 
-    /// Counters accumulated by this session's KB caches and the shared
-    /// NLU memo. Note the memo lives behind the shared `Arc`, so forks
-    /// see (and contribute to) one common classify/recognize count.
+    /// Counters of the shared NLU memo, beside always-zero KB counters
+    /// (the KB has no caches; the field stays for the servebench
+    /// harness). The memo lives behind the shared `Arc`, so forks see
+    /// (and contribute to) one common classify/recognize count.
     pub fn cache_stats(&self) -> (obcs_kb::KbCacheStats, crate::nlu::NluMemoStats) {
-        (self.kb.cache_stats(), self.nlu.memo_stats())
+        (obcs_kb::KbCacheStats::default(), self.nlu.memo_stats())
     }
 
-    /// Publishes the cache counters through `rec` under the shared layer
-    /// labels (`kb_result`, `nlu_classify`, `nlu_recognize`).
+    /// Publishes the memo counters through `rec` under the shared layer
+    /// labels (`nlu_classify`, `nlu_recognize`).
     /// Call on demand — end of a replay, a stats endpoint — never per
     /// turn: hit patterns depend on shard layout, and per-turn recording
     /// would break trace determinism (DESIGN.md §12).
     pub fn record_cache_stats(&self, rec: &dyn Recorder) {
-        let (kb, memo) = self.cache_stats();
-        obcs_cache::record_stats(kb.result, "kb_result", rec);
+        let memo = self.nlu.memo_stats();
         obcs_cache::record_stats(memo.classify, "nlu_classify", rec);
         obcs_cache::record_stats(memo.recognize, "nlu_recognize", rec);
     }
 
     /// Stamps out an independent conversation session. The fork shares
     /// this agent's trained NLU, ontology, mapping, conversation space,
-    /// dialogue tree and KB tables (no retraining, no copy: the cost is a
-    /// few reference-count increments at any KB size), while its context,
-    /// pending disambiguation, log and KB query caches start fresh. Later
-    /// mutations on either side copy on write and never reach the other.
+    /// dialogue tree, KB tables and prepared queries (no retraining, no
+    /// copy: the cost is a few reference-count increments at any KB
+    /// size), while its context, pending disambiguation and log start
+    /// fresh. Later mutations on either side copy on write and never
+    /// reach the other.
     /// Forks are `Send` — the traffic replay runs one per shard thread.
     pub fn fork_session(&self) -> ConversationAgent {
         ConversationAgent {
@@ -279,6 +291,7 @@ impl ConversationAgent {
             space: Arc::clone(&self.space),
             tree: Arc::clone(&self.tree),
             nlu: Arc::clone(&self.nlu),
+            prepared: Arc::clone(&self.prepared),
             ctx: ConversationContext::new(),
             log: InteractionLog::new(),
             config: self.config.clone(),
@@ -603,7 +616,7 @@ impl ConversationAgent {
         let input = TurnInput {
             utterance: utterance.to_string(),
             intent: accepted,
-            entities: recognized.instances.clone(),
+            entities: recognized.instances,
         };
         let action = {
             let _eval = obcs_telemetry::span(&*rec, stage::DIALOGUE_EVAL);
@@ -674,10 +687,10 @@ impl ConversationAgent {
         self.record(utterance, intent_for_log, conf_for_log, logged, reply)
     }
 
-    /// Executes an intent's templates with the context entities and builds
-    /// the fulfilment response. System faults (injected or real) that
-    /// survive the retry policy bubble up as [`ObcsError`]s; `respond`
-    /// turns them into a degraded reply.
+    /// Executes an intent's prepared queries with the context entities
+    /// and builds the fulfilment response. System faults (injected or
+    /// real) that survive the retry policy bubble up as [`ObcsError`]s;
+    /// `respond` turns them into a degraded reply.
     fn fulfill(
         &mut self,
         intent_id: IntentId,
@@ -686,9 +699,11 @@ impl ConversationAgent {
         turn_start: u64,
     ) -> Result<AgentReply, ObcsError> {
         let rec = Arc::clone(&self.recorder);
-        // Borrowed through a handle on the shared space, so `self` stays
-        // free for the mutable calls below without copying the intent.
+        // Borrowed through handles on the shared space and prepared set,
+        // so `self` stays free for the mutable calls below without
+        // copying the intent.
         let space = Arc::clone(&self.space);
+        let prepared = Arc::clone(&self.prepared);
         let Some(intent) = space.intent(intent_id) else {
             // Historically a stringly "Internal error" fallback; now a
             // typed engine fault that degrades like any other.
@@ -699,102 +714,64 @@ impl ConversationAgent {
         // fault, and fault/recovery accounting happens exactly once.
         let kb_fault = self.faults.inject(FaultStage::KbExecute, utterance);
         let mut kb_fault_accounted = false;
-        let values = self.ctx.entity_values();
         // Optional entities (paper Tables 3-4): captured when present but
-        // never elicited. When one is in the context, the static template
-        // is bypassed and the query is built dynamically with the extra
-        // filter (e.g. "severe adverse effects of aspirin" filters the
-        // AdverseEffect lookup by Severity).
-        let optional_present: Vec<ConceptId> = intent
+        // never elicited. When one is in the context, the queries with its
+        // extra filter run instead of the static templates (e.g. "severe
+        // adverse effects of aspirin" filters the AdverseEffect lookup by
+        // Severity).
+        let optional_present = intent
             .optional_entities
             .iter()
-            .copied()
-            .filter(|c| self.ctx.entity(*c).is_some())
-            .collect();
-        let mut sections: Vec<(String, obcs_kb::ResultSet)> = Vec::new();
-        if !optional_present.is_empty() {
-            for pattern in intent.patterns() {
-                let mut filters = Vec::new();
-                let mut ok = true;
-                for &concept in pattern.required.iter().chain(&optional_present) {
-                    let (Some(column), Some(value)) =
-                        (self.mapping.label(concept), self.ctx.entity(concept))
-                    else {
-                        ok = false;
-                        break;
-                    };
-                    filters.push(obcs_nlq::interpret::Filter {
-                        concept,
-                        column: column.to_string(),
-                        value: value.to_string(),
-                    });
-                }
-                if !ok {
-                    continue;
-                }
-                let sql = {
-                    let _interp = obcs_telemetry::span(&*rec, stage::NLQ_INTERPRET);
-                    obcs_nlq::interpret::build_query(
-                        &self.onto,
-                        &self.mapping,
-                        pattern.focus,
-                        &filters,
-                    )
-                    .and_then(|query| query.to_sql(&self.onto, &self.kb, &self.mapping))
-                };
-                let Ok(sql) = sql else {
-                    continue;
-                };
-                match self.kb_execute(&sql, kb_fault, &mut kb_fault_accounted, turn_start, &*rec)? {
-                    Some(rs) => sections.push((pattern.topic.clone(), rs)),
-                    None => continue,
-                }
+            .take(MAX_FILTERING_OPTIONALS)
+            .enumerate()
+            .filter(|(_, c)| self.ctx.entity(**c).is_some())
+            .fold(0usize, |mask, (k, _)| mask | 1 << k);
+        let mut sections: Vec<(&str, obcs_kb::ResultSet)> = Vec::new();
+        if optional_present != 0 {
+            for query in prepared.get(intent_id, optional_present) {
+                let rs = self.run_prepared(
+                    query,
+                    stage::NLQ_INTERPRET,
+                    kb_fault,
+                    &mut kb_fault_accounted,
+                    turn_start,
+                    &*rec,
+                )?;
+                sections.extend(rs.map(|rs| (query.topic.as_str(), rs)));
             }
         }
         if sections.is_empty() {
-            for labeled in self.space.templates_for(intent_id) {
-                // Skip templates whose parameters are not all available.
-                let required = labeled.template.required_concepts();
-                if !required.iter().all(|c| values.iter().any(|(vc, _)| vc == c)) {
-                    continue;
-                }
-                let sql = {
-                    let _inst = obcs_telemetry::span(&*rec, stage::TEMPLATE_INSTANTIATE);
-                    labeled.template.instantiate(&values)
-                };
-                let Ok(sql) = sql else {
-                    continue;
-                };
-                match self.kb_execute(&sql, kb_fault, &mut kb_fault_accounted, turn_start, &*rec)? {
-                    Some(rs) => sections.push((labeled.topic.clone(), rs)),
-                    None => continue,
-                }
+            for query in prepared.get(intent_id, 0) {
+                let rs = self.run_prepared(
+                    query,
+                    stage::TEMPLATE_INSTANTIATE,
+                    kb_fault,
+                    &mut kb_fault_accounted,
+                    turn_start,
+                    &*rec,
+                )?;
+                sections.extend(rs.map(|rs| (query.topic.as_str(), rs)));
             }
         }
         let found = sections.iter().any(|(_, r)| !r.rows.is_empty());
-        let entity_summary: Vec<(String, String)> = intent
-            .required_entities
-            .iter()
-            .filter_map(|&c| {
-                self.ctx.entity(c).map(|v| (self.onto.concept_name(c).to_string(), v.to_string()))
-            })
-            .collect();
         let text = if sections.is_empty() {
             format!("I cannot answer {} requests against this knowledge base yet.", intent.name)
         } else {
-            let entity_text = if entity_summary.is_empty() {
-                "your request".to_string()
-            } else {
-                entity_summary.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>().join(", ")
-            };
+            let mut entities = String::new();
+            for value in intent.required_entities.iter().filter_map(|&c| self.ctx.entity(c)) {
+                if !entities.is_empty() {
+                    entities.push_str(", ");
+                }
+                entities.push_str(value);
+            }
+            if entities.is_empty() {
+                entities.push_str("your request");
+            }
             let rendered = {
                 let _nlg = obcs_telemetry::span(&*rec, stage::NLG);
                 nlg::render_merged(&sections)
             };
-            intent
-                .response_template
-                .replace("{entities}", &entity_text)
-                .replace("{results}", &rendered)
+            nlg::fill_response(&intent.response_template, &entities, &rendered)
         };
         // Record terms for definition repair.
         self.ctx.record_response(&text, vec![intent.name.to_lowercase()]);
@@ -807,20 +784,32 @@ impl ConversationAgent {
         })
     }
 
-    /// Runs one KB query under the resilience policy. Returns `Ok(None)`
-    /// for a real (non-injected) KB error — those keep the historical
-    /// template-skip semantics, now counted under `pipeline_error` — and
-    /// `Err` for unrecovered injected faults and budget exhaustion, which
-    /// degrade the whole turn. The `accounted` flag makes fault/recovery
-    /// counters fire once per fulfilment even when several templates run.
-    fn kb_execute(
+    /// Runs one prepared query with its parameters filled from the
+    /// context, under a `fill` span, through the resilience policy.
+    /// `Ok(None)` skips the query: a parameter whose concept has no value
+    /// in the context (no span, no count), or a real (non-injected) KB
+    /// error, a plan that failed to prepare included — those keep the
+    /// historical template-skip semantics, counted under
+    /// `pipeline_error`. `Err` is an unrecovered injected fault or an
+    /// exhausted budget, which degrades the whole turn. The `accounted`
+    /// flag makes fault/recovery counters fire once per fulfilment even
+    /// when several queries run.
+    fn run_prepared(
         &self,
-        sql: &str,
+        query: &PreparedQuery,
+        fill: &'static str,
         fault: Option<InjectedFault>,
         accounted: &mut bool,
         turn_start: u64,
         rec: &dyn Recorder,
     ) -> Result<Option<obcs_kb::ResultSet>, ObcsError> {
+        if !self.ctx.has_all(&query.params) {
+            return Ok(None);
+        }
+        let params: Vec<Value> = {
+            let _fill = obcs_telemetry::span(rec, fill);
+            query.params.iter().filter_map(|&c| self.ctx.entity(c)).map(Value::text).collect()
+        };
         let first = !*accounted;
         *accounted = true;
         if first {
@@ -835,7 +824,10 @@ impl ConversationAgent {
             &self.chaos_clock,
             turn_start,
             rec,
-            || self.kb.query_traced(sql, rec).map_err(ObcsError::from),
+            || match &query.plan {
+                Ok(plan) => self.kb.execute_traced(plan, &params, rec).map_err(ObcsError::from),
+                Err(e) => Err(ObcsError::Kb(e.clone())),
+            },
         );
         match outcome {
             Ok((rs, recovery)) => {
@@ -1444,16 +1436,15 @@ mod tests {
         for u in script {
             assert_eq!(cached.respond(u), uncached.respond(u), "cache changed a reply for {u:?}");
         }
-        let (kb, memo) = cached.cache_stats();
-        assert!(kb.result.hits >= 1, "repeated query served from the result cache: {kb:?}");
+        let (_, memo) = cached.cache_stats();
         assert!(memo.classify.hits >= 1, "repeated utterance served from the memo: {memo:?}");
-        let (kb, _) = uncached.cache_stats();
-        assert_eq!(kb.result.lookups(), 0, "disabled caches see no traffic");
+        let (_, memo) = uncached.cache_stats();
+        assert_eq!(memo.classify.lookups(), 0, "a disabled memo sees no traffic");
 
         let rec = CollectingRecorder::ticks();
         cached.record_cache_stats(&rec);
         let report = rec.take_report();
-        for layer in ["kb_result", "nlu_classify", "nlu_recognize"] {
+        for layer in ["nlu_classify", "nlu_recognize"] {
             assert!(
                 report.counters.contains_key(&("cache_hit".into(), layer.into())),
                 "missing cache_hit counter for layer {layer}"

@@ -12,10 +12,10 @@
 //! 2. **Dialogue** (via `obcs-dialogue`): the dialogue tree decides
 //!    whether to respond with a management pattern, elicit a missing slot,
 //!    propose a dependent concept, or fulfill the request.
-//! 3. **Fulfilment** ([`engine`]): the intent's structured query templates
-//!    are instantiated with the context entities, executed against the KB,
-//!    and the results are verbalised through the intent's response
-//!    template ([`nlg`]).
+//! 3. **Fulfilment** ([`engine`]): the intent's structured query templates,
+//!    prepared against the KB once per agent ([`prepared`]), run with the
+//!    context entities as parameters, and the results are verbalised
+//!    through the intent's response template ([`nlg`]).
 //!
 //! Every turn is recorded in an [`log::InteractionLog`] with optional
 //! thumbs-up/down feedback — the raw material of the paper's §7
@@ -44,6 +44,7 @@ pub mod engine;
 pub mod log;
 pub mod nlg;
 pub mod nlu;
+pub mod prepared;
 
 pub use engine::{AgentConfig, AgentReply, ConversationAgent, ReplyKind};
 pub use log::{Feedback, InteractionLog, InteractionRecord};

@@ -4,7 +4,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use obcs_cache::{CacheConfig, CacheStats, LruCache};
+use obcs_cache::{CacheStats, LruCache};
 use obcs_classifier::logreg::{LogReg, LogRegConfig};
 use obcs_classifier::naive_bayes::{NaiveBayes, NaiveBayesConfig};
 use obcs_classifier::{Classifier, Dataset};
@@ -68,8 +68,8 @@ impl Default for NluMemo {
     fn default() -> Self {
         NluMemo {
             enabled: true,
-            classify: Mutex::new(LruCache::new(CacheConfig::entries(MEMO_ENTRIES))),
-            recognize: Mutex::new(LruCache::new(CacheConfig::entries(MEMO_ENTRIES))),
+            classify: Mutex::new(LruCache::new(MEMO_ENTRIES)),
+            recognize: Mutex::new(LruCache::new(MEMO_ENTRIES)),
         }
     }
 }
@@ -251,7 +251,7 @@ impl Nlu {
             .find(|(name, _)| *name == pred.label)
             .map(|&(_, id)| (id, pred.confidence));
         if self.memo.enabled {
-            lock(&self.memo.classify).put(utterance, result, 1);
+            lock(&self.memo.classify).put(utterance, result);
         }
         result
     }
@@ -321,7 +321,7 @@ impl Nlu {
             }
         }
         if self.memo.enabled {
-            lock(&self.memo.recognize).put(utterance, out.clone(), 1);
+            lock(&self.memo.recognize).put(utterance, out.clone());
         }
         out
     }

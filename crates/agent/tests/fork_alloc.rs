@@ -59,8 +59,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Bytes a fork may allocate: its config, fresh context and log, and
-/// empty KB caches.
+/// Bytes a fork may allocate: its config and a fresh context and log.
 const FORK_CEILING_BYTES: u64 = 4 * 1024;
 
 /// Bytes this thread allocates while `f` runs.

@@ -70,14 +70,12 @@ fn bench_kb(c: &mut Criterion) {
 }
 
 /// The auto-indexed KB, plus the ordered drug.name index the
-/// LIKE-prefix bench reads, and its scan-only twin; caches off on both
-/// so every iteration pays parse + bind + execute (never a cache hit).
+/// LIKE-prefix bench reads, and its scan-only twin; every iteration pays
+/// parse + bind + execute.
 fn twins(drugs: usize) -> (KnowledgeBase, KnowledgeBase) {
     let mut indexed = build_mdx_kb(MdxDataConfig { drugs, seed: 7 });
     indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
-    indexed.set_cache_enabled(false);
     let mut scan = indexed.clone();
-    scan.set_cache_enabled(false);
     scan.set_index_enabled(false);
     (indexed, scan)
 }

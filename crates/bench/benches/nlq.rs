@@ -51,11 +51,12 @@ fn bench_nlq(c: &mut Criterion) {
         })
     });
 
-    // Template instantiation (the online hot path).
+    // A prepared template run with a parameter (the online hot path).
     let intent = world.space.intent_by_name("Precautions of Drug").expect("intent");
-    let tpl = &world.space.templates_for(intent.id)[0].template;
-    group.bench_function("template_instantiate", |b| {
-        b.iter(|| black_box(tpl.instantiate(&[(drug, "Aspirin".into())]).expect("sql")))
+    let plan = world.space.templates_for(intent.id)[0].template.prepare(&world.kb).expect("plan");
+    let params = [obcs_kb::Value::text("Aspirin")];
+    group.bench_function("prepared_template_execute", |b| {
+        b.iter(|| black_box(world.kb.execute(&plan, black_box(&params)).expect("rows")))
     });
     group.finish();
 }

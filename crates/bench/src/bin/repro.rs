@@ -653,11 +653,19 @@ fn fig9(world: &World) {
     let labeled = &world.space.templates_for(intent.id)[0];
     println!("Pattern:   {}", intent.patterns()[0].render(&world.onto));
     println!("Template:  {}", labeled.template.sql());
-    let drug = world.onto.concept_id("Drug").expect("Drug");
-    let sql = labeled.template.instantiate(&[(drug, "Ibuprofen".into())]).expect("instantiation");
-    println!("Instance:  {sql}");
-    let rs = world.kb.query(&sql).expect("execution");
-    println!("Rows:      {}", rs.rows.len());
+    // Prepared once, as the engine prepares it: each marker a parameter.
+    let plan = labeled.template.prepare(&world.kb).expect("template binds");
+    let bindings: Vec<String> = labeled
+        .template
+        .required_concepts()
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| format!("${i} = <@{}>", world.onto.concept_name(c)))
+        .collect();
+    println!("Plan:      {} ({})", plan.access_label(), bindings.join(", "));
+    let rs = world.kb.execute(&plan, &[obcs_kb::Value::text("Ibuprofen")]).expect("execution");
+    println!("Run:       $0 = 'Ibuprofen' -> {} rows", rs.rows.len());
+    print!("{}", rs.render());
 }
 
 fn fig10(world: &World) {

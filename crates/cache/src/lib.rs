@@ -1,19 +1,16 @@
 //! # obcs-cache
 //!
-//! Byte-budgeted LRU caches for the turn pipeline (see DESIGN.md §12
+//! The LRU cache behind the turn pipeline's one cache layer, the NLU
+//! classify/recognize memo in `obcs-agent` (see DESIGN.md §12
 //! "Caching").
 //!
-//! Every cache layer in the system — the result cache in `obcs-kb`, the
-//! NLU memo in `obcs-agent` — is an instance of one primitive:
-//! [`LruCache`], a string-keyed LRU. Entries carry no validity stamp:
+//! [`LruCache`] is a string-keyed LRU. Entries carry no validity stamp:
 //! the owner of a cache clears it in every method that mutates the data
 //! the entries were computed from. Those methods take `&mut self`, so
-//! the owner reaches its cache without a lock (`Mutex::get_mut`), and a
-//! clone starts with empty caches, so no stale entry survives anywhere.
+//! the owner reaches its cache without a lock (`Mutex::get_mut`).
 //!
-//! The cache also enforces a byte budget (for value-heavy layers such as
-//! KB result sets) and an entry cap, evicting least-recently-used entries
-//! past either limit. [`CacheStats`] counts hits, misses, evictions, and
+//! The cache holds at most a fixed number of entries, evicting the least
+//! recently used past it. [`CacheStats`] counts hits, misses, evictions, and
 //! the entries [`LruCache::clear`] drops; [`record_stats`] publishes them
 //! through the `obcs-telemetry` metric vocabulary on demand. Stats are
 //! surfaced *on demand* rather than recorded per lookup: cache warm-up
@@ -22,40 +19,10 @@
 //! (DESIGN.md §12 spells out the argument).
 //!
 //! `LruCache` itself is not synchronised — callers that share a cache
-//! across threads wrap it in a `Mutex`, which is how both `obcs-kb` and
-//! `obcs-agent` use it.
+//! across threads wrap it in a `Mutex`, which is how `obcs-agent` uses
+//! it.
 
 use std::collections::{BTreeMap, HashMap};
-
-/// Sizing limits of one cache instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Maximum number of entries kept (LRU eviction past it).
-    pub max_entries: usize,
-    /// Total byte budget across all entries (LRU eviction past it).
-    pub max_bytes: usize,
-    /// Values costed above this are not cached at all — one huge result
-    /// must not wipe the whole working set.
-    pub max_entry_bytes: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            max_entries: 1024,
-            max_bytes: 4 << 20,         // 4 MiB
-            max_entry_bytes: 256 << 10, // 256 KiB
-        }
-    }
-}
-
-impl CacheConfig {
-    /// A config for caches of small values (NLU memo entries) where the
-    /// entry count, not bytes, is the limit that matters.
-    pub fn entries(max_entries: usize) -> Self {
-        CacheConfig { max_entries, max_bytes: usize::MAX, max_entry_bytes: usize::MAX }
-    }
-}
 
 /// Hit/miss/eviction/invalidation counters of one cache instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,7 +31,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries dropped to stay within the entry/byte budget.
+    /// Entries dropped to stay within the entry cap.
     pub evictions: u64,
     /// Entries dropped by [`LruCache::clear`].
     pub invalidations: u64,
@@ -89,30 +56,28 @@ impl CacheStats {
 
 struct Entry<V> {
     value: V,
-    bytes: usize,
     stamp: u64,
 }
 
-/// A string-keyed, byte-budgeted LRU cache (see the crate docs).
+/// A string-keyed LRU cache with an entry cap (see the crate docs).
 pub struct LruCache<V> {
-    config: CacheConfig,
+    max_entries: usize,
     map: HashMap<String, Entry<V>>,
     /// Recency index: stamp → key. Stamps are unique (monotone counter),
     /// so the smallest stamp is always the least recently used entry.
     recency: BTreeMap<u64, String>,
     next_stamp: u64,
-    bytes: usize,
     stats: CacheStats,
 }
 
 impl<V> LruCache<V> {
-    pub fn new(config: CacheConfig) -> Self {
+    /// An empty cache keeping at most `max_entries` entries.
+    pub fn new(max_entries: usize) -> Self {
         LruCache {
-            config,
+            max_entries,
             map: HashMap::new(),
             recency: BTreeMap::new(),
             next_stamp: 0,
-            bytes: 0,
             stats: CacheStats::default(),
         }
     }
@@ -124,11 +89,6 @@ impl<V> LruCache<V> {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Total costed bytes of the live entries.
-    pub fn bytes(&self) -> usize {
-        self.bytes
     }
 
     /// The counters accumulated so far (kept across `clear`).
@@ -146,18 +106,16 @@ impl<V> LruCache<V> {
         self.stats.invalidations += self.map.len() as u64;
         self.map.clear();
         self.recency.clear();
-        self.bytes = 0;
     }
 
     fn remove(&mut self, key: &str) -> Option<Entry<V>> {
         let entry = self.map.remove(key)?;
         self.recency.remove(&entry.stamp);
-        self.bytes -= entry.bytes;
         Some(entry)
     }
 
-    fn evict_past_budget(&mut self) {
-        while self.map.len() > self.config.max_entries || self.bytes > self.config.max_bytes {
+    fn evict_past_cap(&mut self) {
+        while self.map.len() > self.max_entries {
             let Some((_, key)) = self.recency.iter().next().map(|(s, k)| (*s, k.clone())) else {
                 break;
             };
@@ -184,20 +142,18 @@ impl<V: Clone> LruCache<V> {
         Some(entry.value.clone())
     }
 
-    /// Stores `value` for `key`, costed at `bytes`. Values over the
-    /// per-entry budget are silently not cached; an existing entry for
-    /// the key is replaced.
-    pub fn put(&mut self, key: &str, value: V, bytes: usize) {
-        if bytes > self.config.max_entry_bytes || self.config.max_entries == 0 {
+    /// Stores `value` for `key`, replacing an existing entry for the
+    /// key. A cache with a zero entry cap stores nothing.
+    pub fn put(&mut self, key: &str, value: V) {
+        if self.max_entries == 0 {
             return;
         }
         self.remove(key);
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.bytes += bytes;
-        self.map.insert(key.to_string(), Entry { value, bytes, stamp });
+        self.map.insert(key.to_string(), Entry { value, stamp });
         self.recency.insert(stamp, key.to_string());
-        self.evict_past_budget();
+        self.evict_past_cap();
     }
 }
 
@@ -219,14 +175,14 @@ mod tests {
     use super::*;
 
     fn cache(entries: usize) -> LruCache<String> {
-        LruCache::new(CacheConfig::entries(entries))
+        LruCache::new(entries)
     }
 
     #[test]
     fn get_put_roundtrip_and_stats() {
         let mut c = cache(8);
         assert_eq!(c.get("k"), None);
-        c.put("k", "v".to_string(), 1);
+        c.put("k", "v".to_string());
         assert_eq!(c.get("k"), Some("v".to_string()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.invalidations), (1, 1, 0, 0));
@@ -236,24 +192,24 @@ mod tests {
     #[test]
     fn clear_counts_dropped_entries_as_invalidations() {
         let mut c = cache(8);
-        c.put("a", "old".to_string(), 1);
-        c.put("b", "old".to_string(), 1);
+        c.put("a", "old".to_string());
+        c.put("b", "old".to_string());
         c.clear();
         assert_eq!(c.get("a"), None, "a cleared entry must not serve");
         assert_eq!(c.stats().invalidations, 2, "one per dropped entry");
         c.clear();
         assert_eq!(c.stats().invalidations, 2, "clearing an empty cache drops nothing");
-        c.put("a", "new".to_string(), 1);
+        c.put("a", "new".to_string());
         assert_eq!(c.get("a"), Some("new".to_string()));
     }
 
     #[test]
     fn lru_eviction_by_entry_cap() {
         let mut c = cache(2);
-        c.put("a", "1".into(), 1);
-        c.put("b", "2".into(), 1);
+        c.put("a", "1".into());
+        c.put("b", "2".into());
         assert_eq!(c.get("a"), Some("1".into()), "touch a so b is LRU");
-        c.put("c", "3".into(), 1);
+        c.put("c", "3".into());
         assert_eq!(c.len(), 2);
         assert_eq!(c.get("b"), None, "b was least recently used");
         assert_eq!(c.get("a"), Some("1".into()));
@@ -262,37 +218,21 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_and_oversized_values_skip() {
-        let mut c: LruCache<String> =
-            LruCache::new(CacheConfig { max_entries: 100, max_bytes: 10, max_entry_bytes: 8 });
-        c.put("big", "x".into(), 9);
-        assert_eq!(c.len(), 0, "oversized value never cached");
-        c.put("a", "1".into(), 6);
-        c.put("b", "2".into(), 6);
-        assert_eq!(c.len(), 1, "12 bytes > 10-byte budget evicts the older");
-        assert_eq!(c.bytes(), 6);
-        assert_eq!(c.get("b"), Some("2".into()));
-    }
-
-    #[test]
-    fn replacing_a_key_updates_bytes() {
-        let mut c: LruCache<String> =
-            LruCache::new(CacheConfig { max_entries: 4, max_bytes: 100, max_entry_bytes: 100 });
-        c.put("k", "v1".into(), 10);
-        c.put("k", "v2".into(), 20);
+    fn replacing_a_key_keeps_one_entry() {
+        let mut c = cache(4);
+        c.put("k", "v1".into());
+        c.put("k", "v2".into());
         assert_eq!(c.len(), 1);
-        assert_eq!(c.bytes(), 20);
         assert_eq!(c.get("k"), Some("v2".into()));
     }
 
     #[test]
     fn clear_keeps_counters() {
         let mut c = cache(8);
-        c.put("k", "v".into(), 1);
+        c.put("k", "v".into());
         let _ = c.get("k");
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.bytes(), 0);
         assert_eq!(c.stats().hits, 1, "counters survive a clear");
     }
 
@@ -309,13 +249,13 @@ mod tests {
         let rec = obcs_telemetry::CollectingRecorder::ticks();
         record_stats(
             CacheStats { hits: 5, misses: 2, evictions: 1, invalidations: 3 },
-            "kb_result",
+            "nlu_classify",
             &rec,
         );
         let report = rec.take_report();
-        assert_eq!(report.counters[&("cache_hit".into(), "kb_result".into())], 5);
-        assert_eq!(report.counters[&("cache_miss".into(), "kb_result".into())], 2);
-        assert_eq!(report.counters[&("cache_evict".into(), "kb_result".into())], 1);
-        assert_eq!(report.counters[&("cache_invalidate".into(), "kb_result".into())], 3);
+        assert_eq!(report.counters[&("cache_hit".into(), "nlu_classify".into())], 5);
+        assert_eq!(report.counters[&("cache_miss".into(), "nlu_classify".into())], 2);
+        assert_eq!(report.counters[&("cache_evict".into(), "nlu_classify".into())], 1);
+        assert_eq!(report.counters[&("cache_invalidate".into(), "nlu_classify".into())], 3);
     }
 }

@@ -8,7 +8,7 @@
 use obcs_kb::KnowledgeBase;
 use obcs_nlq::interpret::{build_query, Filter};
 use obcs_nlq::{NlqError, OntologyMapping, QueryTemplate};
-use obcs_ontology::Ontology;
+use obcs_ontology::{ConceptId, Ontology};
 use serde::{Deserialize, Serialize};
 
 use crate::intents::{Intent, IntentId};
@@ -30,9 +30,12 @@ pub struct IntentTemplates {
     pub templates: Vec<LabeledTemplate>,
 }
 
-/// Generates a template for one pattern through the NLQ pipeline.
+/// Generates a template for one pattern through the NLQ pipeline, with a
+/// marker filter per required concept followed by one per `extra`
+/// concept (an intent's optional entities, paper Tables 3-4).
 pub fn template_for_pattern(
     pattern: &QueryPattern,
+    extra: &[ConceptId],
     onto: &Ontology,
     kb: &KnowledgeBase,
     mapping: &OntologyMapping,
@@ -40,6 +43,7 @@ pub fn template_for_pattern(
     let filters: Vec<Filter> = pattern
         .required
         .iter()
+        .chain(extra)
         .map(|&c| {
             let column = mapping
                 .label(c)
@@ -66,7 +70,7 @@ pub fn generate_templates(
     for intent in intents {
         let mut templates = Vec::new();
         for pattern in intent.patterns() {
-            match template_for_pattern(pattern, onto, kb, mapping) {
+            match template_for_pattern(pattern, &[], onto, kb, mapping) {
                 Ok(t) => {
                     templates.push(LabeledTemplate { topic: pattern.topic.clone(), template: t })
                 }
@@ -108,21 +112,35 @@ mod tests {
     fn lookup_template_matches_figure9_shape() {
         let (onto, kb, mapping, intents) = setup();
         let prec_intent = intents.iter().find(|i| i.name == "Precautions of Drug").unwrap();
-        let tpl = template_for_pattern(&prec_intent.patterns()[0], &onto, &kb, &mapping).unwrap();
+        let tpl =
+            template_for_pattern(&prec_intent.patterns()[0], &[], &onto, &kb, &mapping).unwrap();
         assert!(tpl.sql().contains("SELECT DISTINCT oPrecaution.description"), "{}", tpl.sql());
         assert!(tpl.sql().contains("INNER JOIN drug oDrug"), "{}", tpl.sql());
         assert!(tpl.sql().contains("oDrug.name = '<@Drug>'"), "{}", tpl.sql());
     }
 
     #[test]
-    fn templates_execute_after_instantiation() {
+    fn templates_execute_prepared() {
         let (onto, kb, mapping, intents) = setup();
-        let drug = onto.concept_id("Drug").unwrap();
         let prec_intent = intents.iter().find(|i| i.name == "Precautions of Drug").unwrap();
-        let tpl = template_for_pattern(&prec_intent.patterns()[0], &onto, &kb, &mapping).unwrap();
-        let sql = tpl.instantiate(&[(drug, "Aspirin".into())]).unwrap();
-        let rs = kb.query(&sql).unwrap();
-        assert_eq!(rs.rows.len(), 1);
+        let tpl =
+            template_for_pattern(&prec_intent.patterns()[0], &[], &onto, &kb, &mapping).unwrap();
+        let rs = kb.execute(&tpl.prepare(&kb).unwrap(), &[obcs_kb::Value::text("Aspirin")]);
+        assert_eq!(rs.unwrap().rows.len(), 1);
+    }
+
+    #[test]
+    fn extra_concepts_add_marker_filters_after_the_required_ones() {
+        let (onto, kb, mapping, intents) = setup();
+        let indication = onto.concept_id("Indication").unwrap();
+        let prec_intent = intents.iter().find(|i| i.name == "Precautions of Drug").unwrap();
+        let pattern = &prec_intent.patterns()[0];
+        let tpl = template_for_pattern(pattern, &[indication], &onto, &kb, &mapping).unwrap();
+        let mut expected = pattern.required.clone();
+        expected.push(indication);
+        assert_eq!(tpl.required_concepts(), expected);
+        assert!(tpl.sql().ends_with("= '<@Indication>'"), "{}", tpl.sql());
+        assert_eq!(tpl.prepare(&kb).unwrap().param_count(), 2);
     }
 
     #[test]
@@ -151,7 +169,7 @@ mod tests {
             .flat_map(|i| i.patterns())
             .find(|p| p.kind == PatternKind::IndirectRelationship && p.required.len() == 2)
             .expect("two-filter indirect pattern exists");
-        let tpl = template_for_pattern(two_param, &onto, &kb, &mapping).unwrap();
+        let tpl = template_for_pattern(two_param, &[], &onto, &kb, &mapping).unwrap();
         assert_eq!(tpl.required_concepts().len(), 2);
         assert!(tpl.sql().contains("'<@Drug>'"));
         assert!(tpl.sql().contains("'<@Indication>'"));

@@ -89,11 +89,6 @@ impl ConversationContext {
         self.entities.iter().find(|e| e.concept == concept).map(|e| e.value.as_str())
     }
 
-    /// All `(concept, value)` pairs, e.g. for template instantiation.
-    pub fn entity_values(&self) -> Vec<(ConceptId, String)> {
-        self.entities.iter().map(|e| (e.concept, e.value.clone())).collect()
-    }
-
     /// Whether every concept in the slice has a value.
     pub fn has_all(&self, concepts: &[ConceptId]) -> bool {
         concepts.iter().all(|c| self.entity(*c).is_some())
@@ -210,15 +205,5 @@ mod tests {
         ctx.record_response("Here are drugs: Effective: X", vec!["effective".into()]);
         assert!(ctx.last_agent_response.as_deref().unwrap().contains("drugs"));
         assert_eq!(ctx.last_terms, vec!["effective"]);
-    }
-
-    #[test]
-    fn entity_values_for_templates() {
-        let mut ctx = ConversationContext::new();
-        ctx.put_entity(DRUG, "aspirin");
-        ctx.put_entity(COND, "fever");
-        let vals = ctx.entity_values();
-        assert_eq!(vals.len(), 2);
-        assert!(vals.contains(&(DRUG, "aspirin".to_string())));
     }
 }

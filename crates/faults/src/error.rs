@@ -1,7 +1,7 @@
 //! The unified error taxonomy for the online turn pipeline.
 //!
 //! Before this crate, each layer surfaced its own error enum (`KbError`,
-//! `NlqError`, `TemplateError`) or — worse — stringly-typed fallbacks
+//! `NlqError`) or — worse — stringly-typed fallbacks
 //! inside the engine. [`ObcsError`] is the single type the engine reasons
 //! about when deciding whether a turn can proceed, must retry, or must
 //! degrade into a repair reply.
@@ -10,7 +10,6 @@ use std::fmt;
 
 use obcs_kb::KbError;
 use obcs_nlq::interpret::NlqError;
-use obcs_nlq::template::TemplateError;
 
 use crate::plan::{FaultKind, FaultStage};
 
@@ -26,8 +25,6 @@ pub enum ObcsError {
     Kb(KbError),
     /// A natural-language-query interpretation error.
     Nlq(NlqError),
-    /// A query-template instantiation error.
-    Template(TemplateError),
     /// The dialogue tree asked the engine to fulfil an intent it does not
     /// know how to translate into a query.
     UnknownIntent(String),
@@ -71,7 +68,7 @@ impl ObcsError {
     pub fn cause_label(&self) -> &'static str {
         match self {
             ObcsError::Kb(_) => "kb",
-            ObcsError::Nlq(_) | ObcsError::Template(_) => "nlq",
+            ObcsError::Nlq(_) => "nlq",
             ObcsError::UnknownIntent(_) => "engine",
             ObcsError::Injected { stage, .. } | ObcsError::DeadlineExceeded { stage, .. } => {
                 stage.cause_label()
@@ -86,7 +83,6 @@ impl fmt::Display for ObcsError {
         match self {
             ObcsError::Kb(e) => write!(f, "knowledge base error: {e}"),
             ObcsError::Nlq(e) => write!(f, "query interpretation error: {e}"),
-            ObcsError::Template(e) => write!(f, "template error: {e}"),
             ObcsError::UnknownIntent(i) => write!(f, "no query translation for intent `{i}`"),
             ObcsError::Injected { stage, kind } => {
                 write!(f, "injected {} fault at stage `{}`", kind.label(), stage.label())
@@ -116,12 +112,6 @@ impl From<KbError> for ObcsError {
 impl From<NlqError> for ObcsError {
     fn from(e: NlqError) -> Self {
         ObcsError::Nlq(e)
-    }
-}
-
-impl From<TemplateError> for ObcsError {
-    fn from(e: TemplateError) -> Self {
-        ObcsError::Template(e)
     }
 }
 

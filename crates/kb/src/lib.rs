@@ -20,8 +20,10 @@
 //!   primary and foreign key, the join keys template SQL probes, and on
 //!   each table's name column, where its filters land; ordered indexes
 //!   are created explicitly,
-//! * a result cache keyed on SQL text, which every writer clears
-//!   (DESIGN.md §12),
+//! * prepared plans: a template's `'<@Concept>'` markers bind as
+//!   parameters, so a query is bound once and executed with a value
+//!   vector ([`KnowledgeBase::prepare_with`], [`KnowledgeBase::execute`],
+//!   DESIGN.md §14.2),
 //! * data statistics (row counts, distinct counts, categorical-attribute
 //!   detection) used by the bootstrapper to identify dependent concepts
 //!   (paper §4.2.1) ([`stats`]),
@@ -52,7 +54,7 @@
 //! ```
 //!
 //! Crate role: DESIGN.md §2; executor performance architecture: §9;
-//! traced query execution (`query_traced`): §10.
+//! traced query execution (`execute_traced`): §10.
 
 pub mod durable;
 pub mod index;

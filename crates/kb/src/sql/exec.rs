@@ -1,14 +1,17 @@
-//! Executor for the SQL subset, split into two phases (DESIGN.md §12):
+//! Executor for the SQL subset, split into two phases (DESIGN.md §14.2):
 //!
 //! * **bind** — schema-dependent name resolution: table lookups, column
 //!   references, predicate lowering, projection naming, access-path
 //!   choice. Produces a [`BoundPlan`] that depends only on the schemas
 //!   and indexes of the referenced tables, so binding alone type-checks
-//!   a query without reading a row (`KnowledgeBase::prepare`).
+//!   a query without reading a row (`KnowledgeBase::prepare`). A string
+//!   literal equal to one of the caller's markers (`'<@Drug>'`) binds as
+//!   a parameter, so a template is bound once and run with many values.
 //! * **execute** — row-dependent work: hash joins, filtering, projection,
-//!   DISTINCT/ORDER BY/LIMIT, driven entirely by a `BoundPlan`. A tuple
-//!   is one row position per joined slot, stored flat, and each
-//!   predicate runs as soon as the slots it reads are bound.
+//!   DISTINCT/ORDER BY/LIMIT, driven entirely by a `BoundPlan` and its
+//!   parameter values. A tuple is one row position per joined slot,
+//!   stored flat, and each predicate runs as soon as the slots it reads
+//!   are bound.
 
 use std::collections::{HashMap, HashSet};
 
@@ -56,10 +59,13 @@ struct BoundPred {
 /// A fully bound, reusable query plan: every name resolved to slot/column
 /// indices, every predicate lowered, the projection list and output
 /// headers fixed. A plan depends only on the *schemas* of the referenced
-/// tables (which this KB never alters after creation), never on row data —
-/// that is what makes it safe to cache across executions (DESIGN.md §12).
+/// tables (which this KB never alters after creation), never on row data,
+/// so it runs unchanged after inserts. Its parameters take their values
+/// at execution (DESIGN.md §14.2).
 #[derive(Debug)]
 pub struct BoundPlan {
+    /// How many parameter values every execution must supply.
+    params: usize,
     from_table: String,
     joins: Vec<BoundJoin>,
     preds: Vec<BoundPred>,
@@ -112,6 +118,12 @@ impl BoundPlan {
         self.preds.len()
     }
 
+    /// Number of parameter values an execution takes: one per marker the
+    /// plan was prepared with.
+    pub fn param_count(&self) -> usize {
+        self.params
+    }
+
     /// Whether the planner chose an index-backed access path for the
     /// FROM table (as opposed to a full scan).
     pub fn uses_index(&self) -> bool {
@@ -133,11 +145,8 @@ impl BoundPlan {
     /// The ascending FROM-table positions the access path yields — a
     /// superset of the rows any output tuple starts from — or `None` to
     /// scan (no path, or a probe that declines).
-    fn candidates(&self, slots: &Slots<'_>) -> Option<Vec<u32>> {
-        let literal = |pred: usize| match &self.preds[pred].rhs {
-            PredRhs::Literal(key) => Some(key),
-            _ => None,
-        };
+    fn candidates(&self, slots: &Slots<'_>, params: &[Value]) -> Option<Vec<u32>> {
+        let literal = |pred: usize| self.preds[pred].rhs.value(params);
         match &self.access {
             AccessPath::Scan => None,
             AccessPath::IndexEq { pred } => {
@@ -188,10 +197,11 @@ impl<'a> Slots<'a> {
 }
 
 impl BoundPred {
-    fn holds(&self, slots: &Slots<'_>, tuple: &[u32]) -> bool {
+    fn holds(&self, slots: &Slots<'_>, tuple: &[u32], params: &[Value]) -> bool {
         let lhs = slots.value(tuple, self.lhs);
         match &self.rhs {
             PredRhs::Literal(v) => compare(lhs, self.op, v),
+            PredRhs::Param(i) => compare(lhs, self.op, &params[*i]),
             PredRhs::Column(b) => compare(lhs, self.op, slots.value(tuple, *b)),
             PredRhs::Needle(needle) => lhs.as_text().is_some_and(|s| contains_lowered(s, needle)),
         }
@@ -210,8 +220,10 @@ fn like_prefix(pattern: &str) -> &str {
 }
 
 /// Binds a parsed SELECT against the current schemas, producing a
-/// reusable [`BoundPlan`].
-pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
+/// reusable [`BoundPlan`]. A string literal equal to `markers[i]` binds as
+/// parameter `i`; a literal that merely contains a marker is an error, so
+/// marker text never runs as a constant.
+pub fn bind(kb: &KnowledgeBase, stmt: &Select, markers: &[&str]) -> Result<BoundPlan, KbError> {
     // Resolve bindings: FROM table plus one per join.
     let mut bindings: Vec<Binding<'_>> = Vec::with_capacity(1 + stmt.joins.len());
     let from_table = kb.table(&stmt.from.table)?;
@@ -301,9 +313,19 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
         .iter()
         .map(|p| match p {
             Predicate::ColumnLiteral { column, op, literal } => {
+                let text = literal.as_text();
+                let param = text.and_then(|t| markers.iter().position(|m| *m == t));
+                if let (None, Some(t)) = (param, text) {
+                    if let Some(m) = markers.iter().find(|m| t.contains(**m)) {
+                        return Err(KbError::Semantic(format!(
+                            "marker `{m}` must be a whole string literal, found in '{t}'"
+                        )));
+                    }
+                }
                 // CONTAINS needles are lowered once here, not once per row.
-                let rhs = match (op, literal.as_text()) {
-                    (CompareOp::Contains, Some(t)) => PredRhs::Needle(t.to_lowercase()),
+                let rhs = match (param, op, text) {
+                    (Some(i), ..) => PredRhs::Param(i),
+                    (None, CompareOp::Contains, Some(t)) => PredRhs::Needle(t.to_lowercase()),
                     _ => PredRhs::Literal(literal.clone()),
                 };
                 let lhs = resolve(column)?;
@@ -384,7 +406,9 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
     // result cardinality, and only if it beats a meaningful fraction of
     // a full scan. Estimates come from the O(1) distinct-key counts the
     // indexes maintain (`stats::estimated_eq_rows`), so binding stays
-    // row-data-free except for these counters.
+    // row-data-free except for these counters. They never read the
+    // compared value, so a parameter gets the path its literal would;
+    // only a LIKE prefix reads the value, and a parameter has none yet.
     let rows = from_table.len() as f64;
     let mut access = AccessPath::Scan;
     let mut best = rows / 2.0;
@@ -393,7 +417,7 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
             continue;
         }
         match (op, rhs) {
-            (CompareOp::Eq, PredRhs::Literal(_)) => {
+            (CompareOp::Eq, PredRhs::Literal(_) | PredRhs::Param(_)) => {
                 let column = bindings[0].columns[bound.col];
                 if let Some(est) = stats::estimated_eq_rows(kb, &stmt.from.table, column) {
                     if est < best {
@@ -427,7 +451,7 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
     for (i, pred) in preds.iter().enumerate() {
         if pred.lhs.slot == 0
             || pred.op != CompareOp::Eq
-            || !matches!(pred.rhs, PredRhs::Literal(_))
+            || !matches!(pred.rhs, PredRhs::Literal(_) | PredRhs::Param(_))
         {
             continue;
         }
@@ -440,6 +464,7 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select) -> Result<BoundPlan, KbError> {
     }
 
     Ok(BoundPlan {
+        params: markers.len(),
         from_table: stmt.from.table.clone(),
         joins,
         preds,
@@ -477,8 +502,20 @@ fn join_probe_estimate(
     Some(est)
 }
 
-/// Executes a bound plan against the knowledge base's current rows.
-pub fn execute_bound(kb: &KnowledgeBase, plan: &BoundPlan) -> Result<ResultSet, KbError> {
+/// Executes a bound plan against the knowledge base's current rows, with
+/// `params[i]` standing for the plan's parameter `i`.
+pub fn execute_bound(
+    kb: &KnowledgeBase,
+    plan: &BoundPlan,
+    params: &[Value],
+) -> Result<ResultSet, KbError> {
+    if params.len() != plan.params {
+        return Err(KbError::Semantic(format!(
+            "plan takes {} parameters, got {}",
+            plan.params,
+            params.len()
+        )));
+    }
     // Start with the FROM rows — either every row (scan) or the
     // ascending candidate positions an access path yields. Candidates
     // are a superset of the rows any output tuple starts from, in row
@@ -487,9 +524,9 @@ pub fn execute_bound(kb: &KnowledgeBase, plan: &BoundPlan) -> Result<ResultSet, 
     // a saturated or inexact index), in which case we scan.
     let slots = Slots(plan.tables().map(|t| kb.table(t)).collect::<Result<_, _>>()?);
     let passes = |tuple: &[u32], slot: usize| {
-        plan.preds.iter().filter(|p| p.slot == slot).all(|p| p.holds(&slots, tuple))
+        plan.preds.iter().filter(|p| p.slot == slot).all(|p| p.holds(&slots, tuple, params))
     };
-    let candidates = if kb.index_enabled() { plan.candidates(&slots) } else { None };
+    let candidates = if kb.index_enabled() { plan.candidates(&slots, params) } else { None };
     // A tuple is `width` row positions, one per slot filled so far, and
     // `tuples` holds them back to back.
     let mut tuples: Vec<u32> = candidates.unwrap_or_else(|| (0..slots.0[0].len() as u32).collect());
@@ -519,7 +556,9 @@ pub fn execute_bound(kb: &KnowledgeBase, plan: &BoundPlan) -> Result<ResultSet, 
                 }
             }
         }
-        let mut next: Vec<u32> = Vec::new();
+        // Sized for one match per tuple, the common case of a join
+        // along a foreign key.
+        let mut next: Vec<u32> = Vec::with_capacity(tuples.len() / width * (width + 1));
         for tuple in tuples.chunks_exact(width) {
             let key = slots.value(tuple, join.existing);
             if key.is_null() {
@@ -549,7 +588,7 @@ pub fn execute_bound(kb: &KnowledgeBase, plan: &BoundPlan) -> Result<ResultSet, 
         .collect();
 
     // DISTINCT: keep each row's first occurrence.
-    if plan.distinct {
+    if plan.distinct && rows.len() > 1 {
         let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
         let mut first =
             rows.iter().map(|r| seen.insert(r.as_slice())).collect::<Vec<_>>().into_iter();
@@ -576,17 +615,25 @@ pub fn execute_bound(kb: &KnowledgeBase, plan: &BoundPlan) -> Result<ResultSet, 
     Ok(ResultSet { columns: plan.out_cols.clone(), rows })
 }
 
-/// Executes a parsed SELECT against the knowledge base: bind + execute.
-pub fn execute(kb: &KnowledgeBase, stmt: &Select) -> Result<ResultSet, KbError> {
-    execute_bound(kb, &bind(kb, stmt)?)
-}
-
 #[derive(Debug)]
 enum PredRhs {
     Literal(Value),
+    /// The plan's `i`-th parameter, supplied at execution.
+    Param(usize),
     Column(Bound),
     /// Pre-lowered CONTAINS needle (text literal predicates only).
     Needle(String),
+}
+
+impl PredRhs {
+    /// The value a literal or parameter compares against.
+    fn value<'v>(&'v self, params: &'v [Value]) -> Option<&'v Value> {
+        match self {
+            PredRhs::Literal(v) => Some(v),
+            PredRhs::Param(i) => Some(&params[*i]),
+            _ => None,
+        }
+    }
 }
 
 fn compare(lhs: &Value, op: CompareOp, rhs: &Value) -> bool {
@@ -794,11 +841,11 @@ mod tests {
     fn bound_plan_is_reusable_across_inserts() {
         let mut kb = medical_kb();
         let stmt = super::super::parser::parse("SELECT name FROM drug WHERE drug_id >= 2").unwrap();
-        let plan = bind(&kb, &stmt).unwrap();
-        assert_eq!(execute_bound(&kb, &plan).unwrap().rows.len(), 2);
+        let plan = bind(&kb, &stmt, &[]).unwrap();
+        assert_eq!(execute_bound(&kb, &plan, &[]).unwrap().rows.len(), 2);
         kb.insert("drug", vec![Value::Int(9), Value::text("Warfarin")]).unwrap();
         // The plan depends only on schema, so it sees the new row.
-        assert_eq!(execute_bound(&kb, &plan).unwrap().rows.len(), 3);
+        assert_eq!(execute_bound(&kb, &plan, &[]).unwrap().rows.len(), 3);
     }
 
     #[test]
@@ -1057,6 +1104,38 @@ mod tests {
         let both = format!("{PAPER_TEMPLATE} AND p.prec_id = 2");
         assert_eq!(kb.prepare(&both).unwrap().access_label(), "index_eq");
         assert_eq!(kb.query(&both).unwrap(), scan.query(&both).unwrap());
+    }
+
+    #[test]
+    fn markers_bind_as_parameters_on_the_literal_access_path() {
+        let mut kb = wide_medical_kb();
+        kb.auto_index();
+        let template = PAPER_TEMPLATE.replace("'Ibuprofen'", "'<@Drug>'");
+        let plan = kb.prepare_with(&template, &["<@Drug>"]).unwrap();
+        assert_eq!(plan.param_count(), 1);
+        assert_eq!(plan.access_label(), kb.prepare(PAPER_TEMPLATE).unwrap().access_label());
+        for name in ["Ibuprofen", "Aspirin", "Nothing", "O'Neil"] {
+            let literal = PAPER_TEMPLATE.replace("Ibuprofen", &name.replace('\'', "''"));
+            assert_eq!(kb.execute(&plan, &[Value::text(name)]), kb.query(&literal), "{name}");
+        }
+        // Without markers the same text is an ordinary constant.
+        assert!(kb.query(&template).unwrap().rows.is_empty());
+        assert!(matches!(kb.execute(&plan, &[]), Err(KbError::Semantic(_))));
+    }
+
+    #[test]
+    fn a_marker_inside_a_longer_literal_is_a_prepare_error() {
+        let kb = medical_kb();
+        let sql = "SELECT name FROM drug WHERE name = 'x<@Drug>'";
+        assert!(matches!(kb.prepare_with(sql, &["<@Drug>"]), Err(KbError::Semantic(_))));
+        assert!(kb.prepare(sql).is_ok(), "no markers, no parameters");
+        // A parameter never drives an ordered-index prefix read.
+        let mut kb = medical_kb();
+        kb.create_index("drug", "name", IndexKind::Ordered).unwrap();
+        let like = kb.prepare_with("SELECT name FROM drug WHERE name LIKE '<@P>'", &["<@P>"]);
+        let like = like.unwrap();
+        assert_eq!(like.access_label(), "scan");
+        assert_eq!(kb.execute(&like, &[Value::text("Asp%")]).unwrap().rows.len(), 1);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-use obcs_cache::{CacheConfig, CacheStats, LruCache};
+use obcs_cache::CacheStats;
 use serde::{Deserialize, Serialize};
 
 use crate::index::{IndexKind, IndexSpec, SecondaryIndex};
@@ -241,72 +241,13 @@ impl ResultSet {
     }
 }
 
-/// Hit/miss counters of the KB's result cache.
+/// Cache counters of the KB, always zero: the KB has no caches (a
+/// fulfilment runs plans prepared once per agent, DESIGN.md §12). Kept
+/// only because the servebench harness reads both fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KbCacheStats {
-    /// Always zero: the KB has no plan cache. Kept only because the
-    /// servebench harness reads it.
     pub plan: CacheStats,
-    /// Result cache (`kb_result` telemetry layer).
     pub result: CacheStats,
-}
-
-/// The query cache riding on a [`KnowledgeBase`] (DESIGN.md §12): results
-/// keyed by SQL text. Every KB writer takes `&mut self` and clears it, so
-/// an entry is never older than the data it was computed from. Cloning a
-/// KB (e.g. `fork_session`) shares the table data copy-on-write but
-/// starts the clone with an empty cache, so forks never share mutable
-/// state; only the enabled flag carries over.
-struct QueryCaches {
-    enabled: bool,
-    result: Mutex<LruCache<ResultSet>>,
-}
-
-impl Default for QueryCaches {
-    fn default() -> Self {
-        QueryCaches { enabled: true, result: Mutex::new(LruCache::new(CacheConfig::default())) }
-    }
-}
-
-impl QueryCaches {
-    /// Drops every cached result. Writers hold `&mut`, so no lock is
-    /// taken; a no-op when the cache is empty.
-    fn clear(&mut self) {
-        self.result.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
-    }
-}
-
-impl Clone for QueryCaches {
-    fn clone(&self) -> Self {
-        QueryCaches { enabled: self.enabled, ..QueryCaches::default() }
-    }
-}
-
-impl fmt::Debug for QueryCaches {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QueryCaches").field("enabled", &self.enabled).finish_non_exhaustive()
-    }
-}
-
-/// Locks a cache, recovering from a poisoned mutex: the caches hold no
-/// invariants across panics (worst case a half-touched LRU order), so a
-/// poisoned lock is safe to re-enter.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Rough serialized size of a result set, used to cost result-cache
-/// entries against the byte budget. Exactness doesn't matter — it only
-/// has to scale with the real footprint.
-fn approx_result_bytes(rs: &ResultSet) -> usize {
-    let mut bytes = 64 + rs.columns.iter().map(|c| c.len() + 24).sum::<usize>();
-    for row in &rs.rows {
-        bytes += 24;
-        for v in row {
-            bytes += 16 + v.as_text().map_or(0, str::len);
-        }
-    }
-    bytes
 }
 
 /// The in-memory knowledge base: a named collection of tables.
@@ -323,8 +264,6 @@ pub struct KnowledgeBase {
     /// see [`set_index_enabled`](Self::set_index_enabled).
     #[serde(skip)]
     indexes_disabled: bool,
-    #[serde(skip)]
-    caches: QueryCaches,
 }
 
 impl KnowledgeBase {
@@ -339,7 +278,6 @@ impl KnowledgeBase {
             return Err(KbError::TableExists(schema.name));
         }
         Arc::make_mut(&mut self.tables).insert(schema.name.clone(), Table::new(schema));
-        self.caches.clear();
         Ok(())
     }
 
@@ -421,14 +359,12 @@ impl KnowledgeBase {
             sec.insert_row(pos, &row[sec.column_pos()]);
         }
         t.rows.push(row);
-        self.caches.clear();
         Ok(())
     }
 
     /// Creates (and builds) a secondary index on `table.column`; `false`
-    /// if an identical index already exists. Like every writer it clears
-    /// the result cache, although an index never changes a result
-    /// (DESIGN.md §14).
+    /// if an identical index already exists. An index never changes a
+    /// result (DESIGN.md §14).
     pub fn create_index(
         &mut self,
         table: &str,
@@ -440,7 +376,6 @@ impl KnowledgeBase {
         }
         let t = Arc::make_mut(&mut self.tables).get_mut(table).expect("existence checked above");
         t.add_secondary(column, kind)?;
-        self.caches.clear();
         Ok(true)
     }
 
@@ -473,9 +408,8 @@ impl KnowledgeBase {
     }
 
     /// Enables or disables index-backed execution at run time. Purely a
-    /// routing switch — indexed and scan execution return byte-identical
-    /// results (the index-oracle property test) — so cached results stay
-    /// valid either way.
+    /// routing switch: indexed and scan execution return byte-identical
+    /// results (the index-oracle property test).
     pub fn set_index_enabled(&mut self, on: bool) {
         self.indexes_disabled = !on;
     }
@@ -490,69 +424,62 @@ impl KnowledgeBase {
         self.tables.values().map(|t| t.secondary_indexes().len()).sum()
     }
 
-    /// Parses and executes a SQL query against the store.
-    ///
-    /// With caching enabled (the default), the result cache is consulted
-    /// first, keyed on the SQL text. Every writer clears it, so a hit
-    /// replays a value the same engine computed from the same data, and
-    /// callers cannot observe the cache except through
-    /// [`cache_stats`](Self::cache_stats). Errors are never cached.
+    /// Parses, binds and executes a SQL query against the store. Every
+    /// string literal is a constant: this is
+    /// [`prepare`](Self::prepare) followed by [`execute`](Self::execute)
+    /// with no parameters.
     pub fn query(&self, sql_text: &str) -> Result<ResultSet, KbError> {
-        if self.caches.enabled {
-            if let Some(rs) = lock(&self.caches.result).get(sql_text) {
-                return Ok(rs);
-            }
-        }
-        let stmt = sql::parser::parse(sql_text)?;
-        let rs = sql::exec::execute(self, &stmt)?;
-        if self.caches.enabled {
-            lock(&self.caches.result).put(sql_text, rs.clone(), approx_result_bytes(&rs));
-        }
-        Ok(rs)
+        self.execute(&self.prepare(sql_text)?, &[])
     }
 
     /// Parses and **binds** a query against the current schemas without
-    /// executing it: the static front half of [`query`](Self::query)
-    /// (DESIGN.md §12). Binding resolves every table and column name,
-    /// relates each join to an earlier table, lowers predicates, and
-    /// fixes the projection — so a successful `prepare` proves the SQL
-    /// type-checks against the schema without reading a single row.
-    /// Verification layers (`obcs-verify`) use this to statically check
-    /// every generated query template.
+    /// executing it (DESIGN.md §14.2). Binding resolves every table and
+    /// column name, relates each join to an earlier table, lowers
+    /// predicates, chooses the access path, and fixes the projection —
+    /// so a successful `prepare` proves the SQL type-checks against the
+    /// schema without reading a single row.
     pub fn prepare(&self, sql_text: &str) -> Result<sql::exec::BoundPlan, KbError> {
-        let stmt = sql::parser::parse(sql_text)?;
-        sql::exec::bind(self, &stmt)
+        self.prepare_with(sql_text, &[])
     }
 
-    /// Enables or disables the result cache. Disabling drops every cached
-    /// entry (counters are kept), so a later re-enable starts cold.
-    pub fn set_cache_enabled(&mut self, on: bool) {
-        self.caches.enabled = on;
-        if !on {
-            self.caches.clear();
-        }
-    }
-
-    /// Whether the result cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.caches.enabled
-    }
-
-    /// Counters accumulated by the result cache so far.
-    pub fn cache_stats(&self) -> KbCacheStats {
-        KbCacheStats { plan: CacheStats::default(), result: lock(&self.caches.result).stats() }
-    }
-
-    /// Like [`KnowledgeBase::query`], recording a
-    /// [`kb_execute`](obcs_telemetry::stage::KB_EXECUTE) span plus
-    /// query/row counters on `rec` (see DESIGN.md §10).
-    pub fn query_traced(
+    /// Like [`prepare`](Self::prepare), binding every string literal
+    /// equal to `markers[i]` (a template's `'<@Concept>'`) as parameter
+    /// `i`: the plan is bound once and [executed](Self::execute) with a
+    /// value per marker. A marker inside a longer literal is an error,
+    /// so marker text never runs as a constant. `obcs-verify` and the
+    /// conversation engine prepare every template this way.
+    pub fn prepare_with(
         &self,
         sql_text: &str,
+        markers: &[&str],
+    ) -> Result<sql::exec::BoundPlan, KbError> {
+        let stmt = sql::parser::parse(sql_text)?;
+        sql::exec::bind(self, &stmt, markers)
+    }
+
+    /// Runs a prepared plan against the current rows, `params[i]` standing
+    /// for its parameter `i`. The result equals
+    /// [`query`](Self::query) of the SQL with each marker replaced by its
+    /// quoted value.
+    pub fn execute(
+        &self,
+        plan: &sql::exec::BoundPlan,
+        params: &[Value],
+    ) -> Result<ResultSet, KbError> {
+        sql::exec::execute_bound(self, plan, params)
+    }
+
+    /// Like [`execute`](Self::execute), recording a
+    /// [`kb_execute`](obcs_telemetry::stage::KB_EXECUTE) span plus
+    /// query/row counters on `rec` (see DESIGN.md §10).
+    pub fn execute_traced(
+        &self,
+        plan: &sql::exec::BoundPlan,
+        params: &[Value],
         rec: &dyn obcs_telemetry::Recorder,
     ) -> Result<ResultSet, KbError> {
         let _span = obcs_telemetry::span(rec, obcs_telemetry::stage::KB_EXECUTE);
-        let result = self.query(sql_text);
+        let result = self.execute(plan, params);
         rec.incr(obcs_telemetry::metric::KB_QUERIES, "");
         if let Ok(rs) = &result {
             rec.add(obcs_telemetry::metric::KB_ROWS, "", rs.rows.len() as u64);
@@ -741,69 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_query_hits_and_matches_uncached() {
-        let mut kb = kb_with_drug();
-        for (i, n) in [(1, "Aspirin"), (2, "Ibuprofen")] {
-            kb.insert("drug", vec![Value::Int(i), Value::text(n)]).unwrap();
-        }
-        assert!(kb.cache_enabled(), "caching is on by default");
-        let sql = "SELECT name FROM drug WHERE drug_id >= 1";
-        let first = kb.query(sql).unwrap();
-        let second = kb.query(sql).unwrap();
-        assert_eq!(first, second);
-        let stats = kb.cache_stats();
-        assert_eq!(stats.result.hits, 1, "second run served from the result cache");
-        assert_eq!(stats.result.misses, 1, "executed once");
-
-        let mut oracle = kb.clone();
-        oracle.set_cache_enabled(false);
-        assert_eq!(oracle.query(sql).unwrap(), first, "cache is value-invisible");
-    }
-
-    #[test]
-    fn insert_drops_cached_results() {
-        let mut kb = kb_with_drug();
-        kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
-        let sql = "SELECT name FROM drug";
-        assert_eq!(kb.query(sql).unwrap().rows.len(), 1);
-        kb.insert("drug", vec![Value::Int(2), Value::text("B")]).unwrap();
-        assert_eq!(kb.query(sql).unwrap().rows.len(), 2, "stale result must not serve");
-        assert_eq!(kb.cache_stats().result.invalidations, 1);
-    }
-
-    #[test]
-    fn create_table_drops_cached_results() {
-        let mut kb = kb_with_drug();
-        kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
-        let sql = "SELECT name FROM drug";
-        let before = kb.query(sql).unwrap();
-        kb.create_table(TableSchema::new("other").column("x", ColumnType::Int)).unwrap();
-        assert_eq!(kb.query(sql).unwrap(), before);
-        let stats = kb.cache_stats().result;
-        assert_eq!(stats.invalidations, 1, "create_table dropped the cached result");
-        assert_eq!(stats.hits, 0, "the re-run executed instead of hitting");
-    }
-
-    #[test]
-    fn errors_are_not_cached() {
-        let kb = kb_with_drug();
-        assert!(kb.query("SELECT nope FROM drug").is_err());
-        assert!(kb.query("SELECT nope FROM drug").is_err());
-        let stats = kb.cache_stats().result;
-        assert_eq!((stats.hits, stats.misses), (0, 2));
-    }
-
-    #[test]
-    fn clone_starts_with_cold_caches() {
-        let mut kb = kb_with_drug();
-        kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
-        kb.query("SELECT name FROM drug").unwrap();
-        let fork = kb.clone();
-        assert!(fork.cache_enabled());
-        assert_eq!(fork.cache_stats(), KbCacheStats::default(), "no shared or carried state");
-    }
-
-    #[test]
     fn clone_shares_tables_until_either_side_mutates() {
         let mut kb = kb_with_drug();
         kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
@@ -833,19 +697,14 @@ mod tests {
         "SELECT drug_id FROM drug WHERE name LIKE 'A%'",
     ];
 
-    /// A KB and its clone, both with every probe answered once, so both
-    /// result caches are warm.
-    fn warm_twins() -> (KnowledgeBase, KnowledgeBase) {
+    /// A KB and its clone.
+    fn twins() -> (KnowledgeBase, KnowledgeBase) {
         let mut kb = kb_with_drug();
         for (i, n) in [(1, "Aspirin"), (2, "Abacavir"), (3, "Ibuprofen")] {
             kb.insert("drug", vec![Value::Int(i), Value::text(n)]).unwrap();
         }
         kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
         let twin = kb.clone();
-        for sql in TWIN_PROBES {
-            kb.query(sql).unwrap();
-            twin.query(sql).unwrap();
-        }
         (kb, twin)
     }
 
@@ -873,7 +732,7 @@ mod tests {
         ];
         for (what, mutate) in mutations {
             for mutate_source in [true, false] {
-                let (mut source, mut clone) = warm_twins();
+                let (mut source, mut clone) = twins();
                 let (changed, kept) = if mutate_source {
                     (&mut source, &mut clone)
                 } else {
@@ -882,7 +741,6 @@ mod tests {
                 let view = twin_view(kept);
                 let results: Vec<ResultSet> =
                     TWIN_PROBES.iter().map(|sql| kept.query(sql).unwrap()).collect();
-                let hits = kept.cache_stats().result.hits;
 
                 mutate(changed);
                 assert_ne!(twin_view(changed), view, "{what} had no effect");
@@ -890,17 +748,12 @@ mod tests {
                 for (sql, expected) in TWIN_PROBES.iter().zip(&results) {
                     assert_eq!(&kept.query(sql).unwrap(), expected, "{what} moved {sql:?}");
                 }
-                assert_eq!(
-                    kept.cache_stats().result.hits,
-                    hits + TWIN_PROBES.len() as u64,
-                    "{what} on one twin invalidated the other's cached results"
-                );
             }
         }
     }
 
     #[test]
-    fn create_index_drops_cached_results_and_is_idempotent() {
+    fn create_index_is_value_invisible_and_idempotent() {
         let mut kb = kb_with_drug();
         for i in 0..20 {
             kb.insert("drug", vec![Value::Int(i), Value::text(format!("Drug{i}"))]).unwrap();
@@ -910,12 +763,9 @@ mod tests {
         assert!(!kb.prepare(sql).unwrap().uses_index());
         assert!(kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
         assert_eq!(kb.query(sql).unwrap(), before, "index is value-invisible");
-        assert_eq!(kb.cache_stats().result.invalidations, 1, "the writer dropped the result");
         assert!(kb.prepare(sql).unwrap().uses_index());
-        // Identical index again: a no-op that keeps the cached result.
+        // Identical index again: a no-op.
         assert!(!kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
-        kb.query(sql).unwrap();
-        assert_eq!(kb.cache_stats().result.hits, 1, "a no-op build dropped nothing");
         assert_eq!(kb.index_count(), 1);
     }
 

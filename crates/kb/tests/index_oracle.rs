@@ -2,10 +2,9 @@
 //! scan-only oracle (DESIGN.md §14): starting from no index or from the
 //! default policy, over arbitrary interleavings of inserts, queries,
 //! index creations, and index enable/disable toggles,
-//! a KB answering through its secondary indexes (and its result cache)
-//! must return byte-identical results — including errors — to a
-//! KB that never builds an index and executes with caching off. The
-//! schema mixes an `Int` PK, a high-cardinality text column, and a
+//! a KB answering through its secondary indexes must return
+//! byte-identical results — including errors — to a KB that never
+//! builds an index. The schema mixes an `Int` PK, a high-cardinality text column, and a
 //! `Float` column that also admits `Int` values, so the dual-probe
 //! (`Int`↔`Float` `sql_eq`) and saturation (≥ 2^53) paths are all
 //! exercised mid-stream. Equalities on *joined* tables exercise the join
@@ -14,10 +13,16 @@
 //! Mid-stream the indexed KB may also be cloned, after which the twins
 //! mutate independently: each must keep matching an oracle rebuilt from
 //! its own history, never from a clone.
+//!
+//! Over the same schema, a template prepared once with its `'<@…>'`
+//! markers as parameters (DESIGN.md §14.2) must answer every parameter
+//! vector exactly as `query` answers the template with each marker
+//! replaced by the quoted value, adversarial values included.
 
 use std::collections::BTreeSet;
 
 use obcs_kb::schema::{ColumnType, TableSchema};
+use obcs_kb::value::sql_quote;
 use obcs_kb::{IndexKind, KnowledgeBase, Value};
 use proptest::prelude::*;
 
@@ -210,7 +215,7 @@ fn apply_insert(kb: &mut KnowledgeBase, op: &Op) -> Result<(), obcs_kb::KbError>
 /// Most twins one case may fork into.
 const MAX_TWINS: usize = 4;
 
-/// One line of descent: the indexed (and cached) KB, the inserts it has
+/// One line of descent: the indexed KB, the inserts it has
 /// seen, the index targets it has built, and its scan-only oracle.
 struct Twin {
     indexed: KnowledgeBase,
@@ -219,11 +224,10 @@ struct Twin {
     oracle: KnowledgeBase,
 }
 
-/// A scan-only, cache-free KB built from `inserts` alone — never cloned,
-/// so it shares storage with nothing.
+/// A scan-only KB built from `inserts` alone — never cloned, so it
+/// shares storage with nothing.
 fn oracle_of(inserts: &[Op]) -> KnowledgeBase {
     let mut oracle = fresh_kb();
-    oracle.set_cache_enabled(false);
     oracle.set_index_enabled(false);
     for op in inserts {
         let _ = apply_insert(&mut oracle, op);
@@ -232,8 +236,8 @@ fn oracle_of(inserts: &[Op]) -> KnowledgeBase {
 }
 
 proptest! {
-    /// Indexed (and cached) execution is observationally identical to a
-    /// scan-only, cache-free oracle over any interleaving of mutations,
+    /// Indexed execution is observationally identical to a scan-only
+    /// oracle over any interleaving of mutations,
     /// queries, index creations, index toggles, and clones that go on
     /// mutating independently.
     #[test]
@@ -254,14 +258,8 @@ proptest! {
                     // Every twin, so a sibling's mutation that leaked
                     // into shared storage shows up here.
                     for (n, twin) in twins.iter().enumerate() {
-                        let expected = twin.oracle.query(sql);
-                        // Twice: the second run exercises the cache-hit
-                        // path on top of the index-backed plan.
                         prop_assert_eq!(
-                            &twin.indexed.query(sql), &expected, "twin {} cold on {}", n, sql
-                        );
-                        prop_assert_eq!(
-                            &twin.indexed.query(sql), &expected, "twin {} warm on {}", n, sql
+                            twin.indexed.query(sql), twin.oracle.query(sql), "twin {} on {}", n, sql
                         );
                     }
                 }
@@ -344,7 +342,6 @@ fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     }
     let mut scan = indexed.clone();
     scan.set_index_enabled(false);
-    scan.set_cache_enabled(false);
     assert!(indexed.auto_index() > 0);
     for (table, column) in [("drug", "name"), ("drug", "weight"), ("precautions", "description")] {
         assert!(indexed.create_index(table, column, IndexKind::Ordered).expect("index"));
@@ -362,5 +359,122 @@ fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     }
     for sql in QUERIES {
         assert_eq!(indexed.query(sql), scan.query(sql), "divergence on {sql}");
+    }
+}
+
+/// Marker templates over the oracle schema: equality on the FROM table
+/// and through one- and two-hop join probes, two markers in one
+/// statement, a marker under LIKE, CONTAINS and `!=`, and a bind error.
+const TEMPLATES: &[&str] = &[
+    "SELECT drug_id FROM drug WHERE name = '<@Drug>'",
+    "SELECT p.description FROM precautions p \
+     INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.name = '<@Drug>'",
+    "SELECT a.note, d.name FROM advisory a \
+     INNER JOIN precautions p ON a.prec_id = p.prec_id \
+     INNER JOIN drug d ON p.drug_id = d.drug_id \
+     WHERE d.name = '<@Drug>' AND p.description = '<@Note>'",
+    "SELECT DISTINCT d.name FROM drug d \
+     INNER JOIN precautions p ON d.drug_id = p.drug_id \
+     WHERE p.description = '<@Note>' ORDER BY name ASC",
+    "SELECT name FROM drug WHERE name LIKE '<@Drug>'",
+    "SELECT name FROM drug WHERE name CONTAINS '<@Note>'",
+    "SELECT name FROM drug WHERE name != '<@Drug>' ORDER BY name DESC LIMIT 4",
+    "SELECT nope FROM drug WHERE name = '<@Drug>'",
+];
+
+const MARKERS: [&str; 2] = ["<@Drug>", "<@Note>"];
+
+/// Fragments adversarial values are spliced from: quotes, marker text,
+/// LIKE wildcards, the response template's markers, non-ASCII, and
+/// pieces of stored names so that some values match.
+const FRAGMENTS: &[&str] =
+    &["'", "''", "<@Drug>", "<@Note>", "%", "_", "{results}", "Ü", "日本", "Drug", "1x0", " "];
+
+/// The template with every quoted marker replaced by the quoted value, in
+/// one left-to-right pass, so a value holding marker text stays literal.
+fn substitute(template: &str, values: &[String]) -> String {
+    let mut out = String::new();
+    let mut rest = template;
+    while let Some((at, i)) = MARKERS
+        .iter()
+        .enumerate()
+        .filter_map(|(i, m)| rest.find(&format!("'{m}'")).map(|at| (at, i)))
+        .min()
+    {
+        out.push_str(&rest[..at]);
+        out.push_str(&sql_quote(&values[i]));
+        rest = &rest[at + MARKERS[i].len() + 2..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The oracle schema, holding adversarial names and descriptions next to
+/// ordinary ones, under the default index policy plus an ordered index on
+/// each filtered text column.
+fn adversarial_kb() -> KnowledgeBase {
+    let mut kb = fresh_kb();
+    let names = ["Drug1x0", "O'Neil", "''", "<@Drug>", "50%", "a_b", "{results}", "Ünï日本", ""];
+    for (id, name) in names.iter().enumerate() {
+        let id = id as i64;
+        kb.insert("drug", vec![Value::Int(id), Value::text(*name), Value::Int(id % 3)])
+            .expect("insert drug");
+        for k in 0..2 {
+            let prec = id * 2 + k;
+            let note = if k == 0 {
+                names[(id as usize + 3) % names.len()].to_string()
+            } else {
+                format!("precaution {prec}")
+            };
+            kb.insert("precautions", vec![Value::Int(prec), Value::Int(id), Value::text(note)])
+                .expect("insert precaution");
+            kb.insert("advisory", vec![Value::Int(prec), Value::Int(prec), Value::text("advice")])
+                .expect("insert advisory");
+        }
+    }
+    kb.auto_index();
+    kb.create_index("drug", "name", IndexKind::Ordered).expect("index");
+    kb.create_index("precautions", "description", IndexKind::Ordered).expect("index");
+    kb
+}
+
+fn value_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..FRAGMENTS.len(), 0..4)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+proptest! {
+    /// Preparing a template once and executing it with values answers
+    /// exactly what `query` answers for the template with each marker
+    /// replaced by `sql_quote(value)`: same rows, same order, same
+    /// errors, with indexes on and off.
+    #[test]
+    fn prepared_templates_match_quoted_substitution(
+        drug in value_strategy(),
+        note in value_strategy(),
+    ) {
+        let mut kb = adversarial_kb();
+        let values = [drug, note];
+        let params: Vec<Value> = values.iter().map(|v| Value::text(v.as_str())).collect();
+        for indexes in [true, false] {
+            kb.set_index_enabled(indexes);
+            for sql in TEMPLATES {
+                let prepared =
+                    kb.prepare_with(sql, &MARKERS).and_then(|plan| kb.execute(&plan, &params));
+                let expected = kb.query(&substitute(sql, &values));
+                prop_assert_eq!(prepared, expected, "{} with {:?}", sql, values);
+            }
+        }
+    }
+}
+
+#[test]
+fn stored_adversarial_names_are_found_through_parameters() {
+    let kb = adversarial_kb();
+    let plan = kb.prepare_with(TEMPLATES[0], &MARKERS).expect("prepare");
+    for (id, name) in ["O'Neil", "''", "<@Drug>", "{results}", "Ünï日本", ""].iter().enumerate()
+    {
+        let rows = kb.execute(&plan, &[Value::text(*name), Value::text("")]).expect("execute");
+        assert_eq!(rows.rows.len(), 1, "{name:?} (case {id})");
     }
 }

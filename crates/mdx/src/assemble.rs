@@ -83,7 +83,7 @@ impl ConversationalMdx {
                 let regenerated: Vec<LabeledTemplate> = patterns
                     .iter()
                     .filter_map(|p| {
-                        template_for_pattern(p, onto, kb, mapping)
+                        template_for_pattern(p, &[], onto, kb, mapping)
                             .ok()
                             .map(|t| LabeledTemplate { topic: p.topic.clone(), template: t })
                     })

@@ -10,33 +10,48 @@ use obcs_nlq::OntologyMapping;
 
 /// Every template filters a key concept by name on a joined table, and
 /// the default index policy hashes that name column and every join key,
-/// so each instantiated template's plan starts from an index probe and
-/// walks the joins back to its FROM table (DESIGN.md §14.1).
+/// so each plan the agent prepares — the space's templates and the
+/// optional-entity queries alike — starts from an index probe and walks
+/// the joins back to its FROM table (DESIGN.md §14.1), and answers as a
+/// scan does.
 #[test]
 fn every_template_plan_starts_from_an_index() {
-    let (_, kb, mapping, space) = ConversationalMdx::bootstrap_space(MdxDataConfig::default());
-    let mut scan = kb.clone();
+    let (_, kb, mapping, _) = ConversationalMdx::bootstrap_space(MdxDataConfig::default());
+    let agent = ConversationalMdx::with_config(MdxDataConfig::default()).agent;
+    let mut scan = agent.kb().clone();
     scan.set_index_enabled(false);
-    let mut checked = 0;
-    for labeled in space.templates.iter().flat_map(|t| &t.templates) {
-        let values: Vec<(_, String)> = labeled
-            .template
-            .required_concepts()
-            .into_iter()
-            .map(|c| {
-                let (table, label) =
-                    (mapping.table(c).expect("table"), mapping.label(c).expect("label"));
-                let first = kb.distinct_values(table, label).expect("label column").remove(0);
-                (c, first.as_text().expect("text label").to_string())
-            })
-            .collect();
-        let sql = labeled.template.instantiate(&values).expect("instantiate");
-        let plan = kb.prepare(&sql).expect("bind");
-        assert_eq!(plan.access_label(), "join_probe", "{}: {sql}", labeled.topic);
-        assert_eq!(kb.query(&sql), scan.query(&sql), "{}: {sql}", labeled.topic);
-        checked += 1;
+    let prepared = agent.prepared_queries();
+    let (mut templates, mut optional) = (0, 0);
+    for intent in &agent.space().intents {
+        for (mask, query) in (0..1usize << intent.optional_entities.len())
+            .flat_map(|mask| prepared.get(intent.id, mask).iter().map(move |q| (mask, q)))
+        {
+            let plan = query.plan.as_ref().expect("every MDX query prepares");
+            let params: Vec<Value> = query
+                .params
+                .iter()
+                .map(|&c| {
+                    let (table, label) =
+                        (mapping.table(c).expect("table"), mapping.label(c).expect("label"));
+                    kb.distinct_values(table, label).expect("label column").remove(0)
+                })
+                .collect();
+            assert_eq!(plan.access_label(), "join_probe", "{}: {}", intent.name, query.topic);
+            assert_eq!(
+                agent.kb().execute(plan, &params),
+                scan.execute(plan, &params),
+                "{}: {}",
+                intent.name,
+                query.topic
+            );
+            if mask == 0 {
+                templates += 1;
+            } else {
+                optional += 1;
+            }
+        }
     }
-    assert_eq!(checked, 27, "every MDX template");
+    assert_eq!((templates, optional), (27, 4), "every MDX template and optional-entity query");
 }
 
 #[test]

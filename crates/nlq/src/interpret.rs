@@ -449,13 +449,13 @@ mod tests {
     }
 
     #[test]
-    fn template_has_markers_and_instantiates() -> TestResult {
+    fn template_has_markers_and_runs_prepared() -> TestResult {
         let (onto, kb, mapping, lex) = fixture()?;
         let q = interpret("precaution for aspirin", &onto, &lex, &mapping)?;
         let tpl = q.to_template(&onto, &kb, &mapping)?;
         assert!(tpl.sql().contains("'<@Drug>'"), "template: {}", tpl.sql());
-        let sql = tpl.instantiate(&[(onto.concept_id("Drug")?, "Aspirin".to_string())])?;
-        let rs = kb.query(&sql)?;
+        let rs = kb.execute(&tpl.prepare(&kb)?, &[Value::text("Aspirin")])?;
+        assert_eq!(rs, kb.query(&q.to_sql(&onto, &kb, &mapping)?)?);
         assert_eq!(rs.rows.len(), 1);
         Ok(())
     }

@@ -17,8 +17,8 @@
 //! 3. [`mod@interpret`] — assemble an interpreted query (focus concept,
 //!    projections, join path over the ontology, filters) and render SQL.
 //! 4. [`template`] — parameterise SQL into a reusable template with
-//!    `<@Concept>` markers, instantiated at runtime with recognised
-//!    entities.
+//!    `<@Concept>` markers, prepared once as a plan whose parameters
+//!    take the recognised entities at runtime.
 //!
 //! Crate role: DESIGN.md §2; annotation performance architecture: §9;
 //! traced interpretation (`interpret_traced`, `annotate_traced`): §10.

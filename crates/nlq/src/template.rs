@@ -1,12 +1,12 @@
 //! Parameterised structured query templates (paper §4.4, Fig. 9).
 //!
 //! A template is a SQL string containing `'<@Concept>'` parameter markers,
-//! one per required entity. At runtime the dialogue layer instantiates the
-//! template with the entities recognised in (or elicited from) the user's
-//! utterances.
+//! one per required entity. The conversation engine
+//! [prepares](QueryTemplate::prepare) each template once, every marker
+//! bound as a parameter, and runs the plan with the entities recognised
+//! in (or elicited from) the user's utterances as parameter values.
 
-use std::fmt;
-
+use obcs_kb::{BoundPlan, KbError, KnowledgeBase};
 use obcs_ontology::{ConceptId, Ontology};
 use serde::{Deserialize, Serialize};
 
@@ -26,23 +26,6 @@ pub struct TemplateParam {
     /// The marker as it appears in the SQL, e.g. `<@Drug>`.
     pub marker: String,
 }
-
-/// Errors instantiating a template.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TemplateError {
-    /// A required parameter was not supplied.
-    MissingParam(String),
-}
-
-impl fmt::Display for TemplateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TemplateError::MissingParam(m) => write!(f, "missing value for parameter `{m}`"),
-        }
-    }
-}
-
-impl std::error::Error for TemplateError {}
 
 impl QueryTemplate {
     /// Creates a template from SQL containing `<@Concept>` markers for the
@@ -71,38 +54,18 @@ impl QueryTemplate {
         out
     }
 
-    /// Instantiates the template: every marker is replaced by the supplied
-    /// value for its concept (single-quote-escaped). All parameters must be
-    /// supplied. Substitution is one left-to-right pass over the template,
-    /// so an inserted value is never scanned again: a value that contains
-    /// marker text stays literal.
-    pub fn instantiate(&self, values: &[(ConceptId, String)]) -> Result<String, TemplateError> {
-        let mut hits: Vec<(usize, &str, &str)> = Vec::new();
+    /// Binds the template against `kb` once, each distinct marker as a
+    /// parameter (DESIGN.md §14.2): parameter `i` of the plan takes the
+    /// value of concept `required_concepts()[i]`. A marker that is not a
+    /// whole string literal fails to prepare.
+    pub fn prepare(&self, kb: &KnowledgeBase) -> Result<BoundPlan, KbError> {
+        let mut markers: Vec<&str> = Vec::new();
         for p in &self.params {
-            let value = values
-                .iter()
-                .find(|(c, _)| *c == p.concept)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| TemplateError::MissingParam(p.marker.clone()))?;
-            hits.extend(self.sql.match_indices(&p.marker).map(|(at, _)| (at, &*p.marker, value)));
-        }
-        // Stable sort: at one position the first parameter wins, and a
-        // repeated parameter's second set of hits is skipped below.
-        hits.sort_by_key(|&(at, ..)| at);
-        let mut sql = String::with_capacity(self.sql.len());
-        let mut end = 0;
-        for (at, marker, value) in hits {
-            if at < end {
-                continue;
+            if !markers.contains(&p.marker.as_str()) {
+                markers.push(&p.marker);
             }
-            sql.push_str(&self.sql[end..at]);
-            // The marker sits inside single quotes in the SQL; escape the
-            // value for that context.
-            sql.push_str(&value.replace('\'', "''"));
-            end = at + marker.len();
         }
-        sql.push_str(&self.sql[end..]);
-        Ok(sql)
+        kb.prepare_with(&self.sql, &markers)
     }
 }
 
@@ -116,57 +79,32 @@ mod tests {
     }
 
     #[test]
-    fn instantiate_replaces_markers() {
-        let o = onto();
-        let drug = o.concept_id("Drug").unwrap();
-        let tpl =
-            QueryTemplate::new("SELECT x FROM t WHERE name = '<@Drug>'".into(), vec![drug], &o);
-        let sql = tpl.instantiate(&[(drug, "Aspirin".into())]).unwrap();
-        assert_eq!(sql, "SELECT x FROM t WHERE name = 'Aspirin'");
-    }
-
-    #[test]
-    fn missing_param_errors() {
-        let o = onto();
-        let drug = o.concept_id("Drug").unwrap();
-        let tpl = QueryTemplate::new("… '<@Drug>' …".into(), vec![drug], &o);
-        assert!(matches!(tpl.instantiate(&[]), Err(TemplateError::MissingParam(_))));
-    }
-
-    #[test]
-    fn values_are_escaped() {
-        let o = onto();
-        let drug = o.concept_id("Drug").unwrap();
-        let tpl = QueryTemplate::new("name = '<@Drug>'".into(), vec![drug], &o);
-        let sql = tpl.instantiate(&[(drug, "O'Neil".into())]).unwrap();
-        assert_eq!(sql, "name = 'O''Neil'");
-    }
-
-    #[test]
-    fn multiple_params_and_dedup() {
+    fn prepare_binds_one_parameter_per_concept() {
+        use obcs_kb::schema::{ColumnType, TableSchema};
+        use obcs_kb::Value;
         let o = onto();
         let drug = o.concept_id("Drug").unwrap();
         let ind = o.concept_id("Indication").unwrap();
+        let mut kb = KnowledgeBase::new();
+        kb.create_table(
+            TableSchema::new("t")
+                .column("a", ColumnType::Text)
+                .column("b", ColumnType::Text)
+                .column("c", ColumnType::Text),
+        )
+        .unwrap();
+        kb.insert("t", vec![Value::text("X"), Value::text("Y"), Value::text("X")]).unwrap();
         let tpl = QueryTemplate::new(
-            "a = '<@Drug>' AND b = '<@Indication>' AND c = '<@Drug>'".into(),
+            "SELECT a FROM t WHERE a = '<@Drug>' AND b = '<@Indication>' AND c = '<@Drug>'".into(),
             vec![drug, ind, drug],
             &o,
         );
         assert_eq!(tpl.required_concepts(), vec![drug, ind]);
-        let sql = tpl.instantiate(&[(drug, "X".into()), (ind, "Y".into())]).unwrap();
-        assert_eq!(sql, "a = 'X' AND b = 'Y' AND c = 'X'");
-    }
-
-    #[test]
-    fn inserted_values_are_never_rescanned_for_markers() {
-        let o = onto();
-        let drug = o.concept_id("Drug").unwrap();
-        let ind = o.concept_id("Indication").unwrap();
-        let tpl =
-            QueryTemplate::new("a = '<@Drug>' AND b = '<@Indication>'".into(), vec![drug, ind], &o);
-        let sql =
-            tpl.instantiate(&[(drug, "<@Indication>".into()), (ind, "Fever".into())]).unwrap();
-        assert_eq!(sql, "a = '<@Indication>' AND b = 'Fever'");
+        let plan = tpl.prepare(&kb).unwrap();
+        assert_eq!(plan.param_count(), 2);
+        let rows = |d: &str, i: &str| kb.execute(&plan, &[Value::text(d), Value::text(i)]);
+        assert_eq!(rows("X", "Y").unwrap().rows.len(), 1);
+        assert!(rows("Y", "X").unwrap().rows.is_empty());
     }
 
     #[test]

@@ -175,8 +175,15 @@ impl Server {
                     }
                     accept_inner.counters.connections.fetch_add(1, Ordering::Relaxed);
                     let conn_inner = Arc::clone(&accept_inner);
-                    let handle = std::thread::spawn(move || handle_connection(stream, conn_inner));
-                    accept_conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                    // Join the handlers of closed connections first, so
+                    // the server holds a thread only per live connection.
+                    // The lock is held across the spawn: once a client
+                    // is served, its handle is in the list.
+                    let mut conns = accept_conns.lock().unwrap_or_else(|e| e.into_inner());
+                    for finished in conns.extract_if(.., |h| h.is_finished()) {
+                        let _ = finished.join();
+                    }
+                    conns.push(std::thread::spawn(move || handle_connection(stream, conn_inner)));
                 }
                 Err(_) => {
                     if accept_inner.shutdown.load(Ordering::SeqCst) {
@@ -436,4 +443,44 @@ fn read_bounded_line(
 fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     writer.write_all(encode_line(response).as_bytes())?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use obcs_agent::AgentConfig;
+    use obcs_core::{bootstrap, BootstrapConfig, SmeFeedback};
+
+    use super::*;
+    use crate::client::Client;
+
+    fn held(server: &Server) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
+        server.conns.lock().expect("no handler panics while holding the list")
+    }
+
+    #[test]
+    fn closed_connections_leave_no_thread_behind() {
+        let (onto, kb, mapping) = obcs_core::testutil::fig2_fixture();
+        let space =
+            bootstrap(&onto, &kb, &mapping, BootstrapConfig::default(), &SmeFeedback::new());
+        let agent = ConversationAgent::new(onto, kb, mapping, space, AgentConfig::default());
+        let mut server = Server::start(agent, ServeConfig::default()).expect("start");
+        for _ in 0..200 {
+            let mut client = Client::connect(server.addr()).expect("connect");
+            client.stats().expect("a round trip: the handler runs");
+        }
+        // Every closed connection's handler returns once it reads EOF.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !held(&server).iter().all(JoinHandle::is_finished) {
+            assert!(Instant::now() < deadline, "a closed connection's handler never returned");
+            std::thread::yield_now();
+        }
+        let mut live = Client::connect(server.addr()).expect("connect");
+        live.stats().expect("round trip");
+        assert_eq!(held(&server).len(), 1, "one handle, for the one live connection");
+        drop(live);
+        server.shutdown();
+        assert!(held(&server).is_empty());
+    }
 }

@@ -3,9 +3,9 @@
 //! Each live session owns an engine fork, keyed by the client-chosen
 //! session id and hashed across N independently locked shards so
 //! concurrent connections only contend when their sessions collide on a
-//! shard. A fork starts a fresh dialogue context, log and KB query
-//! caches and shares everything else with the base agent — NLU, space,
-//! dialogue tree, KB tables — behind `Arc`s, so opening a session costs
+//! shard. A fork starts a fresh dialogue context and log and shares
+//! everything else with the base agent — NLU, space, dialogue tree, KB
+//! tables, prepared queries — behind `Arc`s, so opening a session costs
 //! a few reference-count increments and no lock: the base agent is never
 //! mutated once the table holds it. The table enforces three resource
 //! policies (DESIGN.md §15):
@@ -17,8 +17,8 @@
 //! * **Per-session memory ceiling** — the fork's interaction log is the
 //!   only unbounded per-session allocation, so after every turn the
 //!   oldest records are trimmed until the log's approximate byte size
-//!   fits `byte_ceiling`. The fork's KB query caches are bounded by
-//!   their own budgets, and no session holds a copy of the KB.
+//!   fits `byte_ceiling`. No session holds a cache of its own or a copy
+//!   of the KB.
 //! * **Admission control** — when the table is at `capacity` live
 //!   sessions (after reclaiming expired ones), *new* sessions are shed
 //!   with a [`ReplyKind::Degraded`] apology instead of queuing;

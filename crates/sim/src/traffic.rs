@@ -708,12 +708,12 @@ mod tests {
 
     #[test]
     fn caches_do_not_change_records_or_traces_at_any_parallelism() {
-        // DESIGN.md §12's determinism contract: the pipeline caches are
-        // value- and trace-invisible. Cache hits return the same values a
+        // DESIGN.md §12's determinism contract: the NLU memo is value-
+        // and trace-invisible. Memo hits return the same values a
         // recompute would and replay the same span structure on the tick
-        // clock, so a cached replay is bit-for-bit identical to an
-        // uncached one — sequentially and across shard layouts (per-fork
-        // KB caches warm independently; the NLU memo is shared).
+        // clock, so a memoised replay is bit-for-bit identical to an
+        // unmemoised one — sequentially and across shard layouts (forks
+        // share the memo).
         let (outcome_off, trace_off) = traced_sim_with_caching(80, 13, 1, false);
         for parallelism in [1, 3] {
             let (outcome_on, trace_on) = traced_sim_with_caching(80, 13, parallelism, true);

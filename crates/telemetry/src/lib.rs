@@ -65,9 +65,10 @@ pub mod stage {
     pub const CLASSIFY: &str = "classify";
     /// Dialogue-tree evaluation (`obcs-dialogue`).
     pub const DIALOGUE_EVAL: &str = "dialogue_eval";
-    /// NL→SQL interpretation for dynamic queries (`obcs-nlq`).
+    /// NL→SQL interpretation (`obcs-nlq`); in a fulfilment, filling the
+    /// parameters of a prepared optional-entity query.
     pub const NLQ_INTERPRET: &str = "nlq_interpret";
-    /// Structured-query-template instantiation.
+    /// Filling the parameters of a prepared structured-query template.
     pub const TEMPLATE_INSTANTIATE: &str = "template_instantiate";
     /// SQL execution against the knowledge base (`obcs-kb`).
     pub const KB_EXECUTE: &str = "kb_execute";
@@ -110,7 +111,7 @@ pub mod metric {
     /// template-skip path, by cause label.
     pub const PIPELINE_ERRORS: &str = "pipeline_error";
     /// Counter: cache lookups answered from a cache, by layer label
-    /// (`kb_result`, `nlu_classify`, `nlu_recognize`).
+    /// (`nlu_classify`, `nlu_recognize`).
     ///
     /// Cache counters are published *on demand* (end of a replay, stats
     /// endpoint) via `obcs_cache::record_stats`, never per turn: the hit
@@ -119,8 +120,8 @@ pub mod metric {
     pub const CACHE_HITS: &str = "cache_hit";
     /// Counter: cache lookups that found nothing usable, by layer label.
     pub const CACHE_MISSES: &str = "cache_miss";
-    /// Counter: cache entries evicted to stay within budget, by layer
-    /// label.
+    /// Counter: cache entries evicted to stay within the entry cap, by
+    /// layer label.
     pub const CACHE_EVICTIONS: &str = "cache_evict";
     /// Counter: cache entries dropped because their owner mutated the
     /// data they were computed from (the writer clears its cache), by

@@ -1,32 +1,35 @@
 //! Static query bind-checking (`OBCS110`–`OBCS114`).
 //!
-//! Every structured query the space can ever issue is a template
-//! instantiation: a committed SQL string with `'<@Concept>'` markers,
-//! filled with entity values at serving time. Because the KB's bind phase
-//! ([`KnowledgeBase::prepare`]) resolves every table, column, join and
-//! predicate against the schemas *without reading a row*, the whole query
-//! surface can be proven well-typed offline:
+//! Every structured query the space can ever issue is a template: a
+//! committed SQL string with `'<@Concept>'` markers, which the engine
+//! prepares once with each marker as a parameter and runs with entity
+//! values at serving time. Because the KB's bind phase
+//! ([`KnowledgeBase::prepare_with`]) resolves every table, column, join
+//! and predicate against the schemas *without reading a row*, the whole
+//! query surface can be proven well-typed offline:
 //!
-//! * **OBCS110** — every template, instantiated with a representative
-//!   value per slot, binds against the KB schema (tables exist, columns
-//!   resolve, joins relate to earlier tables).
+//! * **OBCS110** — every template, prepared with its markers as the
+//!   engine prepares it, binds against the KB schema (tables exist,
+//!   columns resolve, joins relate to earlier tables, every marker is a
+//!   whole string literal).
 //! * **OBCS111** — every template slot is fillable by some ontology term:
 //!   an entity example or a KB instance value exists for its concept.
 //! * **OBCS112** — the bound projection never emits two output columns
 //!   with the same unqualified name (result sections would be
 //!   indistinguishable downstream).
 //! * **OBCS113** — every literal predicate type-checks: a quoted slot
-//!   marker (which instantiates to a text literal) must compare against a
-//!   text column, and plain literals must be admissible in their column's
-//!   type.
+//!   marker (whose parameter always takes a text value) must compare
+//!   against a text column, and plain literals must be admissible in
+//!   their column's type.
 //! * **OBCS114** — bind coverage is complete: every query pattern of
 //!   every intent either produced a template or carries a recorded skip
 //!   reason, so nothing escapes the checks above.
 //!
-//! Soundness argument (DESIGN.md §13): `instantiate` only substitutes
-//! quoted text, so the *shape* the binder sees is identical for every
-//! runtime value — one successful bind per template proves every
-//! instantiation of it binds.
+//! Soundness argument (DESIGN.md §13.2): the check prepares the very plan
+//! the engine prepares, and a parameter's value never reaches the binder
+//! (the access path costs a parameter exactly as a literal, from
+//! distinct-key counts alone), so one successful bind per template proves
+//! the query binds for every runtime value.
 
 use std::collections::BTreeSet;
 
@@ -53,28 +56,12 @@ fn each_template<'a>(
         .flat_map(|(intent, templates)| templates.iter().map(move |t| (intent, t)))
 }
 
-/// Instantiates a template with one representative value per slot (a
-/// fixed placeholder when no value exists — the binder never looks at the
-/// value, only at the SQL shape around it).
-fn instantiate_representative(
-    lint: &LintContext<'_>,
-    template: &LabeledTemplate,
-) -> Result<String, String> {
-    let values: Vec<_> = template
-        .template
-        .required_concepts()
-        .into_iter()
-        .map(|c| (c, representative_value(lint, c).unwrap_or_else(|| "placeholder".to_string())))
-        .collect();
-    template.template.instantiate(&values).map_err(|e| e.to_string())
-}
-
 fn template_location(intent: &Intent, template: &LabeledTemplate) -> Location {
     Location::new("space", format!("intent `{}`, template \"{}\"", intent.name, template.topic))
 }
 
-/// OBCS110: a template whose instantiation fails to bind against the KB
-/// schema — at serving time the query would error on its first use.
+/// OBCS110: a template that fails to prepare against the KB schema — at
+/// serving time every turn that runs it would count a pipeline error.
 pub struct TemplateBindCheck;
 
 impl Check for TemplateBindCheck {
@@ -92,22 +79,8 @@ impl Check for TemplateBindCheck {
 
     fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
         for (intent, template) in each_template(&ctx.lint) {
-            let sql = match instantiate_representative(&ctx.lint, template) {
-                Ok(sql) => sql,
-                Err(e) => {
-                    out.push(
-                        Diagnostic::new(
-                            "OBCS110",
-                            Severity::Error,
-                            template_location(intent, template),
-                            format!("template cannot be instantiated: {e}"),
-                        )
-                        .with_suggestion("regenerate the template from the current space"),
-                    );
-                    continue;
-                }
-            };
-            if let Err(e) = ctx.lint.kb.prepare(&sql) {
+            // The plan the engine runs: every marker a parameter.
+            if let Err(e) = template.template.prepare(ctx.lint.kb) {
                 out.push(
                     Diagnostic::new(
                         "OBCS110",
@@ -187,10 +160,7 @@ impl Check for ProjectionCollisions {
 
     fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
         for (intent, template) in each_template(&ctx.lint) {
-            let Ok(sql) = instantiate_representative(&ctx.lint, template) else {
-                continue; // OBCS110 reports it.
-            };
-            let Ok(plan) = ctx.lint.kb.prepare(&sql) else {
+            let Ok(plan) = template.template.prepare(ctx.lint.kb) else {
                 continue; // OBCS110 reports it.
             };
             let mut seen = BTreeSet::new();
@@ -248,8 +218,8 @@ fn column_type(
 }
 
 /// OBCS113: a literal predicate whose value can never match its column's
-/// type — in particular a quoted `'<@Concept>'` slot (which always
-/// instantiates to a text literal) compared against a non-text column.
+/// type — in particular a quoted `'<@Concept>'` slot (whose parameter
+/// always takes a text value) compared against a non-text column.
 pub struct PredicateTypes;
 
 impl Check for PredicateTypes {
@@ -291,7 +261,7 @@ impl Check for PredicateTypes {
                                 Severity::Error,
                                 template_location(intent, template),
                                 format!(
-                                    "slot `{marker}` instantiates to a text literal but is \
+                                    "slot `{marker}` takes a text value but is \
                                      compared against `{qualified}` of type {ty:?}"
                                 ),
                             )

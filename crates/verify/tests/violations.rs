@@ -130,6 +130,20 @@ fn obcs110_template_naming_missing_column_fails_bind() {
 }
 
 #[test]
+fn obcs110_marker_inside_a_longer_literal_fails_prepare() {
+    // Spliced into a longer literal, the marker would run as a constant
+    // instead of taking the entity's value.
+    let f = fixture_with(Options {
+        template_sql: "SELECT precaution.text FROM precaution \
+                       JOIN drug ON precaution.drug_id = drug.id \
+                       WHERE drug.name = 'generic <@Drug>'",
+        ..Options::default()
+    });
+    let report = verify(&f);
+    assert!(report.has_code("OBCS110"), "expected OBCS110:\n{}", report.render_text());
+}
+
+#[test]
 fn obcs111_unprovidable_template_slot() {
     let f = fixture_with(Options {
         drug_providable: false,

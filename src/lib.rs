@@ -30,8 +30,8 @@
 //!   pipeline (spans, counters, latency histograms).
 //! * [`faults`] — fault injection, the resilience loop, and graceful
 //!   degradation for the turn pipeline.
-//! * [`cache`] — the generation-invalidated LRU backing the pipeline's
-//!   plan/result/NLU caches.
+//! * [`cache`] — the LRU backing the pipeline's one cache layer, the NLU
+//!   classify/recognize memo.
 //! * [`serve`] — the concurrent socket serving layer: NDJSON protocol,
 //!   sharded session table with TTL eviction and admission control,
 //!   per-turn deadline budgets (`docs/PROTOCOL.md`, DESIGN.md §15).

@@ -11,20 +11,23 @@ fn offline_then_online_on_fig2_domain() {
     let (onto, kb, mapping) = obcs::core::testutil::fig2_fixture();
     let space = bootstrap(&onto, &kb, &mapping, BootstrapConfig::default(), &SmeFeedback::new());
 
-    // Every query intent has a template whose instantiation parses and
-    // executes against the KB.
+    // Every query intent has a template that prepares against the KB and
+    // executes with entity values as its parameters.
     let drug = onto.concept_id("Drug").unwrap();
     let ind = onto.concept_id("Indication").unwrap();
-    let values = vec![(drug, "Aspirin".to_string()), (ind, "Fever".to_string())];
+    let values = [(drug, "Aspirin"), (ind, "Fever")];
     let mut executed = 0;
     for intent in space.intents.iter().filter(|i| i.is_query()) {
         for labeled in space.templates_for(intent.id) {
-            let required = labeled.template.required_concepts();
-            if !required.iter().all(|c| values.iter().any(|(vc, _)| vc == c)) {
+            let params: Option<Vec<Value>> = (labeled.template.required_concepts().iter())
+                .map(|c| values.iter().find(|(vc, _)| vc == c).map(|(_, v)| Value::text(*v)))
+                .collect();
+            let Some(params) = params else {
                 continue;
-            }
-            let sql = labeled.template.instantiate(&values).expect("instantiation");
-            kb.query(&sql).unwrap_or_else(|e| panic!("{}: {sql}: {e}", intent.name));
+            };
+            let sql = labeled.template.sql();
+            let plan = labeled.template.prepare(&kb).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            kb.execute(&plan, &params).unwrap_or_else(|e| panic!("{}: {sql}: {e}", intent.name));
             executed += 1;
         }
     }
