@@ -932,7 +932,6 @@ fn degraded_text(cause: &str) -> &'static str {
              Please try again in a moment."
         }
         "annotator" => "I'm sorry — I had trouble reading that. Could you rephrase your question?",
-        "nlq" => "I'm sorry — I couldn't build a query for that request.",
         _ => "I'm sorry — something went wrong on my side handling that request.",
     }
 }

@@ -305,7 +305,9 @@ fn serve(args: &[String], seed: u64) {
 /// secondary indexes, access paths) and a server
 /// restarted over the recovered directory serving byte-identical
 /// replies to the original. `--check` additionally compares the
-/// `recover_` stages against a committed baseline.
+/// `recover_` stages against a committed baseline. Two ungated lines
+/// describe the log codec: bytes per record on disk, and the replay
+/// alone (decode + apply) per record.
 fn recover(args: &[String], seed: u64) {
     use obcs_bench::{perf, recover};
     let opts = perf::PerfOptions { quick: args.iter().any(|a| a == "--quick"), seed };
@@ -328,6 +330,15 @@ fn recover(args: &[String], seed: u64) {
         outcome.rebuild_ms,
         outcome.compact_ms,
         outcome.identity_turns
+    );
+    // Ungated: what the log codec costs per record on disk and in replay.
+    let records = outcome.wal_records as f64;
+    println!(
+        "WAL codec: {:.1} bytes/record on disk, replay {:.2} µs/record \
+         (decode + apply onto the loaded snapshot, median of {})",
+        outcome.wal_bytes as f64 / records,
+        outcome.replay_ms * 1000.0 / records,
+        recover::TIMED_RUNS
     );
     if outcome.wal_truncated_bytes == 0 {
         eprintln!("recover check failed: the pass must exercise a torn tail");

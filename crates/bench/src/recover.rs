@@ -15,16 +15,19 @@
 //! asserted byte-identical to a server holding the original KB — the
 //! same equality-before-speed contract every other stage follows. The
 //! timed stages join the `repro perf` report under the usual regression
-//! ceiling in `BENCH_perf.json`.
+//! ceiling in `BENCH_perf.json`. Two ungated readings describe the log
+//! codec: the log's bytes per record, and the replay alone (decode and
+//! apply onto the loaded snapshot) per record.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use obcs_kb::{DurableKb, IndexKind, Value, SNAPSHOT_FILE, WAL_FILE};
+use obcs_kb::snapshot::read_snapshot;
+use obcs_kb::{DurableKb, IndexKind, Value, Wal, SNAPSHOT_FILE, WAL_FILE};
 use obcs_mdx::data::build_mdx_kb;
 use obcs_serve::protocol::encode_line;
 use obcs_serve::{Client, DurabilityConfig, ServeConfig, Server};
@@ -73,6 +76,21 @@ pub struct RecoverBenchOutcome {
     pub rebuild_ms: f64,
     /// Turns in the byte-identity script served by both servers.
     pub identity_turns: usize,
+    /// Bytes of the intact log (header and frames) the recoveries read.
+    pub wal_bytes: u64,
+    /// Median wall time of replaying the log alone — decode and apply
+    /// onto the already loaded snapshot — ms.
+    pub replay_ms: f64,
+}
+
+/// Copies the snapshot and log of `from` into a fresh directory `to`.
+fn copy_dir(from: &Path, to: PathBuf) -> PathBuf {
+    std::fs::remove_dir_all(&to).ok();
+    std::fs::create_dir_all(&to).expect("recover bench: copy dir");
+    for f in [SNAPSHOT_FILE, WAL_FILE] {
+        std::fs::copy(from.join(f), to.join(f)).expect("recover bench: copy file");
+    }
+    to
 }
 
 /// Deterministic script for the recovered-server identity check — same
@@ -163,6 +181,7 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
 
     // ---- kill-style exit: no snapshot, then tear the log tail ------
     let wal_path = durable.wal_path().to_path_buf();
+    let wal_bytes = std::fs::metadata(&wal_path).expect("recover bench: stat the log").len();
     let oracle = durable.into_kb();
     let garbage: &[u8] = &[0xde, 0xad, 0xbe, 0xef, 0x00, 0x7f, 0x01];
     std::fs::OpenOptions::new()
@@ -171,22 +190,44 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
         .and_then(|mut f| f.write_all(garbage))
         .expect("recover bench: tear the tail");
 
+    // The first open truncates the torn tail, so every timed open but
+    // the last recovery reads its own torn copy of the directory; the
+    // last recovery opens `dir` itself, which the checks below go on to
+    // use.
+    let torn_copy = |i: usize| {
+        let name = format!("obcs_recover_bench_torn{i}_{}_{}", std::process::id(), opts.seed);
+        copy_dir(&dir, dir.with_file_name(name))
+    };
+
+    // ---- the replay alone (ungated) --------------------------------
+    // The snapshot is loaded untimed, then the log is decoded and
+    // applied onto it, as recovery does.
+    let replay_ms = median(
+        (0..TIMED_RUNS)
+            .map(|i| {
+                let copy = torn_copy(i);
+                let (mut kb, _) =
+                    read_snapshot(&copy.join(SNAPSHOT_FILE)).expect("recover bench: snapshot");
+                let mut replayed = 0;
+                let t = Instant::now();
+                Wal::open(copy.join(WAL_FILE), |_, record| {
+                    record.apply(&mut kb)?;
+                    replayed += 1;
+                    Ok(())
+                })
+                .expect("recover bench: replay");
+                let ms = t.elapsed().as_secs_f64() * 1000.0;
+                assert_eq!(replayed, expected_records, "the replay reads every tail record");
+                std::fs::remove_dir_all(&copy).ok();
+                ms
+            })
+            .collect(),
+    );
+
     // ---- timed recoveries ------------------------------------------
-    // The first open truncates the torn tail, so every timed recovery
-    // but the last opens its own torn copy of the directory; the last
-    // opens `dir` itself, which the checks below go on to use.
     let mut recover_times = Vec::with_capacity(TIMED_RUNS);
     for i in 1..TIMED_RUNS {
-        let copy = dir.with_file_name(format!(
-            "obcs_recover_bench_torn{i}_{}_{}",
-            std::process::id(),
-            opts.seed
-        ));
-        std::fs::remove_dir_all(&copy).ok();
-        std::fs::create_dir_all(&copy).expect("recover bench: torn copy dir");
-        for f in [SNAPSHOT_FILE, WAL_FILE] {
-            std::fs::copy(dir.join(f), copy.join(f)).expect("recover bench: torn copy");
-        }
+        let copy = torn_copy(i);
         let t = Instant::now();
         let (copy_kb, copy_report) = DurableKb::open(&copy).expect("recover bench: recover copy");
         recover_times.push(t.elapsed().as_secs_f64() * 1000.0);
@@ -224,16 +265,14 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
     // keeps its replayable tail for the server-startup check below. One
     // `snapshot()` is a whole compaction: stream the image to a tmp
     // file, rename-commit at the next epoch, reset the WAL.
-    let compact_dir = dir.with_file_name(format!(
-        "obcs_recover_bench_compact_{}_{}",
-        std::process::id(),
-        opts.seed
-    ));
-    std::fs::remove_dir_all(&compact_dir).ok();
-    std::fs::create_dir_all(&compact_dir).expect("recover bench: compact dir");
-    for f in [SNAPSHOT_FILE, WAL_FILE] {
-        std::fs::copy(dir.join(f), compact_dir.join(f)).expect("recover bench: compact copy");
-    }
+    let compact_dir = copy_dir(
+        &dir,
+        dir.with_file_name(format!(
+            "obcs_recover_bench_compact_{}_{}",
+            std::process::id(),
+            opts.seed
+        )),
+    );
     let (mut compactable, creport) =
         DurableKb::open(&compact_dir).expect("recover bench: compact open");
     assert_eq!(creport.wal_records, expected_records);
@@ -311,5 +350,7 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
         compact_ms,
         rebuild_ms,
         identity_turns: script.len(),
+        wal_bytes,
+        replay_ms,
     }
 }

@@ -1,15 +1,13 @@
 //! The unified error taxonomy for the online turn pipeline.
 //!
-//! Before this crate, each layer surfaced its own error enum (`KbError`,
-//! `NlqError`) or — worse — stringly-typed fallbacks
-//! inside the engine. [`ObcsError`] is the single type the engine reasons
+//! Before this crate, each layer surfaced its own error enum or — worse
+//! — stringly-typed fallbacks inside the engine. [`ObcsError`] is the single type the engine reasons
 //! about when deciding whether a turn can proceed, must retry, or must
 //! degrade into a repair reply.
 
 use std::fmt;
 
 use obcs_kb::KbError;
-use obcs_nlq::interpret::NlqError;
 
 use crate::plan::{FaultKind, FaultStage};
 
@@ -23,8 +21,6 @@ use crate::plan::{FaultKind, FaultStage};
 pub enum ObcsError {
     /// A knowledge-base storage or SQL error.
     Kb(KbError),
-    /// A natural-language-query interpretation error.
-    Nlq(NlqError),
     /// The dialogue tree asked the engine to fulfil an intent it does not
     /// know how to translate into a query.
     UnknownIntent(String),
@@ -68,7 +64,6 @@ impl ObcsError {
     pub fn cause_label(&self) -> &'static str {
         match self {
             ObcsError::Kb(_) => "kb",
-            ObcsError::Nlq(_) => "nlq",
             ObcsError::UnknownIntent(_) => "engine",
             ObcsError::Injected { stage, .. } | ObcsError::DeadlineExceeded { stage, .. } => {
                 stage.cause_label()
@@ -82,7 +77,6 @@ impl fmt::Display for ObcsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ObcsError::Kb(e) => write!(f, "knowledge base error: {e}"),
-            ObcsError::Nlq(e) => write!(f, "query interpretation error: {e}"),
             ObcsError::UnknownIntent(i) => write!(f, "no query translation for intent `{i}`"),
             ObcsError::Injected { stage, kind } => {
                 write!(f, "injected {} fault at stage `{}`", kind.label(), stage.label())
@@ -109,12 +103,6 @@ impl From<KbError> for ObcsError {
     }
 }
 
-impl From<NlqError> for ObcsError {
-    fn from(e: NlqError) -> Self {
-        ObcsError::Nlq(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +110,6 @@ mod tests {
     #[test]
     fn cause_labels_follow_origin() {
         assert_eq!(ObcsError::Kb(KbError::UnknownTable("t".into())).cause_label(), "kb");
-        assert_eq!(ObcsError::Nlq(NlqError::NoEvidence).cause_label(), "nlq");
         assert_eq!(ObcsError::UnknownIntent("x".into()).cause_label(), "engine");
         let inj = ObcsError::Injected {
             stage: FaultStage::Classify,

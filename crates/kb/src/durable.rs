@@ -5,10 +5,16 @@
 //! [`SNAPSHOT_FILE`] and [`WAL_FILE`]. Every mutating call is applied
 //! to the in-memory store *first* — the store is the validator; an
 //! insert the store rejects must never reach the log — and appended to
-//! the WAL second. The window between apply and append is the usual
-//! write-ahead trade made explicit: a crash there loses the final
-//! mutation entirely (prefix consistency) rather than ever replaying a
-//! half-applied or invalid record.
+//! the WAL second. An insert encodes its record from the borrowed row
+//! before the store takes the row, so logging copies no row. The
+//! window between apply and append is the usual write-ahead trade made
+//! explicit: a crash there loses the final mutation entirely (prefix
+//! consistency) rather than ever replaying a half-applied or invalid
+//! record.
+//!
+//! [`DurableKb::open`] recovers by loading the snapshot and streaming
+//! the WAL into it one frame at a time, so recovery holds the KB it
+//! builds plus one record, never a decoded copy of the whole log.
 //!
 //! # Epochs and compaction
 //!
@@ -31,7 +37,7 @@ use crate::schema::TableSchema;
 use crate::snapshot::{self, RecoveryReport};
 use crate::store::KnowledgeBase;
 use crate::value::Value;
-use crate::wal::{DurabilityError, Wal, WalRecord};
+use crate::wal::{self, DurabilityError, Wal, WalRecord};
 
 /// Snapshot file name inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "kb.snapshot";
@@ -80,7 +86,8 @@ impl DurableKb {
             .max()
             .map_or(0, |stale| stale + 1);
         snapshot::write_snapshot(&kb, &snapshot_path, epoch)?;
-        let (mut wal, _) = Wal::open(&wal_path)?;
+        // The stale log's records are superseded: scan past them unused.
+        let (mut wal, _) = Wal::open(&wal_path, |_, _| Ok(()))?;
         wal.reset(epoch)?;
         Ok(DurableKb { kb, wal, snapshot_path, epoch, pending: 0 })
     }
@@ -121,13 +128,15 @@ impl DurableKb {
     /// Logged [`KnowledgeBase::create_table`].
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), DurabilityError> {
         self.kb.create_table(schema.clone())?;
-        self.log(WalRecord::CreateTable(schema))
+        self.log(&WalRecord::CreateTable(schema).frame())
     }
 
-    /// Logged [`KnowledgeBase::insert`].
+    /// Logged [`KnowledgeBase::insert`]. The record is encoded from the
+    /// borrowed row first, then the store takes the row itself.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<(), DurabilityError> {
-        self.kb.insert(table, row.clone())?;
-        self.log(WalRecord::Insert { table: table.to_string(), row })
+        let frame = wal::insert_frame(table, &row);
+        self.kb.insert(table, row)?;
+        self.log(&frame)
     }
 
     /// Logged [`KnowledgeBase::create_index`]. No-op re-creations
@@ -140,11 +149,12 @@ impl DurableKb {
     ) -> Result<bool, DurabilityError> {
         let created = self.kb.create_index(table, column, kind)?;
         if created {
-            self.log(WalRecord::CreateIndex {
+            let record = WalRecord::CreateIndex {
                 table: table.to_string(),
                 column: column.to_string(),
                 kind,
-            })?;
+            };
+            self.log(&record.frame())?;
         }
         Ok(created)
     }
@@ -154,13 +164,13 @@ impl DurableKb {
     pub fn auto_index(&mut self) -> Result<usize, DurabilityError> {
         let created = self.kb.auto_index();
         if created > 0 {
-            self.log(WalRecord::AutoIndex)?;
+            self.log(&WalRecord::AutoIndex.frame())?;
         }
         Ok(created)
     }
 
-    fn log(&mut self, record: WalRecord) -> Result<(), DurabilityError> {
-        self.wal.append(&record)?;
+    fn log(&mut self, frame: &[u8]) -> Result<(), DurabilityError> {
+        self.wal.append_frame(frame)?;
         self.pending += 1;
         Ok(())
     }

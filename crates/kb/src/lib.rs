@@ -56,6 +56,7 @@
 //! Crate role: DESIGN.md §2; executor performance architecture: §9;
 //! traced query execution (`execute_traced`): §10.
 
+mod codec;
 pub mod durable;
 pub mod index;
 pub mod ontogen;

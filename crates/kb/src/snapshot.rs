@@ -12,11 +12,12 @@
 //! ```
 //!
 //! where every `section` is `[u32 len LE] [u32 crc32 LE] [payload]`.
-//! Values are encoded directly from their in-memory form (one tag byte
-//! plus a fixed-width integer/float or length-prefixed text) — no JSON
-//! string round-trips — and both sides stream through
-//! `BufWriter`/`BufReader` in bounded chunks, so neither writing nor
-//! reading materialises the whole image. The header's **epoch** pairs
+//! Values, schemas and index kinds go through the codec the WAL's
+//! records use too (`crate::codec`): a value is encoded directly from
+//! its in-memory form, one tag byte plus a fixed-width integer/float or
+//! length-prefixed text, with no JSON round-trip. Both sides stream
+//! through `BufWriter`/`BufReader` in bounded chunks, so neither writing
+//! nor reading materialises the whole image. The header's **epoch** pairs
 //! the snapshot with the WAL that extends it: recovery replays the log
 //! only when the epochs match, which is what makes the
 //! snapshot-then-reset compaction sequence crash-safe (see
@@ -36,10 +37,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::index::{IndexKind, IndexSpec};
-use crate::schema::TableSchema;
+use crate::codec::{encode_index_kind, encode_schema, encode_text, encode_value, Cursor};
+use crate::index::IndexSpec;
 use crate::store::{KnowledgeBase, Table};
-use crate::value::{FiniteF64, Value};
+use crate::value::Value;
 use crate::wal::{crc32, DurabilityError, Wal, MAX_RECORD_BYTES};
 
 /// Magic header identifying a binary streamed snapshot. The magic is
@@ -76,120 +77,8 @@ pub struct RecoveryReport {
 }
 
 // ---------------------------------------------------------------------
-// Binary format: value and section codecs
+// Section framing
 // ---------------------------------------------------------------------
-
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_INT: u8 = 2;
-const TAG_FLOAT: u8 = 3;
-const TAG_TEXT: u8 = 4;
-
-fn encode_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(TAG_NULL),
-        Value::Bool(b) => {
-            buf.push(TAG_BOOL);
-            buf.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.push(TAG_INT);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            buf.push(TAG_FLOAT);
-            buf.extend_from_slice(&f.get().to_bits().to_le_bytes());
-        }
-        Value::Text(s) => {
-            buf.push(TAG_TEXT);
-            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-/// A bounds-checked cursor over one decoded section payload. Every read
-/// failure is a [`DurabilityError::Corrupt`]: the payload already passed
-/// its checksum, so running out of bytes means the writer and reader
-/// disagree about the layout — never something to tolerate.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    context: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8], context: &'a str) -> Self {
-        Cursor { bytes, pos: 0, context }
-    }
-
-    fn corrupt(&self, what: &str) -> DurabilityError {
-        DurabilityError::Corrupt(format!("{}: {what}", self.context))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DurabilityError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(self.corrupt("section payload ends mid-field"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DurabilityError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DurabilityError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DurabilityError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a u32 element count and checks that the rest of the payload
-    /// can hold that many elements of at least `min_bytes` each, so an
-    /// inflated count is corruption before anything is sized from it.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, DurabilityError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_bytes) > self.bytes.len() - self.pos {
-            return Err(self.corrupt(&format!("count {n} overruns the section payload")));
-        }
-        Ok(n)
-    }
-
-    fn text(&mut self) -> Result<String, DurabilityError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("non-UTF-8 text field"))
-    }
-
-    fn value(&mut self) -> Result<Value, DurabilityError> {
-        match self.u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_BOOL => Ok(Value::Bool(self.u8()? != 0)),
-            TAG_INT => Ok(Value::Int(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))),
-            TAG_FLOAT => {
-                let bits = u64::from_le_bytes(self.take(8)?.try_into().expect("8"));
-                let f = f64::from_bits(bits);
-                if !f.is_finite() {
-                    return Err(self.corrupt("non-finite float value"));
-                }
-                Ok(Value::Float(FiniteF64::new(f)))
-            }
-            TAG_TEXT => Ok(Value::Text(self.text()?)),
-            tag => Err(self.corrupt(&format!("unknown value tag {tag}"))),
-        }
-    }
-
-    fn finish(&self) -> Result<(), DurabilityError> {
-        if self.pos != self.bytes.len() {
-            return Err(self.corrupt("trailing bytes after the last field"));
-        }
-        Ok(())
-    }
-}
 
 /// Writes one `[len][crc][payload]` section.
 fn write_section(w: &mut impl Write, payload: &[u8]) -> Result<(), DurabilityError> {
@@ -262,24 +151,15 @@ pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(),
 
     for name in names {
         let table = kb.table(name).expect("table_names() returns existing tables");
-        let schema_json = serde_json::to_string(&table.schema)
-            .expect("schema serialisation cannot fail")
-            .into_bytes();
         let specs = table.index_specs();
 
         let mut header = Vec::new();
-        header.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        header.extend_from_slice(name.as_bytes());
-        header.extend_from_slice(&(schema_json.len() as u32).to_le_bytes());
-        header.extend_from_slice(&schema_json);
+        encode_text(&mut header, name);
+        encode_schema(&mut header, &table.schema);
         header.extend_from_slice(&(specs.len() as u32).to_le_bytes());
         for spec in &specs {
-            header.extend_from_slice(&(spec.column.len() as u32).to_le_bytes());
-            header.extend_from_slice(spec.column.as_bytes());
-            header.push(match spec.kind {
-                IndexKind::Hash => 0,
-                IndexKind::Ordered => 1,
-            });
+            encode_text(&mut header, &spec.column);
+            encode_index_kind(&mut header, spec.kind);
         }
         header.extend_from_slice(&(table.rows.len() as u64).to_le_bytes());
         write_section(&mut w, &header)?;
@@ -358,21 +238,13 @@ pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityErro
         let header = read_section(&mut r, path)?;
         let mut c = Cursor::new(&header, "table header section");
         let name = c.text()?;
-        let schema_json = c.text()?;
-        let schema: TableSchema = serde_json::from_str(&schema_json)
-            .map_err(|e| corrupt(format!("table {name:?} schema does not parse: {e}")))?;
+        let schema = c.schema()?;
         schema.check().map_err(|e| corrupt(format!("table {name:?} schema is invalid: {e}")))?;
         // A spec is at least a column-name length and a kind byte.
         let spec_count = c.count(5)?;
         let mut specs = Vec::with_capacity(spec_count);
         for _ in 0..spec_count {
-            let column = c.text()?;
-            let kind = match c.u8()? {
-                0 => IndexKind::Hash,
-                1 => IndexKind::Ordered,
-                k => return Err(corrupt(format!("table {name:?} has unknown index kind {k}"))),
-            };
-            specs.push(IndexSpec { column, kind });
+            specs.push(IndexSpec { column: c.text()?, kind: c.index_kind()? });
         }
         let row_count = c.u64()?;
         c.finish()?;
@@ -436,9 +308,11 @@ pub(crate) fn peek_epoch(path: &Path) -> Option<u64> {
 // ---------------------------------------------------------------------
 
 /// Recovery internals shared by [`KnowledgeBase::recover_from`] and
-/// `DurableKb::open`: load the snapshot, then replay the WAL *iff its
-/// epoch pairs with the snapshot's* (torn tail already truncated by
-/// `Wal::open`).
+/// `DurableKb::open`: load the snapshot, then stream the WAL frame by
+/// frame (`Wal::open` truncates a torn tail), applying each record *iff
+/// the log's epoch pairs with the snapshot's*. A record is decoded,
+/// applied and dropped before the next is read, so replay holds one
+/// frame, never the whole log.
 pub(crate) fn recover(
     snapshot_path: &Path,
     wal_path: &Path,
@@ -451,40 +325,48 @@ pub(crate) fn recover(
         (KnowledgeBase::new(), None)
     };
 
-    let (mut wal, replay) = Wal::open(wal_path)?;
-    let intact = replay.records.len();
-    let (records, epoch, wal_discarded_records, wal_discard_reason) = match snap_epoch {
-        // The log extends this snapshot: replay it.
-        Some(se) if se == replay.epoch => (replay.records, se, 0, None),
-        // Epoch mismatch: a crash between a snapshot commit and its WAL
-        // reset (or a stale log from an earlier incarnation). The
-        // snapshot already contains the records' effects — discard them
-        // and realign the log, never double-apply.
-        Some(se) => {
-            let reason = (intact > 0).then(|| {
+    let mut wal_records = 0;
+    let mut wal_discarded_records = 0;
+    let (mut wal, replay) = Wal::open(wal_path, |log_epoch, record| {
+        match snap_epoch {
+            // Epoch mismatch: a crash between a snapshot commit and its
+            // WAL reset (or a stale log from an earlier incarnation). The
+            // snapshot already contains the record's effect — count it,
+            // never double-apply it.
+            Some(se) if se != log_epoch => wal_discarded_records += 1,
+            // The log extends this snapshot, or there is no snapshot and
+            // the log is the authority: replay.
+            _ => {
+                record.apply(&mut kb)?;
+                wal_records += 1;
+            }
+        }
+        Ok(())
+    })?;
+    let (epoch, wal_discard_reason) = match snap_epoch {
+        // Realign a mismatched log with the snapshot it now extends.
+        Some(se) if se != replay.epoch => {
+            let reason = (wal_discarded_records > 0).then(|| {
                 format!(
                     "WAL at epoch {} does not extend the snapshot at epoch {se}; \
-                     its {intact} records are already in the snapshot",
+                     its {wal_discarded_records} records are already in the snapshot",
                     replay.epoch
                 )
             });
             wal.reset(se)?;
-            (Vec::new(), se, intact, reason)
+            (se, reason)
         }
-        // No snapshot: the log is the authority; adopt its epoch.
-        None => (replay.records, replay.epoch, 0, None),
+        Some(se) => (se, None),
+        // No snapshot: adopt the log's epoch.
+        None => (replay.epoch, None),
     };
-
-    for record in &records {
-        record.apply(&mut kb)?;
-    }
     Ok((
         kb,
         wal,
         RecoveryReport {
             snapshot_loaded,
             epoch,
-            wal_records: records.len(),
+            wal_records,
             wal_truncated_bytes: replay.truncated_bytes,
             wal_discarded_records,
             wal_discard_reason,
@@ -642,7 +524,7 @@ mod tests {
         let wal_path = dir.join("kb.wal");
         let mut kb = sample_kb();
         kb.snapshot_to(&snap).unwrap();
-        let (mut wal, _) = Wal::open(&wal_path).unwrap();
+        let (mut wal, _) = Wal::open(&wal_path, |_, _| Ok(())).unwrap();
         // Post-snapshot mutations, applied and logged in lockstep.
         let tail = vec![
             WalRecord::Insert {
@@ -656,7 +538,7 @@ mod tests {
             },
         ];
         for r in &tail {
-            r.apply(&mut kb).unwrap();
+            r.clone().apply(&mut kb).unwrap();
             wal.append(r).unwrap();
         }
         wal.sync().unwrap();
@@ -682,12 +564,12 @@ mod tests {
         // snapshot already contains — the exact residue of a crash
         // between a snapshot commit and its WAL reset.
         let mut kb = sample_kb();
-        let (mut wal, _) = Wal::open(&wal_path).unwrap();
+        let (mut wal, _) = Wal::open(&wal_path, |_, _| Ok(())).unwrap();
         let stale = WalRecord::Insert {
             table: "drug".to_string(),
             row: vec![Value::Int(3), Value::text("Naproxen")],
         };
-        stale.apply(&mut kb).unwrap();
+        stale.clone().apply(&mut kb).unwrap();
         wal.append(&stale).unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -720,9 +602,9 @@ mod tests {
             ),
             WalRecord::Insert { table: "t".to_string(), row: vec![Value::Int(9)] },
         ];
-        let (mut wal, _) = Wal::open(&wal_path).unwrap();
+        let (mut wal, _) = Wal::open(&wal_path, |_, _| Ok(())).unwrap();
         for r in &records {
-            r.apply(&mut oracle).unwrap();
+            r.clone().apply(&mut oracle).unwrap();
             wal.append(r).unwrap();
         }
         wal.sync().unwrap();

@@ -5,24 +5,30 @@
 //! `auto_index` sweep — has a [`WalRecord`] form. Records are framed as
 //!
 //! ```text
-//! [u32 payload_len LE] [u32 crc32(payload) LE] [payload: record JSON]
+//! [u32 payload_len LE] [u32 crc32(payload) LE] [payload]
 //! ```
 //!
-//! after the 16-byte file header: the `OBCSWAL2` magic followed by a
+//! after the 16-byte file header: the `OBCSWAL3` magic followed by a
 //! little-endian u64 **durability epoch** — the epoch of the snapshot
-//! this log extends (DESIGN.md §16). Recovery refuses to replay a log
-//! whose epoch does not match its snapshot's, which is what makes the
-//! snapshot-then-reset compaction sequence crash-safe: a fresh snapshot
-//! next to a not-yet-reset log is detected by the mismatch and the
-//! stale records are discarded instead of double-applied.
+//! this log extends (DESIGN.md §16). A payload is one record tag byte
+//! followed by the record's fields in the snapshot's codec
+//! (`crate::codec`): text length-prefixed, a row as a value count and
+//! tag-encoded values, a schema and an index kind as the snapshot
+//! writes them. Recovery refuses to replay a log whose epoch does not
+//! match its snapshot's, which is what makes the snapshot-then-reset
+//! compaction sequence crash-safe: a fresh snapshot next to a
+//! not-yet-reset log is detected by the mismatch and the stale records
+//! are discarded instead of double-applied.
 //!
-//! The frame makes the log self-validating: on [`Wal::open`] the file
-//! is replayed front to back and the scan stops at the first frame that
-//! is incomplete, fails its checksum, or does not decode — a *torn
-//! tail*, the expected residue of a crash mid-append. The torn bytes
-//! are truncated away (never replayed, never panicked over), so
-//! recovery is always prefix-consistent: every state the log can
-//! produce is a state the original KB passed through. A file cut
+//! The frame makes the log self-validating: [`Wal::open`] scans the
+//! file front to back through a `BufReader`, one frame at a time, and
+//! hands each decoded record to its caller before reading the next, so
+//! a scan holds one frame, never the whole log. The scan stops at the
+//! first frame that is incomplete, fails its checksum, or does not
+//! decode — a *torn tail*, the expected residue of a crash mid-append.
+//! The torn bytes are truncated away (never replayed, never panicked
+//! over), so recovery is always prefix-consistent: every state the log
+//! can produce is a state the original KB passed through. A file cut
 //! inside its epoch field (a crash mid-[`Wal::reset`]) is likewise
 //! expected residue: the truncation guarantees no record can follow a
 //! torn header, so the file reopens as a fresh epoch-0 log.
@@ -34,31 +40,40 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-
+use crate::codec::{self, Cursor};
 use crate::index::IndexKind;
 use crate::schema::TableSchema;
 use crate::store::{KbError, KnowledgeBase};
 use crate::value::Value;
 
-/// Magic header identifying a WAL file (format version 2). The magic is
-/// followed by a little-endian u64 durability epoch. Logs of any other
-/// version are rejected as [`DurabilityError::Corrupt`].
-pub const WAL_MAGIC_V2: &[u8; 8] = b"OBCSWAL2";
+/// Magic header identifying a WAL file (format version 3: binary
+/// payloads). The magic is followed by a little-endian u64 durability
+/// epoch. Logs of any other version are rejected as
+/// [`DurabilityError::Corrupt`].
+pub const WAL_MAGIC: &[u8; 8] = b"OBCSWAL3";
 
 /// Byte length of the header: magic plus the u64 epoch.
-const WAL_HEADER_V2: usize = WAL_MAGIC_V2.len() + 8;
+const WAL_HEADER: usize = WAL_MAGIC.len() + 8;
+
+/// Byte length of a frame header: payload length plus checksum.
+const FRAME_HEADER: usize = 8;
 
 /// Upper bound on a single record's payload. A length prefix beyond this
 /// is treated as frame corruption (torn tail), not an allocation request:
 /// a flipped bit in the length field must not ask for gigabytes.
 pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
+/// Payload tags, one per record kind.
+const TAG_CREATE_TABLE: u8 = 0;
+const TAG_INSERT: u8 = 1;
+const TAG_CREATE_INDEX: u8 = 2;
+const TAG_AUTO_INDEX: u8 = 3;
+
 /// One logged KB mutation, in the order the store applied it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// `KnowledgeBase::create_table` with the checked schema.
     CreateTable(TableSchema),
@@ -90,13 +105,13 @@ pub enum WalRecord {
 
 impl WalRecord {
     /// Re-applies this mutation to `kb`, exactly as the original call
-    /// did.
-    pub fn apply(&self, kb: &mut KnowledgeBase) -> Result<(), KbError> {
+    /// did. The record is consumed: its row moves into the store.
+    pub fn apply(self, kb: &mut KnowledgeBase) -> Result<(), KbError> {
         match self {
-            WalRecord::CreateTable(schema) => kb.create_table(schema.clone()),
-            WalRecord::Insert { table, row } => kb.insert(table, row.clone()),
+            WalRecord::CreateTable(schema) => kb.create_table(schema),
+            WalRecord::Insert { table, row } => kb.insert(&table, row),
             WalRecord::CreateIndex { table, column, kind } => {
-                kb.create_index(table, column, *kind).map(|_| ())
+                kb.create_index(&table, &column, kind).map(|_| ())
             }
             WalRecord::AutoIndex => {
                 kb.auto_index();
@@ -104,6 +119,76 @@ impl WalRecord {
             }
         }
     }
+
+    /// This record's frame, ready to append.
+    pub(crate) fn frame(&self) -> Vec<u8> {
+        match self {
+            WalRecord::CreateTable(schema) => frame(|buf| {
+                buf.push(TAG_CREATE_TABLE);
+                codec::encode_schema(buf, schema);
+            }),
+            WalRecord::Insert { table, row } => insert_frame(table, row),
+            WalRecord::CreateIndex { table, column, kind } => frame(|buf| {
+                buf.push(TAG_CREATE_INDEX);
+                codec::encode_text(buf, table);
+                codec::encode_text(buf, column);
+                codec::encode_index_kind(buf, *kind);
+            }),
+            WalRecord::AutoIndex => frame(|buf| buf.push(TAG_AUTO_INDEX)),
+        }
+    }
+
+    /// Decodes one frame payload. Any failure is `Corrupt`; the scan
+    /// treats it as the start of a torn tail.
+    fn decode(payload: &[u8]) -> Result<WalRecord, DurabilityError> {
+        let mut c = Cursor::new(payload, "WAL record");
+        let record = match c.u8()? {
+            TAG_CREATE_TABLE => WalRecord::CreateTable(c.schema()?),
+            TAG_INSERT => {
+                let table = c.text()?;
+                // Every value is at least its tag byte.
+                let arity = c.count(1)?;
+                let mut row = Vec::with_capacity(arity);
+                for _ in 0..arity {
+                    row.push(c.value()?);
+                }
+                WalRecord::Insert { table, row }
+            }
+            TAG_CREATE_INDEX => WalRecord::CreateIndex {
+                table: c.text()?,
+                column: c.text()?,
+                kind: c.index_kind()?,
+            },
+            TAG_AUTO_INDEX => WalRecord::AutoIndex,
+            tag => return Err(c.corrupt(&format!("unknown record tag {tag}"))),
+        };
+        c.finish()?;
+        Ok(record)
+    }
+}
+
+/// The frame of an `Insert` of `row` into `table`, encoded from borrowed
+/// parts so that the caller can still hand the row to the store.
+pub(crate) fn insert_frame(table: &str, row: &[Value]) -> Vec<u8> {
+    frame(|buf| {
+        buf.push(TAG_INSERT);
+        codec::encode_text(buf, table);
+        buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for v in row {
+            codec::encode_value(buf, v);
+        }
+    })
+}
+
+/// Builds one `[len][crc][payload]` frame; `encode` writes the payload.
+fn frame(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = vec![0u8; FRAME_HEADER];
+    encode(&mut frame);
+    let payload = &frame[FRAME_HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    frame
 }
 
 /// Errors of the durability subsystem (WAL, snapshot, recovery).
@@ -144,11 +229,10 @@ impl From<KbError> for DurabilityError {
     }
 }
 
-/// What [`Wal::open`] found in an existing log.
+/// What [`Wal::open`] found in an existing log, besides the records it
+/// handed to its caller.
 #[derive(Debug)]
 pub struct WalReplay {
-    /// Every intact record, in append order.
-    pub records: Vec<WalRecord>,
     /// Bytes of torn tail truncated away (0 for a cleanly closed log).
     pub truncated_bytes: u64,
     /// The durability epoch in the header (fresh logs start at 0).
@@ -170,120 +254,111 @@ impl fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// Opens (or creates) the log at `path`, replaying every intact
-    /// record and truncating a torn tail. Fresh logs start at epoch 0.
-    /// Errors only on I/O failure or a wrong magic header — a file that
-    /// is not a WAL of this format at all.
-    pub fn open(path: impl AsRef<Path>) -> Result<(Wal, WalReplay), DurabilityError> {
+    /// Opens (or creates) the log at `path`, scanning it frame by frame
+    /// and truncating a torn tail. `each` receives the header's epoch
+    /// and every intact record, by value and in append order, before the
+    /// next frame is read; an error from it stops the scan, leaves the
+    /// file as it was, and is returned. Fresh logs start at epoch 0.
+    /// Errors otherwise only on I/O failure or a wrong magic header — a
+    /// file that is not a WAL of this format at all.
+    pub fn open(
+        path: impl AsRef<Path>,
+        mut each: impl FnMut(u64, WalRecord) -> Result<(), DurabilityError>,
+    ) -> Result<(Wal, WalReplay), DurabilityError> {
         let path = path.as_ref().to_path_buf();
         // truncate(false): an existing log must be replayed, not wiped.
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-
-        if bytes.is_empty() {
-            file.write_all(WAL_MAGIC_V2)?;
-            file.write_all(&0u64.to_le_bytes())?;
-            file.sync_all()?;
-            return Ok((
-                Wal { file, path, epoch: 0 },
-                WalReplay { records: Vec::new(), truncated_bytes: 0, epoch: 0 },
-            ));
+        let file_len = file.metadata()?.len();
+        if file_len == 0 {
+            write_header(&mut file, 0)?;
+            return Ok((Wal { file, path, epoch: 0 }, WalReplay { truncated_bytes: 0, epoch: 0 }));
         }
-        if !bytes.starts_with(WAL_MAGIC_V2) {
+
+        let mut reader = BufReader::new(&file);
+        let mut header = [0u8; WAL_HEADER];
+        let header_len = file_len.min(WAL_HEADER as u64) as usize;
+        reader.read_exact(&mut header[..header_len])?;
+        if header_len < WAL_MAGIC.len() || &header[..WAL_MAGIC.len()] != WAL_MAGIC {
             return Err(DurabilityError::Corrupt(format!(
-                "{} does not start with the OBCSWAL2 magic",
-                path.display()
+                "{} does not start with the {} magic",
+                path.display(),
+                String::from_utf8_lossy(WAL_MAGIC)
             )));
         }
-        if bytes.len() < WAL_HEADER_V2 {
+        if header_len < WAL_HEADER {
             // A crash mid-reset tore the epoch field. The reset ordering
             // (truncate, sync, then header) guarantees no record can
             // follow a torn header, so rewrite the file as a fresh
             // epoch-0 log.
-            let torn = (bytes.len() - WAL_MAGIC_V2.len()) as u64;
+            drop(reader);
+            let torn = (header_len - WAL_MAGIC.len()) as u64;
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(WAL_MAGIC_V2)?;
-            file.write_all(&0u64.to_le_bytes())?;
-            file.sync_all()?;
+            write_header(&mut file, 0)?;
             return Ok((
                 Wal { file, path, epoch: 0 },
-                WalReplay { records: Vec::new(), truncated_bytes: torn, epoch: 0 },
+                WalReplay { truncated_bytes: torn, epoch: 0 },
             ));
         }
-        let epoch = u64::from_le_bytes(
-            bytes[WAL_MAGIC_V2.len()..WAL_HEADER_V2].try_into().expect("8 bytes"),
-        );
+        let epoch = u64::from_le_bytes(header[WAL_MAGIC.len()..].try_into().expect("8 bytes"));
 
-        let mut records = Vec::new();
-        let mut pos = WAL_HEADER_V2;
         // Scan frame by frame; stop at the first incomplete or invalid
         // frame. Everything before `pos` is intact, everything after is
-        // the torn tail.
-        loop {
-            if pos == bytes.len() {
+        // the torn tail. A length is checked against the bytes left in
+        // the file before the payload buffer is sized from it.
+        let mut pos = WAL_HEADER as u64;
+        let mut payload = Vec::new();
+        while file_len - pos >= FRAME_HEADER as u64 {
+            let mut frame_header = [0u8; FRAME_HEADER];
+            reader.read_exact(&mut frame_header)?;
+            let len = u32::from_le_bytes(frame_header[..4].try_into().expect("4 bytes")) as usize;
+            let crc = u32::from_le_bytes(frame_header[4..].try_into().expect("4 bytes"));
+            if len > MAX_RECORD_BYTES || (len as u64) > file_len - pos - FRAME_HEADER as u64 {
                 break;
             }
-            if bytes.len() - pos < 8 {
+            payload.resize(len, 0);
+            reader.read_exact(&mut payload)?;
+            if crc32(&payload) != crc {
                 break;
             }
-            let len =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-                    as usize;
-            let crc = u32::from_le_bytes([
-                bytes[pos + 4],
-                bytes[pos + 5],
-                bytes[pos + 6],
-                bytes[pos + 7],
-            ]);
-            if len > MAX_RECORD_BYTES || pos + 8 + len > bytes.len() {
-                break;
-            }
-            let payload = &bytes[pos + 8..pos + 8 + len];
-            if crc32(payload) != crc {
-                break;
-            }
-            let Ok(text) = std::str::from_utf8(payload) else { break };
-            let Ok(record) = serde_json::from_str::<WalRecord>(text) else { break };
-            records.push(record);
-            pos += 8 + len;
+            let Ok(record) = WalRecord::decode(&payload) else { break };
+            each(epoch, record)?;
+            pos += (FRAME_HEADER + len) as u64;
         }
+        drop(reader);
 
-        let truncated_bytes = (bytes.len() - pos) as u64;
+        let truncated_bytes = file_len - pos;
         if truncated_bytes > 0 {
-            file.set_len(pos as u64)?;
+            file.set_len(pos)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(pos as u64))?;
-        Ok((Wal { file, path, epoch }, WalReplay { records, truncated_bytes, epoch }))
+        file.seek(SeekFrom::Start(pos))?;
+        Ok((Wal { file, path, epoch }, WalReplay { truncated_bytes, epoch }))
     }
 
     /// Reads the epoch out of a log header without opening, replaying
     /// or repairing the file. `None` for a missing, foreign, or torn
     /// file.
     pub(crate) fn peek_epoch(path: &Path) -> Option<u64> {
-        let mut header = [0u8; WAL_HEADER_V2];
+        let mut header = [0u8; WAL_HEADER];
         let mut f = File::open(path).ok()?;
         f.read_exact(&mut header).ok()?;
-        if &header[..WAL_MAGIC_V2.len()] != WAL_MAGIC_V2 {
+        if &header[..WAL_MAGIC.len()] != WAL_MAGIC {
             return None;
         }
-        Some(u64::from_le_bytes(header[WAL_MAGIC_V2.len()..].try_into().expect("8 bytes")))
+        Some(u64::from_le_bytes(header[WAL_MAGIC.len()..].try_into().expect("8 bytes")))
     }
 
     /// Appends one record frame. The bytes reach the OS here; call
     /// [`Wal::sync`] to force them to stable storage.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), DurabilityError> {
-        let payload = serde_json::to_string(record)
-            .expect("WAL record serialisation cannot fail")
-            .into_bytes();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
+        self.append_frame(&record.frame())
+    }
+
+    /// Appends a frame built by [`WalRecord::frame`] or [`insert_frame`].
+    pub(crate) fn append_frame(&mut self, frame: &[u8]) -> Result<(), DurabilityError> {
+        self.file.write_all(frame)?;
         Ok(())
     }
 
@@ -309,9 +384,7 @@ impl Wal {
         self.file.set_len(0)?;
         self.file.sync_all()?;
         self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(WAL_MAGIC_V2)?;
-        self.file.write_all(&epoch.to_le_bytes())?;
-        self.file.sync_all()?;
+        write_header(&mut self.file, epoch)?;
         self.epoch = epoch;
         Ok(())
     }
@@ -325,6 +398,14 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Writes the magic and `epoch` at the file's position, then syncs.
+fn write_header(file: &mut File, epoch: u64) -> Result<(), DurabilityError> {
+    file.write_all(WAL_MAGIC)?;
+    file.write_all(&epoch.to_le_bytes())?;
+    file.sync_all()?;
+    Ok(())
 }
 
 const fn crc32_table() -> [u32; 256] {
@@ -367,6 +448,18 @@ mod tests {
         std::env::temp_dir().join(format!("obcs_wal_{}_{tag}_{n}.wal", std::process::id()))
     }
 
+    /// Opens the log at `path`, collecting the records the scan hands
+    /// over.
+    fn open_collect(path: &Path) -> (Wal, Vec<WalRecord>, WalReplay) {
+        let mut records = Vec::new();
+        let (wal, replay) = Wal::open(path, |_, r| {
+            records.push(r);
+            Ok(())
+        })
+        .unwrap();
+        (wal, records, replay)
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::CreateTable(
@@ -400,15 +493,15 @@ mod tests {
         let path = temp_path("replay");
         let records = sample_records();
         {
-            let (mut wal, replay) = Wal::open(&path).unwrap();
-            assert!(replay.records.is_empty());
+            let (mut wal, replayed, _) = open_collect(&path);
+            assert!(replayed.is_empty());
             for r in &records {
                 wal.append(r).unwrap();
             }
             wal.sync().unwrap();
         }
-        let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, records);
+        let (_, replayed, replay) = open_collect(&path);
+        assert_eq!(replayed, records);
         assert_eq!(replay.truncated_bytes, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -417,7 +510,7 @@ mod tests {
     fn torn_tail_is_truncated_not_replayed() {
         let path = temp_path("torn");
         {
-            let (mut wal, _) = Wal::open(&path).unwrap();
+            let (mut wal, _, _) = open_collect(&path);
             for r in sample_records() {
                 wal.append(&r).unwrap();
             }
@@ -428,8 +521,8 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0x90, 0x01, 0x00, 0x00, 0xde, 0xad]).unwrap();
         drop(f);
-        let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, sample_records());
+        let (_, replayed, replay) = open_collect(&path);
+        assert_eq!(replayed, sample_records());
         assert_eq!(replay.truncated_bytes, 6);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len, "tail truncated on disk");
         std::fs::remove_file(&path).ok();
@@ -439,23 +532,45 @@ mod tests {
     fn corrupt_checksum_cuts_the_log_there() {
         let path = temp_path("crc");
         {
-            let (mut wal, _) = Wal::open(&path).unwrap();
+            let (mut wal, _, _) = open_collect(&path);
             for r in sample_records() {
                 wal.append(&r).unwrap();
             }
             wal.sync().unwrap();
         }
         // Flip one payload byte of the second record (frames start
-        // after the 16-byte v2 header).
+        // after the 16-byte header).
         let mut bytes = std::fs::read(&path).unwrap();
-        let first_frame = WAL_HEADER_V2;
+        let first_frame = WAL_HEADER;
         let first_len =
             u32::from_le_bytes(bytes[first_frame..first_frame + 4].try_into().unwrap()) as usize;
         let second_payload = first_frame + 8 + first_len + 8;
         bytes[second_payload] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, sample_records()[..1], "scan stops at the corrupt record");
+        let (_, replayed, replay) = open_collect(&path);
+        assert_eq!(replayed, sample_records()[..1], "scan stops at the corrupt record");
+        assert!(replay.truncated_bytes > 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn undecodable_payload_cuts_the_log_there() {
+        let path = temp_path("decode");
+        {
+            let (mut wal, _, _) = open_collect(&path);
+            wal.append(&sample_records()[0]).unwrap();
+            // Checksummed frames whose payloads do not decode: an unknown
+            // record tag, and an insert with a trailing byte.
+            wal.append_frame(&frame(|buf| buf.push(9))).unwrap();
+            wal.append_frame(&frame(|buf| {
+                buf.extend_from_slice(&insert_frame("drug", &[Value::Int(1)])[FRAME_HEADER..]);
+                buf.push(0);
+            }))
+            .unwrap();
+            wal.sync().unwrap();
+        }
+        let (_, replayed, replay) = open_collect(&path);
+        assert_eq!(replayed, sample_records()[..1]);
         assert!(replay.truncated_bytes > 0);
         std::fs::remove_file(&path).ok();
     }
@@ -464,7 +579,7 @@ mod tests {
     fn oversized_length_prefix_is_corruption_not_allocation() {
         let path = temp_path("len");
         {
-            let (mut wal, _) = Wal::open(&path).unwrap();
+            let (mut wal, _, _) = open_collect(&path);
             wal.append(&sample_records()[0]).unwrap();
             wal.sync().unwrap();
         }
@@ -472,8 +587,8 @@ mod tests {
         f.write_all(&u32::MAX.to_le_bytes()).unwrap();
         f.write_all(&[0u8; 4]).unwrap();
         drop(f);
-        let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records.len(), 1);
+        let (_, replayed, replay) = open_collect(&path);
+        assert_eq!(replayed.len(), 1);
         assert_eq!(replay.truncated_bytes, 8);
         std::fs::remove_file(&path).ok();
     }
@@ -481,12 +596,14 @@ mod tests {
     #[test]
     fn wrong_magic_is_an_error() {
         let path = temp_path("magic");
-        // A foreign file, and a log written by an older build: both fail
-        // naming the expected magic, never replay.
-        for bytes in [&b"NOTAWAL!xxxx"[..], &b"OBCSWAL1"[..]] {
+        // A foreign file, and logs written by older builds (the JSON
+        // payload formats): all fail naming the expected magic, never
+        // replay.
+        let older = [&b"NOTAWAL!xxxx"[..], &b"OBCSWAL1"[..], &b"OBCSWAL2\0\0\0\0\0\0\0\0"[..]];
+        for bytes in older {
             std::fs::write(&path, bytes).unwrap();
-            match Wal::open(&path) {
-                Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("OBCSWAL2"), "{msg}"),
+            match Wal::open(&path, |_, _| panic!("nothing replays")) {
+                Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("OBCSWAL3"), "{msg}"),
                 other => panic!("expected Corrupt, got {other:?}"),
             }
         }
@@ -494,10 +611,37 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_consumer_stops_the_scan_and_leaves_the_file() {
+        let path = temp_path("consumer");
+        {
+            let (mut wal, _, _) = open_collect(&path);
+            for r in sample_records() {
+                wal.append(&r).unwrap();
+            }
+            wal.sync().unwrap();
+        }
+        // A torn tail that a completed scan would truncate.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[0xde, 0xad]).unwrap();
+        drop(f);
+        let before = std::fs::read(&path).unwrap();
+        let mut seen = 0;
+        let err = Wal::open(&path, |_, _| {
+            seen += 1;
+            Err(DurabilityError::Kb(KbError::UnknownTable("drug".to_string())))
+        })
+        .expect_err("the consumer's error is returned");
+        assert!(matches!(err, DurabilityError::Kb(_)), "{err}");
+        assert_eq!(seen, 1, "no record is read after the failing one");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn reset_compacts_to_header_only_and_stamps_the_epoch() {
         let path = temp_path("reset");
         {
-            let (mut wal, replay) = Wal::open(&path).unwrap();
+            let (mut wal, _, replay) = open_collect(&path);
             assert_eq!(replay.epoch, 0, "fresh logs start at epoch 0");
             for r in sample_records() {
                 wal.append(&r).unwrap();
@@ -507,8 +651,13 @@ mod tests {
             wal.append(&sample_records()[0]).unwrap();
             wal.sync().unwrap();
         }
-        let (_, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, sample_records()[..1], "only post-reset records survive");
+        let mut epochs = Vec::new();
+        let (_, replay) = Wal::open(&path, |epoch, _| {
+            epochs.push(epoch);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(epochs, [7], "only post-reset records survive, under the new epoch");
         assert_eq!(replay.epoch, 7, "the epoch survives reopen");
         assert_eq!(Wal::peek_epoch(&path), Some(7));
         std::fs::remove_file(&path).ok();
@@ -518,7 +667,7 @@ mod tests {
     fn torn_epoch_header_reopens_as_a_fresh_log() {
         let path = temp_path("torn_epoch");
         {
-            let (mut wal, _) = Wal::open(&path).unwrap();
+            let (mut wal, _, _) = open_collect(&path);
             wal.append(&sample_records()[0]).unwrap();
             wal.reset(5).unwrap();
         }
@@ -526,12 +675,12 @@ mod tests {
         // inside the epoch field must reopen as a fresh epoch-0 log —
         // the truncate-first ordering guarantees no record follows it.
         let full = std::fs::read(&path).unwrap();
-        for cut in WAL_MAGIC_V2.len()..WAL_HEADER_V2 {
+        for cut in WAL_MAGIC.len()..WAL_HEADER {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let (_, replay) = Wal::open(&path).unwrap();
-            assert!(replay.records.is_empty(), "cut at {cut}");
+            let (_, replayed, replay) = open_collect(&path);
+            assert!(replayed.is_empty(), "cut at {cut}");
             assert_eq!(replay.epoch, 0, "cut at {cut}: repaired to a fresh log");
-            assert_eq!(replay.truncated_bytes, (cut - WAL_MAGIC_V2.len()) as u64);
+            assert_eq!(replay.truncated_bytes, (cut - WAL_MAGIC.len()) as u64);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use obcs_agent::{AgentReply, ConversationAgent, ReplyKind};
 use obcs_faults::ResilienceConfig;
-use obcs_kb::{DurableKb, RecoveryReport};
+use obcs_kb::{DurableKb, KnowledgeBase, RecoveryReport};
 use obcs_telemetry::{span, stage, CollectingRecorder, NoopRecorder, Recorder, TraceReport};
 
 use crate::protocol::{
@@ -128,11 +128,14 @@ impl Server {
     /// WAL is recovered (torn tail truncated, index policy restored —
     /// see [`Server::recovery`]) and installed
     /// on the agent; a fresh directory is seeded with a snapshot of the
-    /// agent's KB. The server never mutates the KB, so it keeps no
-    /// durable handle past startup: every startup write (torn-tail
-    /// truncation, log realignment, the seed snapshot) is synced before
-    /// this returns. Durability failures surface as `std::io::Error`
-    /// here rather than degrading to a silently non-durable server.
+    /// agent's KB. Recovery replaces the agent's KB, so the agent
+    /// releases it before recovery starts: the two never coexist, and
+    /// start-up holds one KB at its peak. The server never mutates the
+    /// KB, so it keeps no durable handle past startup: every startup
+    /// write (torn-tail truncation, log realignment, the seed snapshot)
+    /// is synced before this returns. Durability failures surface as
+    /// `std::io::Error` here rather than degrading to a silently
+    /// non-durable server.
     pub fn start(mut agent: ConversationAgent, config: ServeConfig) -> std::io::Result<Server> {
         if let Some(budget) = config.turn_budget {
             agent.set_resilience(ResilienceConfig {
@@ -143,6 +146,8 @@ impl Server {
         let mut recovery = None;
         if let Some(durability) = &config.durability {
             if DurableKb::exists(&durability.dir) {
+                // Recovery replaces the agent's KB: release it first.
+                agent.set_kb(KnowledgeBase::new());
                 let (d, report) =
                     DurableKb::open(&durability.dir).map_err(std::io::Error::other)?;
                 agent.set_kb(d.into_kb());
