@@ -53,7 +53,9 @@ cargo run -q --release -p obcs-bench --bin repro -- verify --quick > /dev/null
 
 echo "==> repro perf --quick --check BENCH_perf.json"
 # Perf smoke: re-measures the quick profile and fails on a malformed
-# baseline or any stage >5x slower than the committed BENCH_perf.json.
+# baseline, a stage missing from either side (a new stage must commit
+# its baseline entry), or any stage >5x slower than the committed
+# BENCH_perf.json.
 # Stages with a committed speedup floor (min_speedup in the baseline:
 # annotate, logreg_train, cached_replay, and the 15k scale stages) also
 # fail the run if the shipped implementation stops delivering at least
@@ -62,7 +64,8 @@ cargo run -q --release -p obcs-bench --bin repro -- perf --quick --check BENCH_p
 
 echo "==> repro scale --quick --check BENCH_perf.json"
 # Indexed-execution gate: re-measures the latency-vs-KB-size curve
-# (point lookup, FK join, LIKE-prefix at 150/1.5k/15k drugs), asserts
+# (point lookup, FK join and the three served template shapes at
+# 150/1.5k/15k drugs), asserts
 # indexed results byte-identical to the scan twin's on every query, and
 # enforces the committed 15k-point min_speedup floors (>=10x point
 # lookup) plus the 5x regression ceiling against the scale_* subset of

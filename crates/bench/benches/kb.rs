@@ -1,13 +1,13 @@
 //! Knowledge-base engine benches: SQL parsing, single-table filters, hash
 //! joins (direct FK and M:N bridge), the statistics the bootstrapper
-//! relies on, and the secondary-index hot paths (point lookup, FK join,
-//! LIKE-prefix) against a scan-only twin at small and large world sizes.
+//! relies on, and the secondary-index hot paths (point lookup, FK join)
+//! against a scan-only twin at small and large world sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use obcs_bench::World;
 use obcs_kb::sql::parser::parse;
 use obcs_kb::stats::{column_stats, table_is_categorical, CategoricalPolicy};
-use obcs_kb::{IndexKind, KnowledgeBase};
+use obcs_kb::KnowledgeBase;
 use obcs_mdx::data::{build_mdx_kb, MdxDataConfig};
 use std::hint::black_box;
 
@@ -69,18 +69,16 @@ fn bench_kb(c: &mut Criterion) {
     group.finish();
 }
 
-/// The auto-indexed KB, plus the ordered drug.name index the
-/// LIKE-prefix bench reads, and its scan-only twin; every iteration pays
+/// The auto-indexed KB and its scan-only twin; every iteration pays
 /// parse + bind + execute.
 fn twins(drugs: usize) -> (KnowledgeBase, KnowledgeBase) {
-    let mut indexed = build_mdx_kb(MdxDataConfig { drugs, seed: 7 });
-    indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
+    let indexed = build_mdx_kb(MdxDataConfig { drugs, seed: 7 });
     let mut scan = indexed.clone();
     scan.set_index_enabled(false);
     (indexed, scan)
 }
 
-/// Indexed execution vs the scan twin on the three index-accelerated
+/// Indexed execution vs the scan twin on the two index-accelerated
 /// hot paths, at the paper-scale world and the 15k-drug large world
 /// (the same curve `repro scale` commits to `BENCH_perf.json`).
 fn bench_kb_index(c: &mut Criterion) {
@@ -94,7 +92,6 @@ fn bench_kb_index(c: &mut Criterion) {
              WHERE d.drug_id = {}",
             (n * 53 + 7) % n
         );
-        let prefix = "SELECT name FROM drug WHERE name LIKE 'Cardio%'";
 
         let mut group = c.benchmark_group(format!("kb_index_{drugs}"));
         for (label, kb) in [("indexed", &indexed), ("scan", &scan)] {
@@ -103,9 +100,6 @@ fn bench_kb_index(c: &mut Criterion) {
             });
             group.bench_function(format!("fk_join_{label}"), |b| {
                 b.iter(|| black_box(kb.query(&join)))
-            });
-            group.bench_function(format!("like_prefix_{label}"), |b| {
-                b.iter(|| black_box(kb.query(prefix)))
             });
         }
         group.finish();

@@ -197,8 +197,8 @@ fn perf(args: &[String], seed: u64) {
 /// `repro scale [--quick] [--seed N] [--check BASELINE]`
 ///
 /// Runs just the large-world scaling curve (DESIGN.md §14): indexed vs
-/// scan-twin latency for point lookup, FK join, LIKE-prefix and the
-/// three served template shapes at 150 / 1.5k / 15k drugs. The floors
+/// scan-twin latency for point lookup, FK join and the three served
+/// template shapes at 150 / 1.5k / 15k drugs. The floors
 /// the run itself carries (10x point lookup at 15k, etc.) are enforced
 /// directly; `--check` additionally
 /// compares against the scale stages of a committed baseline.

@@ -279,8 +279,9 @@ pub fn run(opts: &PerfOptions) -> PerfReport {
     comparisons.push(cached_replay);
 
     // Stage group: the large-world scaling curve (DESIGN.md §14) —
-    // point lookup, FK join, and LIKE-prefix at 150 / 1.5k / 15k drugs,
-    // indexed vs scan twin, with `min_speedup` floors at the 15k point.
+    // point lookup, FK join and the served shapes at 150 / 1.5k / 15k
+    // drugs, indexed vs scan twin, with `min_speedup` floors at the 15k
+    // point.
     let scale = crate::scale::run(opts);
     timings.extend(scale.timings);
     comparisons.extend(scale.comparisons);
@@ -336,16 +337,31 @@ impl PerfReport {
     }
 
     /// Compares this run against a committed baseline report. Fails on a
-    /// malformed baseline, a mode mismatch, a stage that disappeared, or
-    /// any stage more than [`MAX_REGRESSION`]× slower than the baseline.
-    /// Sub-millisecond baseline stages are clamped to 1 ms before the
-    /// multiplier so timer jitter cannot trip the gate.
+    /// malformed baseline, a mode mismatch, a stage that disappeared, a
+    /// stage the baseline lacks (it would run ungated), or any stage more
+    /// than [`MAX_REGRESSION`]× slower than the baseline. Sub-millisecond
+    /// baseline stages are clamped to 1 ms before the multiplier so
+    /// timer jitter cannot trip the gate.
     pub fn check_against(&self, baseline: &PerfReport) -> Result<String, String> {
         if baseline.mode != self.mode {
             return Err(format!(
                 "mode mismatch: baseline is {:?}, this run is {:?}",
                 baseline.mode, self.mode
             ));
+        }
+        let ungated = self
+            .timings
+            .iter()
+            .map(|t| &t.name)
+            .find(|name| !baseline.timings.iter().any(|b| &b.name == *name))
+            .or_else(|| {
+                self.comparisons
+                    .iter()
+                    .map(|c| &c.name)
+                    .find(|name| !baseline.comparisons.iter().any(|b| &b.name == *name))
+            });
+        if let Some(name) = ungated {
+            return Err(format!("stage {name:?} has no baseline entry: commit one"));
         }
         let mut checked = 0usize;
         for b in &baseline.timings {
@@ -473,6 +489,19 @@ mod tests {
         current.comparisons.clear();
         let err = current.check_against(&baseline).expect_err("should fail");
         assert!(err.contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn check_fails_on_a_stage_the_baseline_lacks() {
+        let mut baseline = report(10.0);
+        let current = report(10.0);
+        baseline.comparisons.clear();
+        let err = current.check_against(&baseline).expect_err("an ungated comparison");
+        assert!(err.contains("no baseline"), "{err}");
+        let mut baseline = report(10.0);
+        baseline.timings.clear();
+        let err = current.check_against(&baseline).expect_err("an ungated timing");
+        assert!(err.contains("\"bootstrap\""), "{err}");
     }
 
     #[test]

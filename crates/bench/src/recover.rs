@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use obcs_kb::snapshot::read_snapshot;
-use obcs_kb::{DurableKb, IndexKind, Value, Wal, SNAPSHOT_FILE, WAL_FILE};
+use obcs_kb::{DurableKb, Value, Wal, SNAPSHOT_FILE, WAL_FILE};
 use obcs_mdx::data::build_mdx_kb;
 use obcs_serve::protocol::encode_line;
 use obcs_serve::{Client, DurabilityConfig, ServeConfig, Server};
@@ -171,9 +171,8 @@ pub fn run(opts: &PerfOptions) -> RecoverBenchOutcome {
             )
             .expect("recover bench: tail insert");
     }
-    let index_created = durable
-        .create_index("risk", "severity_note", IndexKind::Hash)
-        .expect("recover bench: tail index");
+    let index_created =
+        durable.create_index("risk", "severity_note").expect("recover bench: tail index");
     durable.sync().expect("recover bench: sync");
     let wal_append_ms = t.elapsed().as_secs_f64() * 1000.0;
     let expected_records = tail_inserts + usize::from(index_created);

@@ -1,23 +1,20 @@
 //! The "large world" scaling harness behind `repro scale` (DESIGN.md
-//! §14): a latency-vs-KB-size curve for the three index-accelerated KB
-//! hot paths — point lookup, FK join, LIKE-prefix — and for the three
-//! shapes the served templates issue — one hop (dosage by drug name), a
-//! bridge (black-box warning via risk) and the condition-driven drug
-//! list with an age group — measured at 150 / 1.5k / 15k drugs on the
-//! deterministic MDX generator. Each stage runs
-//! the identical query batch against the auto-indexed KB (plus an
-//! explicit ordered index on `drug.name` for LIKE-prefix) and a
-//! scan-only twin (`set_index_enabled(false)`), with the query caches
-//! off on both so the measurement is raw execution, and the results are
-//! asserted byte-identical before any timing counts. The stages join
-//! the `repro perf` report, so the curve is committed to
-//! `BENCH_perf.json` with enforced `min_speedup` floors at the 15k
-//! point.
+//! §14): a latency-vs-KB-size curve for the two index-accelerated KB
+//! hot paths — point lookup and FK join — and for the three shapes the
+//! served templates run — one hop (dosage by drug name), a bridge
+//! (black-box warning via risk) and the condition-driven drug list with
+//! an age group — measured at 150 / 1.5k / 15k drugs on the
+//! deterministic MDX generator. Each stage runs the identical query
+//! batch against the auto-indexed KB and a scan-only twin
+//! (`set_index_enabled(false)`), and the results are asserted
+//! byte-identical before any timing counts. The stages join the `repro
+//! perf` report, so the curve is committed to `BENCH_perf.json` with
+//! enforced `min_speedup` floors at the 15k point.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use obcs_kb::{IndexKind, KnowledgeBase, Value};
+use obcs_kb::{KnowledgeBase, Value};
 use obcs_mdx::data::{build_mdx_kb, MdxDataConfig};
 
 use crate::perf::{Comparison, PerfOptions, Timing};
@@ -31,8 +28,6 @@ pub const POINT_LOOKUP_FLOOR_15K: f64 = 10.0;
 /// Committed floor for the FK join at 15k: probing the persistent hash
 /// index must beat rebuilding the per-query join map.
 pub const FK_JOIN_FLOOR_15K: f64 = 5.0;
-/// Committed floor for the LIKE-prefix range read at 15k.
-pub const LIKE_PREFIX_FLOOR_15K: f64 = 3.0;
 /// Committed floor at 15k for the served one-hop shape: a join probe
 /// on `drug.name` must beat scanning the dosage table.
 pub const SERVED_ONE_HOP_FLOOR_15K: f64 = 100.0;
@@ -119,12 +114,8 @@ pub fn run(opts: &PerfOptions) -> ScaleOutcome {
             ms: build_ms,
         });
 
-        // The default policy builds hash indexes only; the LIKE-prefix
-        // stage reads an ordered index on drug.name, created here,
-        // outside the timed build. The scan twin: same rows, indexes
-        // routed off. Every timed query pays parse + bind + execute.
-        let mut indexed = indexed;
-        indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
+        // The scan twin: same rows, indexes routed off. Every timed
+        // query pays parse + bind + execute.
         let mut scan = indexed.clone();
         scan.set_index_enabled(false);
 
@@ -167,23 +158,6 @@ pub fn run(opts: &PerfOptions) -> ScaleOutcome {
             &scan,
             &queries,
             floor(FK_JOIN_FLOOR_15K),
-        ));
-
-        // LIKE-prefix: range read over the ordered index on drug.name.
-        let prefixes = ["Cardiovast", "Neurozol", "Gastropril", "Oncotinib"];
-        let queries: Vec<String> = (0..BATCH)
-            .map(|i| {
-                format!("SELECT name FROM drug WHERE name LIKE '{}%'", prefixes[i % prefixes.len()])
-            })
-            .collect();
-        comparisons.push(stage(
-            format!("scale_like_prefix_{drugs}"),
-            format!("{BATCH} prefix queries, {drugs}-drug world"),
-            reps,
-            &indexed,
-            &scan,
-            &queries,
-            floor(LIKE_PREFIX_FLOOR_15K),
         ));
 
         // The served shapes, as the MDX templates write them: the
@@ -262,14 +236,9 @@ mod tests {
         // The committed baseline keys stages by these names; keep the
         // cross-product stable.
         for drugs in SCALE_SIZES {
-            for kind in [
-                "point_lookup",
-                "fk_join",
-                "like_prefix",
-                "served_one_hop",
-                "served_bridge",
-                "served_condition",
-            ] {
+            for kind in
+                ["point_lookup", "fk_join", "served_one_hop", "served_bridge", "served_condition"]
+            {
                 let name = format!("scale_{kind}_{drugs}");
                 assert!(name.starts_with("scale_"));
             }
@@ -281,13 +250,12 @@ mod tests {
         // A truncated run (just the 150-drug point) exercises the whole
         // stage machinery — equality assertions included — in test time.
         let opts = PerfOptions { quick: true, seed: 7 };
-        let mut indexed = build_mdx_kb(MdxDataConfig { drugs: SCALE_SIZES[0], seed: opts.seed });
-        indexed.create_index("drug", "name", IndexKind::Ordered).expect("drug.name index");
+        let indexed = build_mdx_kb(MdxDataConfig { drugs: SCALE_SIZES[0], seed: opts.seed });
         let mut scan = indexed.clone();
         scan.set_index_enabled(false);
         let queries = vec![
             "SELECT name FROM drug WHERE drug_id = 3".to_string(),
-            "SELECT name FROM drug WHERE name LIKE 'Cardio%'".to_string(),
+            "SELECT drug_id FROM drug WHERE name LIKE 'Cardio%'".to_string(),
         ];
         let c = stage("scale_smoke".into(), "2 queries".into(), 1, &indexed, &scan, &queries, None);
         assert!(c.before_ms >= 0.0 && c.after_ms >= 0.0);

@@ -1,15 +1,14 @@
 //! The durability codec (DESIGN.md §16.1), shared by the snapshot and
-//! the write-ahead log so that both files encode a value, a schema and
-//! an index kind the same way.
+//! the write-ahead log so that both files encode a value and a schema
+//! the same way.
 //!
 //! A value is one tag byte followed by a fixed-width little-endian
 //! integer or float bit pattern, or by length-prefixed UTF-8 text. Text
 //! fields are a `u32` byte length and the bytes. A schema is its JSON
-//! image as one text field, and an index kind is one byte. Writers
-//! append to a `Vec<u8>`; readers go through [`Cursor`], a
-//! bounds-checked reader over one checksummed payload.
+//! image as one text field. Writers append to a `Vec<u8>`; readers go
+//! through [`Cursor`], a bounds-checked reader over one checksummed
+//! payload.
 
-use crate::index::IndexKind;
 use crate::schema::TableSchema;
 use crate::value::{FiniteF64, Value};
 use crate::wal::DurabilityError;
@@ -52,14 +51,6 @@ pub(crate) fn encode_value(buf: &mut Vec<u8>, v: &Value) {
 /// Appends a schema as one text field holding its JSON image.
 pub(crate) fn encode_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
     encode_text(buf, &serde_json::to_string(schema).expect("schema serialisation cannot fail"));
-}
-
-/// Appends an index kind as one byte.
-pub(crate) fn encode_index_kind(buf: &mut Vec<u8>, kind: IndexKind) {
-    buf.push(match kind {
-        IndexKind::Hash => 0,
-        IndexKind::Ordered => 1,
-    });
 }
 
 /// A bounds-checked cursor over one decoded payload. Every read failure
@@ -143,14 +134,6 @@ impl<'a> Cursor<'a> {
         let json = self.text()?;
         serde_json::from_str(&json)
             .map_err(|e| self.corrupt(&format!("schema does not parse: {e}")))
-    }
-
-    pub(crate) fn index_kind(&mut self) -> Result<IndexKind, DurabilityError> {
-        match self.u8()? {
-            0 => Ok(IndexKind::Hash),
-            1 => Ok(IndexKind::Ordered),
-            k => Err(self.corrupt(&format!("unknown index kind {k}"))),
-        }
     }
 
     pub(crate) fn finish(&self) -> Result<(), DurabilityError> {

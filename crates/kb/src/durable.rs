@@ -2,15 +2,17 @@
 //! and snapshot file (DESIGN.md §16).
 //!
 //! The handle owns one durability directory containing
-//! [`SNAPSHOT_FILE`] and [`WAL_FILE`]. Every mutating call is applied
-//! to the in-memory store *first* — the store is the validator; an
-//! insert the store rejects must never reach the log — and appended to
-//! the WAL second. An insert encodes its record from the borrowed row
-//! before the store takes the row, so logging copies no row. The
-//! window between apply and append is the usual write-ahead trade made
-//! explicit: a crash there loses the final mutation entirely (prefix
-//! consistency) rather than ever replaying a half-applied or invalid
-//! record.
+//! [`SNAPSHOT_FILE`] and [`WAL_FILE`]. Every mutating call first
+//! encodes its record's frame and refuses one the log's reader would
+//! refuse ([`DurabilityError::RecordTooLarge`]), leaving the store
+//! unchanged. It then applies the mutation to the in-memory store — the
+//! store is the validator; an insert the store rejects must never reach
+//! the log — and appends the frame to the WAL last. An insert encodes
+//! its record from the borrowed row before the store takes the row, so
+//! logging copies no row. The window between apply and append is the
+//! usual write-ahead trade made explicit: a crash there loses the final
+//! mutation entirely (prefix consistency) rather than ever replaying a
+//! half-applied or invalid record.
 //!
 //! [`DurableKb::open`] recovers by loading the snapshot and streaming
 //! the WAL into it one frame at a time, so recovery holds the KB it
@@ -32,10 +34,9 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::index::IndexKind;
 use crate::schema::TableSchema;
 use crate::snapshot::{self, RecoveryReport};
-use crate::store::KnowledgeBase;
+use crate::store::{KbError, KnowledgeBase};
 use crate::value::Value;
 use crate::wal::{self, DurabilityError, Wal, WalRecord};
 
@@ -70,8 +71,8 @@ impl fmt::Debug for DurableKb {
 
 impl DurableKb {
     /// Starts a fresh durability directory from `kb`: writes an initial
-    /// snapshot and an empty WAL (discarding any stale files from an
-    /// earlier incarnation).
+    /// snapshot and an empty WAL. Stale files from an earlier
+    /// incarnation are discarded unread, whatever their format.
     pub fn create(dir: impl AsRef<Path>, kb: KnowledgeBase) -> Result<DurableKb, DurabilityError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -86,9 +87,8 @@ impl DurableKb {
             .max()
             .map_or(0, |stale| stale + 1);
         snapshot::write_snapshot(&kb, &snapshot_path, epoch)?;
-        // The stale log's records are superseded: scan past them unused.
-        let (mut wal, _) = Wal::open(&wal_path, |_, _| Ok(()))?;
-        wal.reset(epoch)?;
+        // The stale log's records are superseded: reset it unread.
+        let wal = Wal::create(&wal_path, epoch)?;
         Ok(DurableKb { kb, wal, snapshot_path, epoch, pending: 0 })
     }
 
@@ -127,52 +127,51 @@ impl DurableKb {
 
     /// Logged [`KnowledgeBase::create_table`].
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), DurabilityError> {
-        self.kb.create_table(schema.clone())?;
-        self.log(&WalRecord::CreateTable(schema).frame())
+        let frame = WalRecord::CreateTable(schema.clone()).frame();
+        self.apply_and_log(&frame, |kb| kb.create_table(schema), |_| true)
     }
 
     /// Logged [`KnowledgeBase::insert`]. The record is encoded from the
     /// borrowed row first, then the store takes the row itself.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<(), DurabilityError> {
         let frame = wal::insert_frame(table, &row);
-        self.kb.insert(table, row)?;
-        self.log(&frame)
+        self.apply_and_log(&frame, |kb| kb.insert(table, row), |_| true)
     }
 
     /// Logged [`KnowledgeBase::create_index`]. No-op re-creations
     /// return `Ok(false)` without writing a record.
-    pub fn create_index(
-        &mut self,
-        table: &str,
-        column: &str,
-        kind: IndexKind,
-    ) -> Result<bool, DurabilityError> {
-        let created = self.kb.create_index(table, column, kind)?;
-        if created {
-            let record = WalRecord::CreateIndex {
-                table: table.to_string(),
-                column: column.to_string(),
-                kind,
-            };
-            self.log(&record.frame())?;
-        }
-        Ok(created)
+    pub fn create_index(&mut self, table: &str, column: &str) -> Result<bool, DurabilityError> {
+        let record =
+            WalRecord::CreateIndex { table: table.to_string(), column: column.to_string() };
+        self.apply_and_log(&record.frame(), |kb| kb.create_index(table, column), |created| *created)
     }
 
     /// Logged [`KnowledgeBase::auto_index`]: the sweep is deterministic
     /// in KB state, so a single marker record replays it exactly.
     pub fn auto_index(&mut self) -> Result<usize, DurabilityError> {
-        let created = self.kb.auto_index();
-        if created > 0 {
-            self.log(&WalRecord::AutoIndex.frame())?;
-        }
-        Ok(created)
+        self.apply_and_log(
+            &WalRecord::AutoIndex.frame(),
+            |kb| Ok(kb.auto_index()),
+            |created| *created > 0,
+        )
     }
 
-    fn log(&mut self, frame: &[u8]) -> Result<(), DurabilityError> {
-        self.wal.append_frame(frame)?;
-        self.pending += 1;
-        Ok(())
+    /// Refuses `frame` if the log's reader would, applies `mutate` to
+    /// the store, and appends `frame` when `changed` says the outcome
+    /// altered durable state.
+    fn apply_and_log<T>(
+        &mut self,
+        frame: &[u8],
+        mutate: impl FnOnce(&mut KnowledgeBase) -> Result<T, KbError>,
+        changed: impl FnOnce(&T) -> bool,
+    ) -> Result<T, DurabilityError> {
+        wal::check_frame(frame)?;
+        let outcome = mutate(&mut self.kb)?;
+        if changed(&outcome) {
+            self.wal.append_frame(frame)?;
+            self.pending += 1;
+        }
+        Ok(outcome)
     }
 
     /// fsyncs the log. Idempotent: syncing an already-synced log is a
@@ -245,8 +244,10 @@ mod tests {
             for i in 0..10 {
                 d.insert("drug", vec![Value::Int(i), Value::text(format!("Drug{i}"))]).unwrap();
             }
-            d.create_index("drug", "name", IndexKind::Ordered).unwrap();
-            assert_eq!(d.auto_index().unwrap(), 2, "PK and name-column hash indexes");
+            d.create_index("drug", "name").unwrap();
+            assert_eq!(d.auto_index().unwrap(), 1, "the PK index; drug.name already has one");
+            assert_eq!(d.auto_index().unwrap(), 0, "a no-op sweep is not logged");
+            assert!(!d.create_index("drug", "name").unwrap(), "nor is a no-op re-creation");
             d.sync().unwrap();
             assert_eq!(d.pending_records(), 13);
             d.into_kb() // dropped without snapshot(): kill-style exit
@@ -339,6 +340,53 @@ mod tests {
         assert_eq!(report.wal_discarded_records, 0);
         assert_eq!(again.kb().table("drug").unwrap().len(), 7);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_oversized_record_is_refused_and_later_records_survive() {
+        let dir = temp_dir("oversized");
+        let mut d = DurableKb::create(&dir, KnowledgeBase::new()).unwrap();
+        d.create_table(drug_schema()).unwrap();
+        let huge = "x".repeat(65 << 20);
+        match d.insert("drug", vec![Value::Int(1), Value::text(huge)]) {
+            Err(DurabilityError::RecordTooLarge { bytes, limit }) => {
+                assert!(bytes > limit, "{bytes} vs {limit}");
+                assert_eq!(limit, wal::MAX_RECORD_BYTES);
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        assert!(d.kb().table("drug").unwrap().is_empty(), "the refused row is not applied");
+        assert_eq!(d.pending_records(), 1, "and not logged");
+        d.insert("drug", vec![Value::Int(2), Value::text("Small")]).unwrap();
+        d.sync().unwrap();
+        let live = d.into_kb();
+        let (recovered, report) = DurableKb::open(&dir).unwrap();
+        assert_eq!(report.wal_records, 2);
+        assert_eq!(report.wal_truncated_bytes, 0);
+        assert_eq!(recovered.kb().to_json(), live.to_json(), "the small row is recovered");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_resets_a_log_of_any_format_unread() {
+        for (what, stale) in [
+            ("OBCSWAL2 log", &b"OBCSWAL2\0\0\0\0\0\0\0\0\x05\0\0\0"[..]),
+            ("garbage", b"\xde\xad\xbe\xef"),
+        ] {
+            let dir = temp_dir("foreign");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(WAL_FILE), stale).unwrap();
+            let mut kb = KnowledgeBase::new();
+            kb.create_table(drug_schema()).unwrap();
+            kb.insert("drug", vec![Value::Int(1), Value::text("Aspirin")]).unwrap();
+            let d = DurableKb::create(&dir, kb.clone()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            drop(d);
+            let (recovered, report) =
+                DurableKb::open(&dir).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(report.wal_records, 0, "{what}");
+            assert_eq!(recovered.kb().to_json(), kb.to_json(), "{what}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

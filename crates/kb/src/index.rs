@@ -1,17 +1,11 @@
 //! Secondary indexes over table columns (DESIGN.md §14).
 //!
-//! Two shapes, selected per column by [`IndexKind`]:
-//!
-//! * **Hash** — raw-`Value` keys mapping to ascending row positions.
-//!   Serves equality probes (with a numeric-twin dual probe bridging the
-//!   `Int`/`Float` cross-type cases of `sql_eq`) and join builds: raw
-//!   keys in insertion order replicate the executor's per-query hash
-//!   join exactly, so probing the persistent index is indistinguishable
-//!   from rebuilding the map per query.
-//! * **Ordered** — a `BTreeMap` keyed by [`Value::total_cmp`] order.
-//!   Serves LIKE-prefix ranges (text keys are lexicographically
-//!   contiguous) and equality (numerically equal `Int`/`Float` keys
-//!   collapse into one entry under `total_cmp`).
+//! One shape: a hash map from raw `Value` keys to ascending row
+//! positions. It serves equality probes, with a numeric-twin dual probe
+//! bridging the `Int`/`Float` cross-type cases of `sql_eq`, and join
+//! builds: raw keys in insertion order replicate the executor's
+//! per-query hash join exactly, so probing the persistent index is
+//! indistinguishable from rebuilding the map per query.
 //!
 //! Indexes are *candidate generators*, never truth: every probe returns
 //! a superset of the matching row positions in ascending order, and the
@@ -22,57 +16,9 @@
 //! ≥ 2^53 lose `sql_eq` precision to f64 rounding (several `Int`s can
 //! equal one `Float`), so the index declines and the executor scans.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
-
-use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 use crate::value::Value;
-
-/// The physical shape of a secondary index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum IndexKind {
-    /// Raw-key hash map: equality probes and join builds.
-    Hash,
-    /// `total_cmp`-ordered map: prefix/range probes and equality.
-    Ordered,
-}
-
-/// The durable description of one secondary index: which column, which
-/// shape. Persisted per table in the KB's JSON envelope (DESIGN.md §16)
-/// so deserialisation can rebuild the index structures — the structures
-/// themselves (hash maps, BTreeMaps) are derivable from the rows and
-/// are never serialised.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IndexSpec {
-    /// The indexed column's name.
-    pub column: String,
-    /// The physical index shape.
-    pub kind: IndexKind,
-}
-
-/// Adapter giving `Value` the `Ord` of [`Value::total_cmp`] so it can
-/// key a `BTreeMap`. Under this order `Int(2)` and `Float(2.0)` are
-/// equal and share one map entry — exactly `sql_eq`'s numeric equality.
-#[derive(Debug, Clone)]
-pub struct OrdValue(pub Value);
-
-impl PartialEq for OrdValue {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
-    }
-}
-impl Eq for OrdValue {}
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// Magnitude bound below which every `Int` has an exact `f64` twin and
 /// vice versa. At or above 2^53 several distinct `Int`s round to the
@@ -103,12 +49,6 @@ fn numeric_twin(v: &Value) -> Option<Value> {
     }
 }
 
-#[derive(Debug, Clone)]
-enum IndexData {
-    Hash(HashMap<Value, Vec<u32>>),
-    Ordered(BTreeMap<OrdValue, Vec<u32>>),
-}
-
 /// One secondary index over a single column of a table. NULLs are never
 /// indexed (they match no predicate and no join).
 #[derive(Debug, Clone)]
@@ -116,25 +56,12 @@ pub struct SecondaryIndex {
     column: String,
     /// Column position within the table's schema.
     col: usize,
-    data: IndexData,
-    /// Set when an ordered index saw a numeric key at magnitude ≥ 2^53:
-    /// `total_cmp` is not transitive across mixed huge `Int`/`Float`
-    /// keys, so the map's order can no longer be trusted and every
-    /// probe answers `None` (the executor falls back to scanning).
-    saturated: bool,
+    map: HashMap<Value, Vec<u32>>,
 }
 
 impl SecondaryIndex {
-    pub fn new(column: impl Into<String>, col: usize, kind: IndexKind) -> Self {
-        SecondaryIndex {
-            column: column.into(),
-            col,
-            data: match kind {
-                IndexKind::Hash => IndexData::Hash(HashMap::new()),
-                IndexKind::Ordered => IndexData::Ordered(BTreeMap::new()),
-            },
-            saturated: false,
-        }
+    pub fn new(column: impl Into<String>, col: usize) -> Self {
+        SecondaryIndex { column: column.into(), col, map: HashMap::new() }
     }
 
     /// The indexed column's name.
@@ -147,118 +74,49 @@ impl SecondaryIndex {
         self.col
     }
 
-    pub fn kind(&self) -> IndexKind {
-        match self.data {
-            IndexData::Hash(_) => IndexKind::Hash,
-            IndexData::Ordered(_) => IndexKind::Ordered,
-        }
-    }
-
-    /// The persistable description of this index (column + kind).
-    pub fn spec(&self) -> IndexSpec {
-        IndexSpec { column: self.column.clone(), kind: self.kind() }
-    }
-
     /// Number of distinct keys — the O(1) cardinality estimate behind
     /// the planner's index-vs-scan decision (`stats::estimated_eq_rows`).
     pub fn distinct_count(&self) -> usize {
-        match &self.data {
-            IndexData::Hash(m) => m.len(),
-            IndexData::Ordered(m) => m.len(),
-        }
+        self.map.len()
     }
 
     /// Registers row `pos` holding `value` in the indexed column. Called
     /// on every insert (positions arrive in ascending order) and from
     /// [`rebuild`](Self::rebuild).
     pub fn insert_row(&mut self, pos: u32, value: &Value) {
-        if value.is_null() {
-            return;
-        }
-        match &mut self.data {
-            IndexData::Hash(m) => m.entry(value.clone()).or_default().push(pos),
-            IndexData::Ordered(m) => {
-                if !exactly_probeable(value) {
-                    // A huge numeric key would break total_cmp
-                    // transitivity inside the BTreeMap; poison the
-                    // index instead of corrupting it.
-                    self.saturated = true;
-                    return;
-                }
-                m.entry(OrdValue(value.clone())).or_default().push(pos);
-            }
+        if !value.is_null() {
+            self.map.entry(value.clone()).or_default().push(pos);
         }
     }
 
     /// Rebuilds from scratch over a table's rows.
     pub fn rebuild(&mut self, rows: &[Vec<Value>]) {
-        self.saturated = false;
-        match &mut self.data {
-            IndexData::Hash(m) => m.clear(),
-            IndexData::Ordered(m) => m.clear(),
-        }
+        self.map.clear();
         for (pos, row) in rows.iter().enumerate() {
             self.insert_row(pos as u32, &row[self.col]);
         }
     }
 
     /// Positions whose key equals `key` under **raw** (derived) `Value`
-    /// equality — the equality hash joins use. Hash indexes only.
+    /// equality — the equality hash joins use.
     pub fn probe_raw(&self, key: &Value) -> Option<&[u32]> {
-        match &self.data {
-            IndexData::Hash(m) => m.get(key).map(Vec::as_slice),
-            IndexData::Ordered(_) => None,
-        }
+        self.map.get(key).map(Vec::as_slice)
     }
 
     /// Candidate positions for an `sql_eq` equality predicate, ascending.
-    /// Returns `None` when the index cannot answer exactly (saturated
-    /// ordered index, or a numeric key at magnitude ≥ 2^53); the caller
-    /// must then fall back to a scan.
+    /// Returns `None` when the index cannot answer exactly (a numeric key
+    /// at magnitude ≥ 2^53); the caller must then fall back to a scan.
     pub fn probe_sql_eq(&self, key: &Value) -> Option<Vec<u32>> {
         if key.is_null() {
             return Some(Vec::new());
         }
-        match &self.data {
-            IndexData::Hash(m) => {
-                if !exactly_probeable(key) {
-                    return None;
-                }
-                let direct = m.get(key).map(Vec::as_slice).unwrap_or(&[]);
-                let twin = numeric_twin(key)
-                    .filter(|t| t != key)
-                    .and_then(|t| m.get(&t).map(Vec::as_slice))
-                    .unwrap_or(&[]);
-                Some(merge_ascending(direct, twin))
-            }
-            IndexData::Ordered(m) => {
-                if self.saturated {
-                    return None;
-                }
-                Some(m.get(&OrdValue(key.clone())).cloned().unwrap_or_default())
-            }
-        }
-    }
-
-    /// Candidate positions for a `LIKE 'prefix%…'` predicate: every row
-    /// whose text key starts with `prefix`, ascending. Ordered indexes
-    /// only (text keys are contiguous under `total_cmp`); `None` when
-    /// unavailable or saturated.
-    pub fn probe_prefix(&self, prefix: &str) -> Option<Vec<u32>> {
-        let IndexData::Ordered(m) = &self.data else { return None };
-        if self.saturated {
+        if !exactly_probeable(key) {
             return None;
         }
-        let start = OrdValue(Value::text(prefix));
-        let mut positions: Vec<u32> = m
-            .range(start..)
-            .take_while(|(k, _)| k.0.as_text().is_some_and(|s| s.starts_with(prefix)))
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect();
-        // Each entry's positions are ascending, but entries interleave
-        // across keys; restore global row order for the executor.
-        positions.sort_unstable();
-        Some(positions)
+        let direct = self.probe_raw(key).unwrap_or(&[]);
+        let twin =
+            numeric_twin(key).filter(|t| t != key).and_then(|t| self.probe_raw(&t)).unwrap_or(&[]);
+        Some(merge_ascending(direct, twin))
     }
 }
 
@@ -290,13 +148,9 @@ fn merge_ascending(a: &[u32], b: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
 
-    fn rows(vals: &[Value]) -> Vec<Vec<Value>> {
-        vals.iter().map(|v| vec![v.clone()]).collect()
-    }
-
     #[test]
     fn hash_probe_raw_groups_in_insertion_order() {
-        let mut idx = SecondaryIndex::new("c", 0, IndexKind::Hash);
+        let mut idx = SecondaryIndex::new("c", 0);
         for (i, v) in [Value::Int(5), Value::Int(7), Value::Int(5)].iter().enumerate() {
             idx.insert_row(i as u32, v);
         }
@@ -307,7 +161,7 @@ mod tests {
 
     #[test]
     fn hash_sql_eq_dual_probes_numeric_twins() {
-        let mut idx = SecondaryIndex::new("c", 0, IndexKind::Hash);
+        let mut idx = SecondaryIndex::new("c", 0);
         idx.insert_row(0, &Value::Int(2));
         idx.insert_row(1, &Value::float(2.0).unwrap());
         idx.insert_row(2, &Value::float(2.5).unwrap());
@@ -319,44 +173,10 @@ mod tests {
 
     #[test]
     fn huge_numeric_probe_declines() {
-        let mut idx = SecondaryIndex::new("c", 0, IndexKind::Hash);
+        let mut idx = SecondaryIndex::new("c", 0);
         idx.insert_row(0, &Value::Int(1 << 53));
         assert_eq!(idx.probe_sql_eq(&Value::Int(1 << 53)), None, "beyond 2^53 must scan");
         assert_eq!(idx.probe_sql_eq(&Value::Int(3)), Some(vec![]), "small keys stay exact");
-    }
-
-    #[test]
-    fn ordered_collapses_numeric_twins_and_saturates_on_huge_keys() {
-        let mut idx = SecondaryIndex::new("c", 0, IndexKind::Ordered);
-        idx.insert_row(0, &Value::Int(2));
-        idx.insert_row(1, &Value::float(2.0).unwrap());
-        assert_eq!(idx.probe_sql_eq(&Value::Int(2)), Some(vec![0, 1]));
-        assert_eq!(idx.distinct_count(), 1, "total_cmp-equal keys share an entry");
-        idx.insert_row(2, &Value::Int(1 << 53));
-        assert_eq!(idx.probe_sql_eq(&Value::Int(2)), None, "saturated index declines");
-        idx.rebuild(&rows(&[Value::Int(2)]));
-        assert_eq!(idx.probe_sql_eq(&Value::Int(2)), Some(vec![0]), "rebuild clears saturation");
-    }
-
-    #[test]
-    fn prefix_probe_is_ascending_superset() {
-        let mut idx = SecondaryIndex::new("c", 0, IndexKind::Ordered);
-        for (i, s) in
-            ["Cardiozol", "Aspirin", "Cardiomax", "NULL-ish", "Cardiomax"].iter().enumerate()
-        {
-            idx.insert_row(i as u32, &Value::text(*s));
-        }
-        idx.insert_row(5, &Value::Null);
-        assert_eq!(idx.probe_prefix("Cardio"), Some(vec![0, 2, 4]));
-        assert_eq!(idx.probe_prefix("Zz"), Some(vec![]));
-        assert_eq!(idx.probe_prefix(""), Some(vec![0, 1, 2, 3, 4]), "NULL is never indexed");
-    }
-
-    #[test]
-    fn hash_index_has_no_prefix_probe() {
-        let mut idx = SecondaryIndex::new("c", 0, IndexKind::Hash);
-        idx.insert_row(0, &Value::text("Cardiozol"));
-        assert_eq!(idx.probe_prefix("Cardio"), None);
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //! * a SQL-subset parser and executor covering the query fragment the
 //!   conversation system generates — `SELECT [DISTINCT] … FROM … INNER JOIN
 //!   … ON … WHERE … AND … [ORDER BY …] [LIMIT …]` ([`sql`]),
-//! * secondary indexes — hash for equality and join probes, ordered for
-//!   LIKE-prefix range reads — picked by the planner at bind time and
-//!   guaranteed byte-identical to scan execution ([`index`], DESIGN.md
-//!   §14). A filter on a joined table's indexed column probes that
-//!   index and walks the join keys back to the FROM table. The default
-//!   policy ([`KnowledgeBase::auto_index`]) builds a hash index on every
-//!   primary and foreign key, the join keys template SQL probes, and on
-//!   each table's name column, where its filters land; ordered indexes
-//!   are created explicitly,
+//! * secondary indexes — one shape, a hash index serving equality and
+//!   join probes — picked by the planner at bind time and guaranteed
+//!   byte-identical to scan execution ([`index`], DESIGN.md §14). A
+//!   filter on a joined table's indexed column probes that index and
+//!   walks the join keys back to the FROM table. Every other predicate,
+//!   LIKE included, is a scan predicate. The default policy
+//!   ([`KnowledgeBase::auto_index`]) indexes every primary and foreign
+//!   key, the join keys template SQL probes, and each table's name
+//!   column, where its filters land,
 //! * prepared plans: a template's `'<@Concept>'` markers bind as
 //!   parameters, so a query is bound once and executed with a value
 //!   vector ([`KnowledgeBase::prepare_with`], [`KnowledgeBase::execute`],
@@ -34,8 +34,9 @@
 //!   plus atomic point-in-time snapshots that compact it. Recovery replays
 //!   snapshot + WAL tail, truncates a torn final record instead of
 //!   panicking, and restores secondary indexes so a recovered KB serves
-//!   with identical access paths ([`wal`],
-//!   [`snapshot`], [`durable`], DESIGN.md §16).
+//!   with identical access paths. The writer refuses a record the
+//!   reader would refuse ([`wal`], [`snapshot`], [`durable`],
+//!   DESIGN.md §16).
 //!
 //! ## Example
 //!
@@ -69,7 +70,7 @@ pub mod value;
 pub mod wal;
 
 pub use durable::{DurableKb, SNAPSHOT_FILE, WAL_FILE};
-pub use index::{IndexKind, IndexSpec, SecondaryIndex};
+pub use index::SecondaryIndex;
 pub use snapshot::RecoveryReport;
 pub use sql::exec::BoundPlan;
 pub use store::{KbCacheStats, KbError, KnowledgeBase, ResultSet};

@@ -4,16 +4,21 @@
 //! A snapshot is a **binary streamed** image:
 //!
 //! ```text
-//! OBCSSNB2 [u64 epoch LE]
+//! OBCSSNB3 [u64 epoch LE]
 //!   section: meta            [u32 table_count]
 //!   per table (sorted by name):
-//!     section: table header  name, schema JSON, index specs, row count
+//!     section: table header  name, schema JSON, indexed column names,
+//!                            row count
 //!     section*: row chunks   [u32 rows] then rows, values tag-encoded
 //! ```
 //!
-//! where every `section` is `[u32 len LE] [u32 crc32 LE] [payload]`.
-//! Values, schemas and index kinds go through the codec the WAL's
-//! records use too (`crate::codec`): a value is encoded directly from
+//! where every `section` is `[u32 len LE] [u32 crc32 LE] [payload]`,
+//! its payload at most [`MAX_RECORD_BYTES`]: the writer closes a row
+//! chunk before a row that would cross that cap, and refuses a single
+//! row too large for a section of its own
+//! ([`DurabilityError::RecordTooLarge`]) before anything is committed.
+//! Values and schemas go through the codec the WAL's records use too
+//! (`crate::codec`): a value is encoded directly from
 //! its in-memory form, one tag byte plus a fixed-width integer/float or
 //! length-prefixed text, with no JSON round-trip. Both sides stream
 //! through `BufWriter`/`BufReader` in bounded chunks, so neither writing
@@ -37,15 +42,15 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::codec::{encode_index_kind, encode_schema, encode_text, encode_value, Cursor};
-use crate::index::IndexSpec;
+use crate::codec::{encode_schema, encode_text, encode_value, Cursor};
 use crate::store::{KnowledgeBase, Table};
 use crate::value::Value;
-use crate::wal::{crc32, DurabilityError, Wal, MAX_RECORD_BYTES};
+use crate::wal::{self, crc32, DurabilityError, Wal, MAX_RECORD_BYTES};
 
-/// Magic header identifying a binary streamed snapshot. The magic is
+/// Magic header identifying a binary streamed snapshot (format version
+/// 3: a table's index specs are its indexed column names). The magic is
 /// followed by a little-endian u64 durability epoch.
-pub const SNAPSHOT_MAGIC_BINARY: &[u8; 8] = b"OBCSSNB2";
+pub const SNAPSHOT_MAGIC_BINARY: &[u8; 8] = b"OBCSSNB3";
 
 /// Target payload size of one row-chunk section. Large enough to keep
 /// framing overhead negligible, small enough that neither side ever
@@ -80,8 +85,10 @@ pub struct RecoveryReport {
 // Section framing
 // ---------------------------------------------------------------------
 
-/// Writes one `[len][crc][payload]` section.
+/// Writes one `[len][crc][payload]` section, refusing a payload the
+/// reader would refuse.
 fn write_section(w: &mut impl Write, payload: &[u8]) -> Result<(), DurabilityError> {
+    wal::check_size(payload.len())?;
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&crc32(payload).to_le_bytes())?;
     w.write_all(payload)?;
@@ -139,10 +146,26 @@ fn read_exact_or_corrupt(
 /// `<path>.tmp`, fsync, rename over `path`, sync the directory. The
 /// rename is the durability commit point — before it the old snapshot
 /// (and its matching WAL) is the recovered state, after it the new one
-/// is.
+/// is. A failed write removes the temporary file and commits nothing.
 pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(), DurabilityError> {
     let tmp = path.with_extension("tmp");
-    let mut w = BufWriter::new(File::create(&tmp)?);
+    if let Err(e) = write_image(kb, &tmp, epoch) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    std::fs::rename(&tmp, path)?;
+    // Persist the rename itself where the platform allows it.
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = OpenOptions::new().read(true).open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// Streams the image of `kb` at `epoch` to `tmp` and fsyncs it.
+fn write_image(kb: &KnowledgeBase, tmp: &Path, epoch: u64) -> Result<(), DurabilityError> {
+    let mut w = BufWriter::new(File::create(tmp)?);
     w.write_all(SNAPSHOT_MAGIC_BINARY)?;
     w.write_all(&epoch.to_le_bytes())?;
 
@@ -151,15 +174,14 @@ pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(),
 
     for name in names {
         let table = kb.table(name).expect("table_names() returns existing tables");
-        let specs = table.index_specs();
+        let indexes = table.secondary_indexes();
 
         let mut header = Vec::new();
         encode_text(&mut header, name);
         encode_schema(&mut header, &table.schema);
-        header.extend_from_slice(&(specs.len() as u32).to_le_bytes());
-        for spec in &specs {
-            encode_text(&mut header, &spec.column);
-            encode_index_kind(&mut header, spec.kind);
+        header.extend_from_slice(&(indexes.len() as u32).to_le_bytes());
+        for index in indexes {
+            encode_text(&mut header, index.column());
         }
         header.extend_from_slice(&(table.rows.len() as u64).to_le_bytes());
         write_section(&mut w, &header)?;
@@ -172,33 +194,41 @@ pub fn write_snapshot(kb: &KnowledgeBase, path: &Path, epoch: u64) -> Result<(),
         let mut rows_in_chunk = 0u32;
         chunk.extend_from_slice(&[0u8; 4]); // row-count placeholder
         for row in &table.rows {
+            let start = chunk.len();
             for v in row {
                 encode_value(&mut chunk, v);
             }
+            if chunk.len() > MAX_RECORD_BYTES && rows_in_chunk > 0 {
+                // This row would carry the section over the cap: close
+                // the chunk before it, and start the next with it.
+                let row_bytes = chunk.split_off(start);
+                flush_chunk(&mut w, &mut chunk, rows_in_chunk)?;
+                chunk.extend_from_slice(&row_bytes);
+                rows_in_chunk = 0;
+            }
             rows_in_chunk += 1;
             if chunk.len() >= CHUNK_TARGET_BYTES {
-                chunk[..4].copy_from_slice(&rows_in_chunk.to_le_bytes());
-                write_section(&mut w, &chunk)?;
-                chunk.clear();
-                chunk.extend_from_slice(&[0u8; 4]);
+                flush_chunk(&mut w, &mut chunk, rows_in_chunk)?;
                 rows_in_chunk = 0;
             }
         }
         if rows_in_chunk > 0 {
-            chunk[..4].copy_from_slice(&rows_in_chunk.to_le_bytes());
-            write_section(&mut w, &chunk)?;
+            flush_chunk(&mut w, &mut chunk, rows_in_chunk)?;
         }
     }
 
     let file = w.into_inner().map_err(|e| DurabilityError::Io(e.into_error()))?;
     file.sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    // Persist the rename itself where the platform allows it.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = OpenOptions::new().read(true).open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    Ok(())
+}
+
+/// Writes `chunk` as a row-chunk section of `rows` rows, then empties it
+/// back to its row-count placeholder.
+fn flush_chunk(w: &mut impl Write, chunk: &mut Vec<u8>, rows: u32) -> Result<(), DurabilityError> {
+    chunk[..4].copy_from_slice(&rows.to_le_bytes());
+    write_section(w, chunk)?;
+    chunk.clear();
+    chunk.extend_from_slice(&[0u8; 4]);
     Ok(())
 }
 
@@ -240,11 +270,11 @@ pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityErro
         let name = c.text()?;
         let schema = c.schema()?;
         schema.check().map_err(|e| corrupt(format!("table {name:?} schema is invalid: {e}")))?;
-        // A spec is at least a column-name length and a kind byte.
-        let spec_count = c.count(5)?;
-        let mut specs = Vec::with_capacity(spec_count);
-        for _ in 0..spec_count {
-            specs.push(IndexSpec { column: c.text()?, kind: c.index_kind()? });
+        // An indexed column name is at least its length prefix.
+        let index_count = c.count(4)?;
+        let mut policy = Vec::with_capacity(index_count);
+        for _ in 0..index_count {
+            policy.push(c.text()?);
         }
         let row_count = c.u64()?;
         c.finish()?;
@@ -276,7 +306,7 @@ pub fn read_snapshot(path: &Path) -> Result<(KnowledgeBase, u64), DurabilityErro
             c.finish()?;
         }
 
-        let table = Table::assemble(schema, rows, &specs)
+        let table = Table::assemble(schema, rows, &policy)
             .map_err(|e| corrupt(format!("table {name:?} does not reassemble: {e}")))?;
         tables.insert(name, table);
     }
@@ -403,7 +433,6 @@ impl KnowledgeBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexKind;
     use crate::schema::{ColumnType, TableSchema};
     use crate::value::Value;
     use crate::wal::WalRecord;
@@ -430,7 +459,7 @@ mod tests {
         for (i, n) in [(1, "Aspirin"), (2, "Ibuprofen")] {
             kb.insert("drug", vec![Value::Int(i), Value::text(n)]).unwrap();
         }
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        kb.create_index("drug", "drug_id").unwrap();
         kb
     }
 
@@ -487,25 +516,30 @@ mod tests {
             header[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
         });
         let older_build: &[u8] = b"OBCSSNP1";
-        // The previous binary format, whose META section differs.
+        // Earlier binary formats: OBCSSNB1's META section differs, and
+        // OBCSSNB2's index specs carry a kind byte.
+        let mut first_format = full.clone();
+        first_format[..8].copy_from_slice(b"OBCSSNB1");
         let mut previous_format = full.clone();
-        previous_format[..8].copy_from_slice(b"OBCSSNB1");
-        let inputs: [(&str, &[u8]); 7] = [
+        previous_format[..8].copy_from_slice(b"OBCSSNB2");
+        let older: [&[u8]; 3] = [older_build, &first_format, &previous_format];
+        let inputs: [(&str, &[u8]); 8] = [
             ("flipped bit", &flipped),
             ("truncated", &full[..full.len() - 5]),
             ("trailing garbage", &padded),
             ("table count u32::MAX", &huge_tables),
             ("row count 2^40", &huge_rows),
             ("older-build magic", older_build),
-            ("OBCSSNB1 magic", &previous_format),
+            ("OBCSSNB1 magic", &first_format),
+            ("OBCSSNB2 magic", &previous_format),
         ];
         for (what, bytes) in inputs {
             std::fs::write(&path, bytes).unwrap();
             match read_snapshot(&path) {
                 Err(DurabilityError::Corrupt(msg)) => {
-                    if bytes == older_build || bytes == previous_format {
+                    if older.contains(&bytes) {
                         assert!(
-                            msg.contains("OBCSSNB2"),
+                            msg.contains("OBCSSNB3"),
                             "{what}: names the expected magic: {msg}"
                         );
                     }
@@ -531,11 +565,7 @@ mod tests {
                 table: "drug".to_string(),
                 row: vec![Value::Int(3), Value::text("Naproxen")],
             },
-            WalRecord::CreateIndex {
-                table: "drug".to_string(),
-                column: "name".to_string(),
-                kind: IndexKind::Ordered,
-            },
+            WalRecord::CreateIndex { table: "drug".to_string(), column: "name".to_string() },
         ];
         for r in &tail {
             r.clone().apply(&mut kb).unwrap();
@@ -587,6 +617,52 @@ mod tests {
         assert_eq!(report.wal_discarded_records, 0);
         assert_eq!(report.epoch, 1);
         assert_eq!(again.to_json(), kb.to_json());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-table KB whose rows are `(id, body)` pairs.
+    fn blob_kb(bodies: Vec<String>) -> KnowledgeBase {
+        let mut kb = KnowledgeBase::new();
+        kb.create_table(
+            TableSchema::new("blob")
+                .column("id", ColumnType::Int)
+                .column("body", ColumnType::Text)
+                .primary_key("id"),
+        )
+        .unwrap();
+        for (id, body) in bodies.into_iter().enumerate() {
+            kb.insert("blob", vec![Value::Int(id as i64), Value::text(body)]).unwrap();
+        }
+        kb
+    }
+
+    #[test]
+    fn no_section_crosses_the_record_cap() {
+        let dir = temp_dir("cap");
+        let path = dir.join("kb.snapshot");
+        // A row is an Int (9 bytes) and a text header (5 bytes) plus the
+        // body, and a chunk adds its row count (4 bytes): a body 18
+        // bytes short of the cap fills a section alone, and next to any
+        // other row would carry it over. The chunk closes before it.
+        {
+            let kb = blob_kb(vec!["a".into(), "x".repeat(MAX_RECORD_BYTES - 18), "b".into()]);
+            write_snapshot(&kb, &path, 1).unwrap();
+            let (back, _) = read_snapshot(&path).unwrap();
+            assert!(back.table("blob").unwrap().rows == kb.table("blob").unwrap().rows);
+        }
+        // One byte more and the row fits no section: the write is
+        // refused, and the committed snapshot stays as it was.
+        let committed = std::fs::metadata(&path).unwrap().len();
+        let kb = blob_kb(vec!["x".repeat(MAX_RECORD_BYTES - 17)]);
+        match write_snapshot(&kb, &path, 2) {
+            Err(DurabilityError::RecordTooLarge { bytes, limit }) => {
+                assert_eq!((bytes, limit), (MAX_RECORD_BYTES + 1, MAX_RECORD_BYTES));
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        assert_eq!(peek_epoch(&path), Some(1));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
+        assert!(!path.with_extension("tmp").exists(), "the partial image is removed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,7 +15,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::index::IndexKind;
 use crate::stats;
 use crate::store::{KbError, KnowledgeBase, ResultSet, Table};
 use crate::value::Value;
@@ -87,14 +86,12 @@ pub struct BoundPlan {
 enum AccessPath {
     /// Read every row.
     Scan,
-    /// Probe an equality index with the literal of `preds[pred]`.
+    /// Probe the index on the column `preds[pred]` compares with its
+    /// literal or parameter.
     IndexEq { pred: usize },
-    /// Range-read an ordered index over the literal prefix of the LIKE
-    /// pattern in `preds[pred]`.
-    IndexPrefix { pred: usize, prefix: String },
-    /// Probe an equality index on the *joined* slot `preds[pred]` reads,
-    /// then walk the joins back to slot 0, mapping positions hop by hop
-    /// through the hash index on each hop's existing-side key column
+    /// Probe the index on the *joined* slot `preds[pred]` reads, then
+    /// walk the joins back to slot 0, mapping positions hop by hop
+    /// through the index on each hop's existing-side key column
     /// (DESIGN.md §14.1).
     JoinProbe { pred: usize },
 }
@@ -131,13 +128,12 @@ impl BoundPlan {
     }
 
     /// A short human-readable label for the chosen access path
-    /// (`scan`, `index_eq`, `index_prefix`, `join_probe`) — used by the
-    /// verify bind-check report and tests.
+    /// (`scan`, `index_eq`, `join_probe`) — used by the verify
+    /// bind-check report and tests.
     pub fn access_label(&self) -> &'static str {
         match self.access {
             AccessPath::Scan => "scan",
             AccessPath::IndexEq { .. } => "index_eq",
-            AccessPath::IndexPrefix { .. } => "index_prefix",
             AccessPath::JoinProbe { .. } => "join_probe",
         }
     }
@@ -150,15 +146,12 @@ impl BoundPlan {
         match &self.access {
             AccessPath::Scan => None,
             AccessPath::IndexEq { pred } => {
-                slots.0[0].index_for_eq(self.preds[*pred].lhs.col)?.probe_sql_eq(literal(*pred)?)
+                slots.0[0].index(self.preds[*pred].lhs.col)?.probe_sql_eq(literal(*pred)?)
             }
-            AccessPath::IndexPrefix { pred, prefix } => slots.0[0]
-                .index_of_kind(self.preds[*pred].lhs.col, IndexKind::Ordered)?
-                .probe_prefix(prefix),
             AccessPath::JoinProbe { pred } => {
                 let probe = self.preds[*pred].lhs;
                 let mut positions =
-                    slots.0[probe.slot].index_for_eq(probe.col)?.probe_sql_eq(literal(*pred)?)?;
+                    slots.0[probe.slot].index(probe.col)?.probe_sql_eq(literal(*pred)?)?;
                 let mut slot = probe.slot;
                 while slot > 0 {
                     // A row of `slot` joins exactly the rows of the
@@ -167,8 +160,7 @@ impl BoundPlan {
                     // keys find nothing, as NULL is never indexed.
                     let join = &self.joins[slot - 1];
                     let from = slots.0[slot];
-                    let hop = slots.0[join.existing.slot]
-                        .index_of_kind(join.existing.col, IndexKind::Hash)?;
+                    let hop = slots.0[join.existing.slot].index(join.existing.col)?;
                     let mut next: Vec<u32> = positions
                         .iter()
                         .filter_map(|&p| hop.probe_raw(&from.rows[p as usize][join.incoming.col]))
@@ -205,17 +197,6 @@ impl BoundPred {
             PredRhs::Column(b) => compare(lhs, self.op, slots.value(tuple, *b)),
             PredRhs::Needle(needle) => lhs.as_text().is_some_and(|s| contains_lowered(s, needle)),
         }
-    }
-}
-
-/// The literal prefix of a LIKE pattern: everything before the first
-/// wildcard (`%` or `_`). A row can only match the pattern if its text
-/// starts with this prefix, which is what makes an ordered-index range
-/// a sound candidate generator.
-fn like_prefix(pattern: &str) -> &str {
-    match pattern.find(['%', '_']) {
-        Some(i) => &pattern[..i],
-        None => pattern,
     }
 }
 
@@ -401,60 +382,35 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select, markers: &[&str]) -> Result<Bound
         None => None,
     };
 
-    // Access-path selection (DESIGN.md §14): among the FROM table's
-    // indexable predicates, pick the one with the lowest estimated
-    // result cardinality, and only if it beats a meaningful fraction of
-    // a full scan. Estimates come from the O(1) distinct-key counts the
-    // indexes maintain (`stats::estimated_eq_rows`), so binding stays
-    // row-data-free except for these counters. They never read the
-    // compared value, so a parameter gets the path its literal would;
-    // only a LIKE prefix reads the value, and a parameter has none yet.
-    let rows = from_table.len() as f64;
+    // Access-path selection (DESIGN.md §14): only an equality against a
+    // literal or a parameter can probe an index (every other predicate,
+    // LIKE included, is a scan predicate). Among these, pick the one
+    // with the lowest estimated result cardinality, and only if it
+    // beats a meaningful fraction of a full scan. Estimates come from
+    // the O(1) distinct-key counts the indexes maintain
+    // (`stats::estimated_eq_rows`), so binding stays row-data-free
+    // except for these counters. They never read the compared value, so
+    // a parameter gets the path its literal would.
     let mut access = AccessPath::Scan;
-    let mut best = rows / 2.0;
-    for (i, BoundPred { lhs: bound, op, rhs, .. }) in preds.iter().enumerate() {
-        if bound.slot != 0 {
-            continue;
-        }
-        match (op, rhs) {
-            (CompareOp::Eq, PredRhs::Literal(_) | PredRhs::Param(_)) => {
-                let column = bindings[0].columns[bound.col];
-                if let Some(est) = stats::estimated_eq_rows(kb, &stmt.from.table, column) {
-                    if est < best {
-                        best = est;
-                        access = AccessPath::IndexEq { pred: i };
-                    }
-                }
+    let mut best = from_table.len() as f64 / 2.0;
+    let equalities = || {
+        preds.iter().enumerate().filter(|(_, p)| {
+            p.op == CompareOp::Eq && matches!(p.rhs, PredRhs::Literal(_) | PredRhs::Param(_))
+        })
+    };
+    for (i, pred) in equalities().filter(|(_, p)| p.lhs.slot == 0) {
+        let column = bindings[0].columns[pred.lhs.col];
+        if let Some(est) = stats::estimated_eq_rows(kb, &stmt.from.table, column) {
+            if est < best {
+                best = est;
+                access = AccessPath::IndexEq { pred: i };
             }
-            (CompareOp::Like, PredRhs::Literal(v)) => {
-                let Some(prefix) = v.as_text().map(like_prefix) else { continue };
-                if prefix.is_empty()
-                    || from_table.index_of_kind(bound.col, IndexKind::Ordered).is_none()
-                {
-                    continue;
-                }
-                // No prefix histograms yet: assume a literal prefix
-                // narrows to ~10% of the table, which ranks it above a
-                // scan but below any selective equality index.
-                let est = rows / 10.0;
-                if est < best {
-                    best = est;
-                    access = AccessPath::IndexPrefix { pred: i, prefix: prefix.to_string() };
-                }
-            }
-            _ => {}
         }
     }
-    // A literal equality on a joined slot probes that slot's index and
-    // walks the join keys back to the FROM table. It must beat every
+    // An equality on a joined slot probes that slot's index and walks
+    // the join keys back to the FROM table. It must beat every
     // FROM-side path, so it is costed only after them.
-    for (i, pred) in preds.iter().enumerate() {
-        if pred.lhs.slot == 0
-            || pred.op != CompareOp::Eq
-            || !matches!(pred.rhs, PredRhs::Literal(_) | PredRhs::Param(_))
-        {
-            continue;
-        }
+    for (i, pred) in equalities().filter(|(_, p)| p.lhs.slot != 0) {
         if let Some(est) = join_probe_estimate(kb, &bindings, &joins, pred.lhs) {
             if est < best {
                 best = est;
@@ -480,8 +436,7 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select, markers: &[&str]) -> Result<Bound
 /// The FROM rows a join probe on `probe` is estimated to yield: the
 /// probe's `estimated_eq_rows` times that of each hop's existing-side key
 /// column, walking `joins[slot - 1].existing` back to slot 0. `None` when
-/// the probe column has no equality index or a hop has no hash index on
-/// its existing-side key (the walk needs `probe_raw`).
+/// the probe column or a hop's existing-side key has no index.
 fn join_probe_estimate(
     kb: &KnowledgeBase,
     bindings: &[Binding<'_>],
@@ -495,7 +450,6 @@ fn join_probe_estimate(
     while slot > 0 {
         let existing = joins[slot - 1].existing;
         let (table, col) = column(existing);
-        kb.table(table).ok()?.index_of_kind(existing.col, IndexKind::Hash)?;
         est *= stats::estimated_eq_rows(kb, table, col)?;
         slot = existing.slot;
     }
@@ -520,8 +474,8 @@ pub fn execute_bound(
     // ascending candidate positions an access path yields. Candidates
     // are a superset of the rows any output tuple starts from, in row
     // order, and every predicate is re-applied below, so both starts
-    // produce byte-identical results. A probe may decline (`None` from
-    // a saturated or inexact index), in which case we scan.
+    // produce byte-identical results. A probe may decline (`None` for
+    // a key the index cannot answer exactly), in which case we scan.
     let slots = Slots(plan.tables().map(|t| kb.table(t)).collect::<Result<_, _>>()?);
     let passes = |tuple: &[u32], slot: usize| {
         plan.preds.iter().filter(|p| p.slot == slot).all(|p| p.holds(&slots, tuple, params))
@@ -534,7 +488,7 @@ pub fn execute_bound(
     let mut width = 1;
 
     // Apply each join with a hash join on the equality key. When the
-    // incoming table carries a persistent hash index on the key column,
+    // incoming table carries a persistent index on the key column,
     // probe it instead of building a per-query map: both group rows by
     // raw `Value` equality in insertion order, so the output tuples are
     // identical either way. A joined tuple is kept only if the
@@ -542,11 +496,7 @@ pub fn execute_bound(
     for (j, join) in plan.joins.iter().enumerate() {
         let slot = j + 1;
         let right = slots.0[slot];
-        let persistent = if kb.index_enabled() {
-            right.index_of_kind(join.incoming.col, IndexKind::Hash)
-        } else {
-            None
-        };
+        let persistent = if kb.index_enabled() { right.index(join.incoming.col) } else { None };
         let mut built: HashMap<&Value, Vec<u32>> = HashMap::new();
         if persistent.is_none() {
             for (p, row) in right.rows.iter().enumerate() {
@@ -1017,14 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn like_prefix_extraction() {
-        assert_eq!(like_prefix("Cardio%"), "Cardio");
-        assert_eq!(like_prefix("Car_io%"), "Car");
-        assert_eq!(like_prefix("%zol"), "");
-        assert_eq!(like_prefix("exact"), "exact");
-    }
-
-    #[test]
     fn planner_picks_index_paths_and_results_match_scan() {
         let mut kb = medical_kb();
         for i in 4..200 {
@@ -1036,10 +978,10 @@ mod tests {
             !kb.prepare("SELECT name FROM drug WHERE drug_id = 2").unwrap().uses_index(),
             "no index yet — plan must scan"
         );
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
-        kb.create_index("drug", "name", IndexKind::Ordered).unwrap();
-        scan.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
-        scan.create_index("drug", "name", IndexKind::Ordered).unwrap();
+        kb.create_index("drug", "drug_id").unwrap();
+        kb.create_index("drug", "name").unwrap();
+        scan.create_index("drug", "drug_id").unwrap();
+        scan.create_index("drug", "name").unwrap();
 
         let eq = "SELECT name FROM drug WHERE drug_id = 2";
         let plan = kb.prepare(eq).unwrap();
@@ -1048,15 +990,21 @@ mod tests {
         assert_eq!(kb.query(eq).unwrap(), scan.query(eq).unwrap());
         assert_eq!(kb.query(eq).unwrap().rows, vec![vec![Value::text("Ibuprofen")]]);
 
-        let like = "SELECT name FROM drug WHERE name LIKE 'Asp%'";
-        let plan = kb.prepare(like).unwrap();
-        assert_eq!(plan.access_label(), "index_prefix");
-        assert_eq!(kb.query(like).unwrap(), scan.query(like).unwrap());
-        assert_eq!(kb.query(like).unwrap().rows.len(), 1);
+        let name = "SELECT drug_id FROM drug WHERE name = 'Aspirin'";
+        assert_eq!(kb.prepare(name).unwrap().access_label(), "index_eq");
+        assert_eq!(kb.query(name).unwrap(), scan.query(name).unwrap());
+        assert_eq!(kb.query(name).unwrap().rows, vec![vec![Value::Int(1)]]);
 
-        // An unanchored pattern has no literal prefix: scan.
-        let plan = kb.prepare("SELECT name FROM drug WHERE name LIKE '%zol'").unwrap();
-        assert_eq!(plan.access_label(), "scan");
+        // LIKE is a scan predicate, anchored or not, even over an
+        // indexed column.
+        for like in [
+            "SELECT name FROM drug WHERE name LIKE 'Asp%'",
+            "SELECT name FROM drug WHERE name LIKE '%zol'",
+        ] {
+            assert_eq!(kb.prepare(like).unwrap().access_label(), "scan", "{like}");
+            assert_eq!(kb.query(like).unwrap(), scan.query(like).unwrap());
+        }
+        assert_eq!(kb.query("SELECT name FROM drug WHERE name LIKE 'Asp%'").unwrap().rows.len(), 1);
 
         // Joins probe the persistent hash index; results stay identical.
         let join = "SELECT p.description FROM precautions p \
@@ -1129,9 +1077,9 @@ mod tests {
         let sql = "SELECT name FROM drug WHERE name = 'x<@Drug>'";
         assert!(matches!(kb.prepare_with(sql, &["<@Drug>"]), Err(KbError::Semantic(_))));
         assert!(kb.prepare(sql).is_ok(), "no markers, no parameters");
-        // A parameter never drives an ordered-index prefix read.
+        // A parameter under LIKE binds, and the predicate scans.
         let mut kb = medical_kb();
-        kb.create_index("drug", "name", IndexKind::Ordered).unwrap();
+        kb.create_index("drug", "name").unwrap();
         let like = kb.prepare_with("SELECT name FROM drug WHERE name LIKE '<@P>'", &["<@P>"]);
         let like = like.unwrap();
         assert_eq!(like.access_label(), "scan");
@@ -1144,13 +1092,10 @@ mod tests {
         // The probe column is indexed, but the hop's existing-side key
         // (precautions.drug_id) is not: the walk cannot map positions
         // back to the FROM table, so the plan scans.
-        kb.create_index("drug", "name", IndexKind::Hash).unwrap();
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        kb.create_index("drug", "name").unwrap();
+        kb.create_index("drug", "drug_id").unwrap();
         assert_eq!(kb.prepare(PAPER_TEMPLATE).unwrap().access_label(), "scan");
-        // An ordered index on the hop key cannot answer raw equality.
-        kb.create_index("precautions", "drug_id", IndexKind::Ordered).unwrap();
-        assert_eq!(kb.prepare(PAPER_TEMPLATE).unwrap().access_label(), "scan");
-        kb.create_index("precautions", "drug_id", IndexKind::Hash).unwrap();
+        kb.create_index("precautions", "drug_id").unwrap();
         assert_eq!(kb.prepare(PAPER_TEMPLATE).unwrap().access_label(), "join_probe");
     }
 
@@ -1167,22 +1112,9 @@ mod tests {
     }
 
     #[test]
-    fn equality_via_ordered_index_when_no_hash_exists() {
-        let mut kb = medical_kb();
-        for i in 4..100 {
-            kb.insert("drug", vec![Value::Int(i), Value::text(format!("Generic{i}"))]).unwrap();
-        }
-        kb.create_index("drug", "name", IndexKind::Ordered).unwrap();
-        let sql = "SELECT drug_id FROM drug WHERE name = 'Aspirin'";
-        let plan = kb.prepare(sql).unwrap();
-        assert_eq!(plan.access_label(), "index_eq", "ordered index serves equality too");
-        assert_eq!(kb.query(sql).unwrap().rows, vec![vec![Value::Int(1)]]);
-    }
-
-    #[test]
     fn disabled_indexes_fall_back_to_scan_with_identical_results() {
         let mut kb = medical_kb();
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        kb.create_index("drug", "drug_id").unwrap();
         let sql = "SELECT name FROM drug WHERE drug_id = 3";
         let with_index = kb.query(sql).unwrap();
         kb.set_index_enabled(false);
@@ -1204,7 +1136,7 @@ mod tests {
         for i in 0..50 {
             kb.insert("t", vec![Value::Int(i), Value::Int(i % 2)]).unwrap();
         }
-        kb.create_index("t", "flag", IndexKind::Hash).unwrap();
+        kb.create_index("t", "flag").unwrap();
         // Two distinct values over 50 rows: estimated 25 ≥ rows/2, so the
         // planner keeps the scan.
         let plan = kb.prepare("SELECT id FROM t WHERE flag = 1").unwrap();

@@ -126,7 +126,7 @@ pub fn table_is_categorical(
 pub fn estimated_eq_rows(kb: &KnowledgeBase, table: &str, column: &str) -> Option<f64> {
     let t = kb.table(table).ok()?;
     let col = t.schema.column_index(column)?;
-    let idx = t.index_for_eq(col)?;
+    let idx = t.index(col)?;
     let distinct = idx.distinct_count();
     if distinct == 0 {
         return Some(0.0);

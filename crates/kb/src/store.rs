@@ -8,7 +8,7 @@ use std::sync::Arc;
 use obcs_cache::CacheStats;
 use serde::{Deserialize, Serialize};
 
-use crate::index::{IndexKind, IndexSpec, SecondaryIndex};
+use crate::index::SecondaryIndex;
 use crate::schema::TableSchema;
 use crate::sql;
 use crate::value::Value;
@@ -95,12 +95,12 @@ pub struct Table {
     /// insert, rebuilt from rows on load, never serialised directly.
     #[serde(skip)]
     secondary: Vec<SecondaryIndex>,
-    /// Durable index policy (DESIGN.md §16): the `(column, kind)` specs
-    /// of `secondary`, stamped into the JSON envelope by
-    /// [`KnowledgeBase::to_json`] so deserialisation rebuilds the same
-    /// access paths. `None` in live tables and in pre-policy envelopes
-    /// (those deserialise scan-only, exactly as before).
-    index_policy: Option<Vec<IndexSpec>>,
+    /// Durable index policy (DESIGN.md §16): the indexed column names
+    /// of `secondary`, in creation order, stamped into the JSON envelope
+    /// by [`KnowledgeBase::to_json`] so deserialisation rebuilds the
+    /// same access paths. `None` in live tables and in pre-policy
+    /// envelopes (those deserialise scan-only, exactly as before).
+    index_policy: Option<Vec<String>>,
 }
 
 impl Table {
@@ -133,33 +133,26 @@ impl Table {
         &self.secondary
     }
 
-    /// A secondary index of `kind` on column position `col`, if any.
-    pub fn index_of_kind(&self, col: usize, kind: IndexKind) -> Option<&SecondaryIndex> {
-        self.secondary.iter().find(|i| i.column_pos() == col && i.kind() == kind)
+    /// The secondary index on column position `col`, if any.
+    pub fn index(&self, col: usize) -> Option<&SecondaryIndex> {
+        self.secondary.iter().find(|i| i.column_pos() == col)
     }
 
-    /// The best index for an equality probe on column position `col`:
-    /// a hash index if present, else an ordered one.
-    pub fn index_for_eq(&self, col: usize) -> Option<&SecondaryIndex> {
-        self.index_of_kind(col, IndexKind::Hash)
-            .or_else(|| self.index_of_kind(col, IndexKind::Ordered))
-    }
-
-    /// The column position a new `kind` index on `column` would cover,
-    /// or `None` if an identical index already exists.
-    fn new_index_column(&self, column: &str, kind: IndexKind) -> Result<Option<usize>, KbError> {
+    /// The column position a new index on `column` would cover, or
+    /// `None` if the column is already indexed.
+    fn new_index_column(&self, column: &str) -> Result<Option<usize>, KbError> {
         let col = self.schema.column_index(column).ok_or_else(|| KbError::UnknownColumn {
             table: self.schema.name.clone(),
             column: column.to_string(),
         })?;
-        Ok(self.index_of_kind(col, kind).is_none().then_some(col))
+        Ok(self.index(col).is_none().then_some(col))
     }
 
-    /// Adds (and builds) a secondary index; a no-op if an identical one
-    /// already exists.
-    fn add_secondary(&mut self, column: &str, kind: IndexKind) -> Result<(), KbError> {
-        if let Some(col) = self.new_index_column(column, kind)? {
-            let mut idx = SecondaryIndex::new(column, col, kind);
+    /// Adds (and builds) a secondary index; a no-op if the column is
+    /// already indexed.
+    fn add_secondary(&mut self, column: &str) -> Result<(), KbError> {
+        if let Some(col) = self.new_index_column(column)? {
+            let mut idx = SecondaryIndex::new(column, col);
             idx.rebuild(&self.rows);
             self.secondary.push(idx);
         }
@@ -186,23 +179,15 @@ impl Table {
     pub(crate) fn assemble(
         schema: TableSchema,
         rows: Vec<Vec<Value>>,
-        policy: &[IndexSpec],
+        policy: &[String],
     ) -> Result<Table, KbError> {
         let mut t = Table::new(schema);
-        for spec in policy {
-            t.add_secondary(&spec.column, spec.kind)?;
+        for column in policy {
+            t.add_secondary(column)?;
         }
         t.rows = rows;
         t.rebuild_pk_index();
         Ok(t)
-    }
-
-    /// The durable `(column, kind)` specs of this table's secondary
-    /// indexes, in creation order — what [`KnowledgeBase::to_json`]
-    /// stamps as `index_policy` and the binary snapshot writes per
-    /// table.
-    pub(crate) fn index_specs(&self) -> Vec<IndexSpec> {
-        self.secondary.iter().map(SecondaryIndex::spec).collect()
     }
 }
 
@@ -362,20 +347,15 @@ impl KnowledgeBase {
         Ok(())
     }
 
-    /// Creates (and builds) a secondary index on `table.column`; `false`
-    /// if an identical index already exists. An index never changes a
-    /// result (DESIGN.md §14).
-    pub fn create_index(
-        &mut self,
-        table: &str,
-        column: &str,
-        kind: IndexKind,
-    ) -> Result<bool, KbError> {
-        if self.table(table)?.new_index_column(column, kind)?.is_none() {
+    /// Creates (and builds) a hash index on `table.column`; `false` if
+    /// the column is already indexed. An index never changes a result
+    /// (DESIGN.md §14).
+    pub fn create_index(&mut self, table: &str, column: &str) -> Result<bool, KbError> {
+        if self.table(table)?.new_index_column(column)?.is_none() {
             return Ok(false);
         }
         let t = Arc::make_mut(&mut self.tables).get_mut(table).expect("existence checked above");
-        t.add_secondary(column, kind)?;
+        t.add_secondary(column)?;
         Ok(true)
     }
 
@@ -383,9 +363,7 @@ impl KnowledgeBase {
     /// primary-key and foreign-key column — the join keys and point
     /// lookups that template SQL probes — and on each table's
     /// [name column](TableSchema::name_column), where every instance
-    /// filter lands. Free-text label columns get none. An ordered index
-    /// (LIKE-prefix reads) exists only where
-    /// [`create_index`](Self::create_index) asks for one. Idempotent;
+    /// filter lands. Free-text label columns get none. Idempotent;
     /// returns the number of indexes newly created.
     pub fn auto_index(&mut self) -> usize {
         let mut keys: Vec<(String, String)> = Vec::new();
@@ -400,7 +378,7 @@ impl KnowledgeBase {
         }
         let mut created = 0;
         for (table, column) in keys {
-            if self.create_index(&table, &column, IndexKind::Hash).unwrap_or(false) {
+            if self.create_index(&table, &column).unwrap_or(false) {
                 created += 1;
             }
         }
@@ -534,7 +512,7 @@ impl KnowledgeBase {
                 // schema being deserialised, so the columns resolve; a
                 // hand-edited envelope that broke this simply loses
                 // that index.
-                policy.retain(|spec| t.schema.column_index(&spec.column).is_some());
+                policy.retain(|column| t.schema.column_index(column).is_some());
                 let table = Table::assemble(t.schema, t.rows, &policy)
                     .expect("every retained spec names a column");
                 (name, table)
@@ -556,7 +534,7 @@ impl KnowledgeBase {
     pub fn to_json(&self) -> String {
         let mut kb = self.clone();
         for t in Arc::make_mut(&mut kb.tables).values_mut() {
-            t.index_policy = Some(t.secondary.iter().map(SecondaryIndex::spec).collect());
+            t.index_policy = Some(t.secondary.iter().map(|i| i.column().to_string()).collect());
         }
         serde_json::to_string_pretty(&kb).expect("KB serialisation cannot fail")
     }
@@ -671,7 +649,7 @@ mod tests {
     fn clone_shares_tables_until_either_side_mutates() {
         let mut kb = kb_with_drug();
         kb.insert("drug", vec![Value::Int(1), Value::text("A")]).unwrap();
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        kb.create_index("drug", "drug_id").unwrap();
         let mut fork = kb.clone();
         assert!(Arc::ptr_eq(&kb.tables, &fork.tables), "a clone shares table storage");
 
@@ -679,8 +657,8 @@ mod tests {
         assert!(fork.insert("drug", vec![Value::Int(1), Value::text("dup")]).is_err());
         assert!(fork.insert("nope", vec![]).is_err());
         assert!(fork.create_table(TableSchema::new("drug").column("x", ColumnType::Int)).is_err());
-        assert!(fork.create_index("drug", "nope", IndexKind::Hash).is_err());
-        assert!(!fork.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
+        assert!(fork.create_index("drug", "nope").is_err());
+        assert!(!fork.create_index("drug", "drug_id").unwrap());
         assert!(Arc::ptr_eq(&kb.tables, &fork.tables), "a rejected mutation copied the tables");
 
         fork.insert("drug", vec![Value::Int(2), Value::text("B")]).unwrap();
@@ -694,7 +672,7 @@ mod tests {
     /// move if the twins shared more than read-only table storage.
     const TWIN_PROBES: &[&str] = &[
         "SELECT name FROM drug WHERE drug_id = 1",
-        "SELECT drug_id FROM drug WHERE name LIKE 'A%'",
+        "SELECT drug_id FROM drug WHERE name = 'Abacavir'",
     ];
 
     /// A KB and its clone.
@@ -703,7 +681,7 @@ mod tests {
         for (i, n) in [(1, "Aspirin"), (2, "Abacavir"), (3, "Ibuprofen")] {
             kb.insert("drug", vec![Value::Int(i), Value::text(n)]).unwrap();
         }
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
+        kb.create_index("drug", "drug_id").unwrap();
         let twin = kb.clone();
         (kb, twin)
     }
@@ -726,9 +704,7 @@ mod tests {
             ("create_table", |kb| {
                 kb.create_table(TableSchema::new("extra").column("x", ColumnType::Int)).unwrap()
             }),
-            ("create_index", |kb| {
-                assert!(kb.create_index("drug", "name", IndexKind::Ordered).unwrap())
-            }),
+            ("create_index", |kb| assert!(kb.create_index("drug", "name").unwrap())),
         ];
         for (what, mutate) in mutations {
             for mutate_source in [true, false] {
@@ -761,37 +737,31 @@ mod tests {
         let sql = "SELECT name FROM drug WHERE drug_id = 3";
         let before = kb.query(sql).unwrap();
         assert!(!kb.prepare(sql).unwrap().uses_index());
-        assert!(kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
+        assert!(kb.create_index("drug", "drug_id").unwrap());
         assert_eq!(kb.query(sql).unwrap(), before, "index is value-invisible");
         assert!(kb.prepare(sql).unwrap().uses_index());
-        // Identical index again: a no-op.
-        assert!(!kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap());
+        // The same column again: a no-op.
+        assert!(!kb.create_index("drug", "drug_id").unwrap());
         assert_eq!(kb.index_count(), 1);
     }
 
     #[test]
     fn create_index_rejects_unknown_targets() {
         let mut kb = kb_with_drug();
-        assert!(matches!(
-            kb.create_index("nope", "x", IndexKind::Hash),
-            Err(KbError::UnknownTable(_))
-        ));
-        assert!(matches!(
-            kb.create_index("drug", "nope", IndexKind::Hash),
-            Err(KbError::UnknownColumn { .. })
-        ));
+        assert!(matches!(kb.create_index("nope", "x"), Err(KbError::UnknownTable(_))));
+        assert!(matches!(kb.create_index("drug", "nope"), Err(KbError::UnknownColumn { .. })));
     }
 
     #[test]
     fn inserts_maintain_secondary_indexes() {
         let mut kb = kb_with_drug();
-        kb.create_index("drug", "name", IndexKind::Ordered).unwrap();
-        for (i, n) in [(1, "Cardiozol"), (2, "Aspirin"), (3, "Cardiomax")] {
+        kb.create_index("drug", "name").unwrap();
+        for (i, n) in [(1, "Cardiozol"), (2, "Aspirin"), (3, "Cardiozol")] {
             kb.insert("drug", vec![Value::Int(i), Value::text(n)]).unwrap();
         }
-        let idx = kb.table("drug").unwrap().index_for_eq(1).unwrap();
-        assert_eq!(idx.probe_prefix("Cardio"), Some(vec![0, 2]));
-        assert_eq!(idx.distinct_count(), 3);
+        let idx = kb.table("drug").unwrap().index(1).unwrap();
+        assert_eq!(idx.probe_raw(&Value::text("Cardiozol")), Some(&[0u32, 2][..]));
+        assert_eq!(idx.distinct_count(), 2);
     }
 
     #[test]
@@ -818,13 +788,9 @@ mod tests {
         assert_eq!(created, 4);
         assert_eq!(kb.auto_index(), 0, "idempotent");
         let drug = kb.table("drug").unwrap();
-        assert!(drug.index_of_kind(0, IndexKind::Hash).is_some());
-        assert!(drug.index_of_kind(1, IndexKind::Hash).is_some(), "drug.name is hashed");
-        assert!(kb.table("dosage").unwrap().index_for_eq(2).is_none(), "no free-text index");
-        let hashed = |t: &str| {
-            kb.table(t).unwrap().secondary_indexes().iter().all(|i| i.kind() == IndexKind::Hash)
-        };
-        assert!(hashed("drug") && hashed("dosage"));
+        assert!(drug.index(0).is_some());
+        assert!(drug.index(1).is_some(), "drug.name is indexed");
+        assert!(kb.table("dosage").unwrap().index(2).is_none(), "no free-text index");
         assert!(kb.index_enabled());
     }
 
@@ -834,13 +800,19 @@ mod tests {
         for i in 0..20 {
             kb.insert("drug", vec![Value::Int(i), Value::text(format!("Drug{i}"))]).unwrap();
         }
-        kb.create_index("drug", "drug_id", IndexKind::Hash).unwrap();
-        kb.create_index("drug", "name", IndexKind::Ordered).unwrap();
-        let kb2 = KnowledgeBase::from_json(&kb.to_json()).unwrap();
+        kb.create_index("drug", "name").unwrap();
+        kb.create_index("drug", "drug_id").unwrap();
+        let json = kb.to_json();
+        let compact: String = json.split_whitespace().collect();
+        assert!(
+            compact.contains(r#""index_policy":["name","drug_id"]"#),
+            "the policy is the indexed column names, in creation order"
+        );
+        let kb2 = KnowledgeBase::from_json(&json).unwrap();
         assert_eq!(kb2.index_count(), 2, "the recorded index policy rebuilds secondaries");
         let t = kb2.table("drug").unwrap();
-        assert!(t.index_of_kind(0, IndexKind::Hash).is_some());
-        assert!(t.index_of_kind(1, IndexKind::Ordered).is_some());
+        assert!(t.index(0).is_some());
+        assert!(t.index(1).is_some());
         assert_eq!(
             kb2.query("SELECT name FROM drug WHERE drug_id = 1").unwrap().rows.len(),
             1,
@@ -850,7 +822,7 @@ mod tests {
         // paths — a dropped index here regresses point lookups to scans.
         for sql in [
             "SELECT name FROM drug WHERE drug_id = 3",
-            "SELECT drug_id FROM drug WHERE name LIKE 'Drug1%'",
+            "SELECT drug_id FROM drug WHERE name = 'Drug1'",
         ] {
             assert_eq!(
                 kb2.prepare(sql).unwrap().access_label(),

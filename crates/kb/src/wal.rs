@@ -8,13 +8,15 @@
 //! [u32 payload_len LE] [u32 crc32(payload) LE] [payload]
 //! ```
 //!
-//! after the 16-byte file header: the `OBCSWAL3` magic followed by a
+//! after the 16-byte file header: the `OBCSWAL4` magic followed by a
 //! little-endian u64 **durability epoch** — the epoch of the snapshot
 //! this log extends (DESIGN.md §16). A payload is one record tag byte
 //! followed by the record's fields in the snapshot's codec
 //! (`crate::codec`): text length-prefixed, a row as a value count and
-//! tag-encoded values, a schema and an index kind as the snapshot
-//! writes them. Recovery refuses to replay a log whose epoch does not
+//! tag-encoded values, a schema as the snapshot writes it. The writer
+//! refuses a payload over [`MAX_RECORD_BYTES`] with
+//! [`DurabilityError::RecordTooLarge`], so every frame on disk is one
+//! the scan accepts. Recovery refuses to replay a log whose epoch does not
 //! match its snapshot's, which is what makes the snapshot-then-reset
 //! compaction sequence crash-safe: a fresh snapshot next to a
 //! not-yet-reset log is detected by the mismatch and the stale records
@@ -44,16 +46,15 @@ use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{self, Cursor};
-use crate::index::IndexKind;
 use crate::schema::TableSchema;
 use crate::store::{KbError, KnowledgeBase};
 use crate::value::Value;
 
-/// Magic header identifying a WAL file (format version 3: binary
-/// payloads). The magic is followed by a little-endian u64 durability
-/// epoch. Logs of any other version are rejected as
-/// [`DurabilityError::Corrupt`].
-pub const WAL_MAGIC: &[u8; 8] = b"OBCSWAL3";
+/// Magic header identifying a WAL file (format version 4: binary
+/// payloads, an index record naming only its table and column). The
+/// magic is followed by a little-endian u64 durability epoch. Logs of
+/// any other version are rejected as [`DurabilityError::Corrupt`].
+pub const WAL_MAGIC: &[u8; 8] = b"OBCSWAL4";
 
 /// Byte length of the header: magic plus the u64 epoch.
 const WAL_HEADER: usize = WAL_MAGIC.len() + 8;
@@ -61,9 +62,11 @@ const WAL_HEADER: usize = WAL_MAGIC.len() + 8;
 /// Byte length of a frame header: payload length plus checksum.
 const FRAME_HEADER: usize = 8;
 
-/// Upper bound on a single record's payload. A length prefix beyond this
-/// is treated as frame corruption (torn tail), not an allocation request:
-/// a flipped bit in the length field must not ask for gigabytes.
+/// Upper bound on a single record's payload, and on a snapshot
+/// section's. A length prefix beyond this is treated as frame corruption
+/// (torn tail), not an allocation request: a flipped bit in the length
+/// field must not ask for gigabytes. The writers refuse anything larger
+/// ([`DurabilityError::RecordTooLarge`]).
 pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
 /// Payload tags, one per record kind.
@@ -91,8 +94,6 @@ pub enum WalRecord {
         table: String,
         /// Indexed column name.
         column: String,
-        /// Physical index shape.
-        kind: IndexKind,
     },
     /// A `KnowledgeBase::auto_index` sweep that created at least one
     /// index. The sweep is deterministic in the KB state, and replay
@@ -110,8 +111,8 @@ impl WalRecord {
         match self {
             WalRecord::CreateTable(schema) => kb.create_table(schema),
             WalRecord::Insert { table, row } => kb.insert(&table, row),
-            WalRecord::CreateIndex { table, column, kind } => {
-                kb.create_index(&table, &column, kind).map(|_| ())
+            WalRecord::CreateIndex { table, column } => {
+                kb.create_index(&table, &column).map(|_| ())
             }
             WalRecord::AutoIndex => {
                 kb.auto_index();
@@ -128,11 +129,10 @@ impl WalRecord {
                 codec::encode_schema(buf, schema);
             }),
             WalRecord::Insert { table, row } => insert_frame(table, row),
-            WalRecord::CreateIndex { table, column, kind } => frame(|buf| {
+            WalRecord::CreateIndex { table, column } => frame(|buf| {
                 buf.push(TAG_CREATE_INDEX);
                 codec::encode_text(buf, table);
                 codec::encode_text(buf, column);
-                codec::encode_index_kind(buf, *kind);
             }),
             WalRecord::AutoIndex => frame(|buf| buf.push(TAG_AUTO_INDEX)),
         }
@@ -154,11 +154,7 @@ impl WalRecord {
                 }
                 WalRecord::Insert { table, row }
             }
-            TAG_CREATE_INDEX => WalRecord::CreateIndex {
-                table: c.text()?,
-                column: c.text()?,
-                kind: c.index_kind()?,
-            },
+            TAG_CREATE_INDEX => WalRecord::CreateIndex { table: c.text()?, column: c.text()? },
             TAG_AUTO_INDEX => WalRecord::AutoIndex,
             tag => return Err(c.corrupt(&format!("unknown record tag {tag}"))),
         };
@@ -178,6 +174,22 @@ pub(crate) fn insert_frame(table: &str, row: &[Value]) -> Vec<u8> {
             codec::encode_value(buf, v);
         }
     })
+}
+
+/// Refuses a frame whose payload exceeds [`MAX_RECORD_BYTES`]: the scan
+/// in [`Wal::open`] would take it for a torn tail and truncate the log
+/// there, dropping it and every record after it.
+pub(crate) fn check_frame(frame: &[u8]) -> Result<(), DurabilityError> {
+    check_size(frame.len() - FRAME_HEADER)
+}
+
+/// Refuses a record or snapshot section of `bytes` bytes over
+/// [`MAX_RECORD_BYTES`].
+pub(crate) fn check_size(bytes: usize) -> Result<(), DurabilityError> {
+    if bytes > MAX_RECORD_BYTES {
+        return Err(DurabilityError::RecordTooLarge { bytes, limit: MAX_RECORD_BYTES });
+    }
+    Ok(())
 }
 
 /// Builds one `[len][crc][payload]` frame; `encode` writes the payload.
@@ -203,6 +215,15 @@ pub enum DurabilityError {
     /// Replaying a logged mutation failed against the store — the log
     /// and snapshot disagree about KB history.
     Kb(KbError),
+    /// A record or snapshot section of `bytes` bytes exceeds the `limit`
+    /// ([`MAX_RECORD_BYTES`]) the readers accept. Nothing was written:
+    /// the mutation was not applied, or the snapshot was not committed.
+    RecordTooLarge {
+        /// The encoded size.
+        bytes: usize,
+        /// The largest size the readers accept.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for DurabilityError {
@@ -211,6 +232,9 @@ impl fmt::Display for DurabilityError {
             DurabilityError::Io(e) => write!(f, "durability I/O error: {e}"),
             DurabilityError::Corrupt(msg) => write!(f, "corrupt durability file: {msg}"),
             DurabilityError::Kb(e) => write!(f, "WAL replay rejected by the store: {e}"),
+            DurabilityError::RecordTooLarge { bytes, limit } => {
+                write!(f, "a durable record of {bytes} bytes exceeds the {limit}-byte limit")
+            }
         }
     }
 }
@@ -337,6 +361,19 @@ impl Wal {
         Ok((Wal { file, path, epoch }, WalReplay { truncated_bytes, epoch }))
     }
 
+    /// Opens (or creates) the log at `path` without reading it, and
+    /// [resets](Self::reset) it to an empty log at `epoch`: whatever the
+    /// file held, in whatever format, is discarded unread.
+    pub(crate) fn create(path: &Path, epoch: u64) -> Result<Wal, DurabilityError> {
+        // truncate(false): `reset` truncates, then syncs, then writes
+        // the header, in that order.
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        let mut wal = Wal { file, path: path.to_path_buf(), epoch };
+        wal.reset(epoch)?;
+        Ok(wal)
+    }
+
     /// Reads the epoch out of a log header without opening, replaying
     /// or repairing the file. `None` for a missing, foreign, or torn
     /// file.
@@ -356,8 +393,11 @@ impl Wal {
         self.append_frame(&record.frame())
     }
 
-    /// Appends a frame built by [`WalRecord::frame`] or [`insert_frame`].
+    /// Appends a frame built by [`WalRecord::frame`] or [`insert_frame`],
+    /// as one `write_all` on the file. A frame over the record cap is
+    /// refused unwritten.
     pub(crate) fn append_frame(&mut self, frame: &[u8]) -> Result<(), DurabilityError> {
+        check_frame(frame)?;
         self.file.write_all(frame)?;
         Ok(())
     }
@@ -472,11 +512,7 @@ mod tests {
                 table: "drug".to_string(),
                 row: vec![Value::Int(1), Value::text("Aspirin")],
             },
-            WalRecord::CreateIndex {
-                table: "drug".to_string(),
-                column: "name".to_string(),
-                kind: IndexKind::Ordered,
-            },
+            WalRecord::CreateIndex { table: "drug".to_string(), column: "name".to_string() },
             WalRecord::AutoIndex,
         ]
     }
@@ -597,15 +633,59 @@ mod tests {
     fn wrong_magic_is_an_error() {
         let path = temp_path("magic");
         // A foreign file, and logs written by older builds (the JSON
-        // payload formats): all fail naming the expected magic, never
-        // replay.
-        let older = [&b"NOTAWAL!xxxx"[..], &b"OBCSWAL1"[..], &b"OBCSWAL2\0\0\0\0\0\0\0\0"[..]];
+        // payload formats, and the binary one whose index records carry
+        // a kind byte): all fail naming the expected magic, never replay.
+        let older = [
+            &b"NOTAWAL!xxxx"[..],
+            &b"OBCSWAL1"[..],
+            &b"OBCSWAL2\0\0\0\0\0\0\0\0"[..],
+            &b"OBCSWAL3\0\0\0\0\0\0\0\0"[..],
+        ];
         for bytes in older {
             std::fs::write(&path, bytes).unwrap();
             match Wal::open(&path, |_, _| panic!("nothing replays")) {
-                Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("OBCSWAL3"), "{msg}"),
+                Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("OBCSWAL4"), "{msg}"),
                 other => panic!("expected Corrupt, got {other:?}"),
             }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_frame_over_the_record_cap_is_refused_unwritten() {
+        let path = temp_path("cap");
+        let (mut wal, _, _) = open_collect(&path);
+        wal.append(&sample_records()[0]).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        // Zeroed pages: only the length is ever read.
+        let oversized = vec![0u8; FRAME_HEADER + MAX_RECORD_BYTES + 1];
+        match wal.append_frame(&oversized) {
+            Err(DurabilityError::RecordTooLarge { bytes, limit }) => {
+                assert_eq!((bytes, limit), (MAX_RECORD_BYTES + 1, MAX_RECORD_BYTES));
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "nothing was written");
+        // A payload of exactly the cap is one the scan accepts.
+        assert!(check_frame(&oversized[1..]).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn create_resets_any_file_without_reading_it() {
+        let path = temp_path("create");
+        let mut current = b"OBCSWAL4".to_vec();
+        current.extend_from_slice(&3u64.to_le_bytes());
+        current.extend_from_slice(&sample_records()[1].frame());
+        for stale in [&b"OBCSWAL2\0\0\0\0\0\0\0\0"[..], b"\xde\xad garbage", &current] {
+            std::fs::write(&path, stale).unwrap();
+            let wal = Wal::create(&path, 9).unwrap();
+            assert_eq!(wal.epoch(), 9);
+            drop(wal);
+            let (_, replayed, replay) = open_collect(&path);
+            assert!(replayed.is_empty());
+            assert_eq!(replay.epoch, 9);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), WAL_HEADER as u64);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -701,7 +781,7 @@ mod tests {
             )
             .unwrap();
         direct.insert("drug", vec![Value::Int(1), Value::text("Aspirin")]).unwrap();
-        direct.create_index("drug", "name", IndexKind::Ordered).unwrap();
+        direct.create_index("drug", "name").unwrap();
         direct.auto_index();
         assert_eq!(direct.to_json(), replayed.to_json());
         assert_eq!(direct.index_count(), replayed.index_count());

@@ -6,8 +6,8 @@
 //! byte-identical results — including errors — to a KB that never
 //! builds an index. The schema mixes an `Int` PK, a high-cardinality text column, and a
 //! `Float` column that also admits `Int` values, so the dual-probe
-//! (`Int`↔`Float` `sql_eq`) and saturation (≥ 2^53) paths are all
-//! exercised mid-stream. Equalities on *joined* tables exercise the join
+//! (`Int`↔`Float` `sql_eq`) and huge-key decline (≥ 2^53) paths are
+//! both exercised mid-stream. LIKE is a scan predicate on every KB. Equalities on *joined* tables exercise the join
 //! probe (DESIGN.md §14.1): one and two hops back to the FROM table,
 //! across NULL join keys and filters that match several drugs.
 //! Mid-stream the indexed KB may also be cloned, after which the twins
@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 
 use obcs_kb::schema::{ColumnType, TableSchema};
 use obcs_kb::value::sql_quote;
-use obcs_kb::{IndexKind, KnowledgeBase, Value};
+use obcs_kb::{KnowledgeBase, Value};
 use proptest::prelude::*;
 
 fn fresh_kb() -> KnowledgeBase {
@@ -57,14 +57,14 @@ fn fresh_kb() -> KnowledgeBase {
     kb
 }
 
-/// Query shapes covering every index-eligible path: hash point lookup,
-/// ordered LIKE-prefix, equality through an ordered text index, the
-/// `Int`/`Float` dual probe both ways, a join over the FK hash index,
-/// join probes (a name, a weight matching several drugs with both twin
-/// types, a filter on the FROM side's partner whose keys may be NULL,
-/// and a two-hop walk), an unanchored LIKE (must stay a scan), a
+/// Query shapes covering every index-eligible path: point lookup,
+/// equality on the text name column, the `Int`/`Float` dual probe both
+/// ways, a join over the FK index, join probes (a name, a weight
+/// matching several drugs with both twin types, a filter on the FROM
+/// side's partner whose keys may be NULL, and a two-hop walk), a
 /// huge-magnitude equality (the index must decline and scan), and error
-/// shapes.
+/// shapes. The LIKE shapes — anchored, unanchored, and under DISTINCT,
+/// ORDER BY and LIMIT — bind to a scan on every KB.
 const QUERIES: &[&str] = &[
     "SELECT name FROM drug WHERE drug_id = 5",
     "SELECT name FROM drug WHERE name LIKE 'Drug1%'",
@@ -100,17 +100,15 @@ const QUERIES: &[&str] = &[
 ];
 
 /// The index targets the `CreateIndex` op draws from.
-const INDEXES: &[(&str, &str, IndexKind)] = &[
-    ("drug", "drug_id", IndexKind::Hash),
-    ("drug", "name", IndexKind::Hash),
-    ("drug", "name", IndexKind::Ordered),
-    ("drug", "weight", IndexKind::Hash),
-    ("drug", "weight", IndexKind::Ordered),
-    ("precautions", "drug_id", IndexKind::Hash),
-    ("precautions", "description", IndexKind::Ordered),
-    ("precautions", "prec_id", IndexKind::Hash),
-    ("advisory", "adv_id", IndexKind::Hash),
-    ("advisory", "prec_id", IndexKind::Hash),
+const INDEXES: &[(&str, &str)] = &[
+    ("drug", "drug_id"),
+    ("drug", "name"),
+    ("drug", "weight"),
+    ("precautions", "drug_id"),
+    ("precautions", "description"),
+    ("precautions", "prec_id"),
+    ("advisory", "adv_id"),
+    ("advisory", "prec_id"),
 ];
 
 /// A fresh indexed KB — empty, or under the default policy (PK, FK and
@@ -124,9 +122,9 @@ fn fresh_indexed(auto_index: bool) -> (KnowledgeBase, BTreeSet<usize>) {
     }
     let held = (0..INDEXES.len())
         .filter(|&i| {
-            let (table, column, kind) = INDEXES[i];
+            let (table, column) = INDEXES[i];
             let t = kb.table(table).expect("table");
-            t.index_of_kind(t.schema.column_index(column).expect("column"), kind).is_some()
+            t.index(t.schema.column_index(column).expect("column")).is_some()
         })
         .collect();
     (kb, held)
@@ -158,7 +156,7 @@ fn weight_value(id: i64, sel: u8) -> Value {
         1 => Value::float((id % 4) as f64).expect("finite"),
         2 => Value::float(id as f64 + 0.5).expect("finite"),
         3 => Value::Null,
-        // Beyond 2^53: saturates ordered indexes, declines hash probes.
+        // Beyond 2^53: index probes decline and scan.
         _ => Value::Int((1i64 << 53) + id),
     }
 }
@@ -265,10 +263,10 @@ proptest! {
                 }
                 Op::CreateIndex(i) => {
                     let i = i % INDEXES.len();
-                    let (table, column, kind) = INDEXES[i];
+                    let (table, column) = INDEXES[i];
                     let twin = &mut twins[at];
                     let created =
-                        twin.indexed.create_index(table, column, kind).expect("valid index target");
+                        twin.indexed.create_index(table, column).expect("valid index target");
                     prop_assert_eq!(
                         created, twin.indexes.insert(i), "index {:?} on twin {}", INDEXES[i], at
                     );
@@ -306,9 +304,9 @@ proptest! {
 
 /// Deterministic end-to-end check of the headline path: a fully indexed
 /// KB — the default policy (join keys and name columns) plus explicit
-/// indexes for the prefix, ordered-equality and weight shapes — agrees
-/// with its scan twin on every query shape above, and the name filters
-/// on joined tables bind the join probe.
+/// indexes for the weight and description shapes — agrees with its scan
+/// twin on every query shape above, the name filters on joined tables
+/// bind the join probe, and every LIKE shape binds a scan.
 #[test]
 fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     let mut indexed = fresh_kb();
@@ -343,17 +341,14 @@ fn auto_indexed_kb_matches_scan_twin_exhaustively() {
     let mut scan = indexed.clone();
     scan.set_index_enabled(false);
     assert!(indexed.auto_index() > 0);
-    for (table, column) in [("drug", "name"), ("drug", "weight"), ("precautions", "description")] {
-        assert!(indexed.create_index(table, column, IndexKind::Ordered).expect("index"));
+    for (table, column) in [("drug", "weight"), ("precautions", "description")] {
+        assert!(indexed.create_index(table, column).expect("index"));
     }
-    assert!(indexed.create_index("drug", "weight", IndexKind::Hash).expect("index"));
-    assert_eq!(
-        indexed
-            .prepare("SELECT name FROM drug WHERE name LIKE 'Drug1%'")
-            .expect("plan")
-            .access_label(),
-        "index_prefix"
-    );
+    let likes: Vec<&str> = QUERIES.iter().copied().filter(|q| q.contains(" LIKE ")).collect();
+    assert_eq!(likes.len(), 3, "the anchored, unanchored and DISTINCT/ORDER BY/LIMIT shapes");
+    for sql in likes {
+        assert_eq!(indexed.prepare(sql).expect("plan").access_label(), "scan", "{sql}");
+    }
     for sql in QUERIES.iter().filter(|q| q.contains("d.name = ")) {
         assert_eq!(indexed.prepare(sql).expect("plan").access_label(), "join_probe", "{sql}");
     }
@@ -410,8 +405,9 @@ fn substitute(template: &str, values: &[String]) -> String {
 }
 
 /// The oracle schema, holding adversarial names and descriptions next to
-/// ordinary ones, under the default index policy plus an ordered index on
-/// each filtered text column.
+/// ordinary ones, under the default index policy (which covers
+/// `drug.name`) plus an index on `precautions.description`, so every
+/// filtered text column is indexed.
 fn adversarial_kb() -> KnowledgeBase {
     let mut kb = fresh_kb();
     let names = ["Drug1x0", "O'Neil", "''", "<@Drug>", "50%", "a_b", "{results}", "Ünï日本", ""];
@@ -433,8 +429,7 @@ fn adversarial_kb() -> KnowledgeBase {
         }
     }
     kb.auto_index();
-    kb.create_index("drug", "name", IndexKind::Ordered).expect("index");
-    kb.create_index("precautions", "description", IndexKind::Ordered).expect("index");
+    kb.create_index("precautions", "description").expect("index");
     kb
 }
 

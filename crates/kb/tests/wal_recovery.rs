@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use obcs_kb::schema::{ColumnType, TableSchema};
 use obcs_kb::snapshot::{read_snapshot, write_snapshot};
-use obcs_kb::{DurabilityError, DurableKb, IndexKind, KnowledgeBase, Value, Wal, WalRecord};
+use obcs_kb::{DurabilityError, DurableKb, KnowledgeBase, Value, Wal, WalRecord};
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -70,11 +70,7 @@ fn sample_records(inserts: &[(i64, String)]) -> Vec<WalRecord> {
             row: vec![Value::Int(*id), Value::text(name.clone())],
         });
     }
-    records.push(WalRecord::CreateIndex {
-        table: "drug".to_string(),
-        column: "name".to_string(),
-        kind: IndexKind::Ordered,
-    });
+    records.push(WalRecord::CreateIndex { table: "drug".to_string(), column: "name".to_string() });
     records.push(WalRecord::AutoIndex);
     records
 }
@@ -204,7 +200,7 @@ proptest! {
 
 /// A KB with enough variety to exercise every value tag and the index
 /// policy: two tables, an FK, mixed Int/Float/Null/Text values, huge
-/// (beyond-2^53) keys, and both index kinds.
+/// (beyond-2^53) keys, and three indexes.
 fn varied_kb(rows: &[(i64, u8, u8)]) -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
     kb.create_table(
@@ -254,17 +250,17 @@ fn varied_kb(rows: &[(i64, u8, u8)]) -> KnowledgeBase {
         )
         .expect("FK holds");
     }
-    kb.create_index("drug", "drug_id", IndexKind::Hash).expect("index");
-    kb.create_index("drug", "name", IndexKind::Ordered).expect("index");
-    kb.create_index("precautions", "drug_id", IndexKind::Hash).expect("index");
+    kb.create_index("drug", "drug_id").expect("index");
+    kb.create_index("drug", "name").expect("index");
+    kb.create_index("precautions", "drug_id").expect("index");
     kb
 }
 
 /// Queries whose planner access labels must survive a snapshot (point
-/// probe, LIKE prefix, FK join).
+/// probe, name equality, FK join).
 const LABEL_QUERIES: &[&str] = &[
     "SELECT name FROM drug WHERE drug_id = 3",
-    "SELECT name FROM drug WHERE name LIKE 'Drug1%'",
+    "SELECT drug_id FROM drug WHERE name = 'Drug1'",
     "SELECT p.description FROM precautions p \
      INNER JOIN drug d ON p.drug_id = d.drug_id WHERE d.drug_id = 2",
 ];
@@ -394,8 +390,8 @@ proptest! {
     /// Rows of every value kind (NULL, both bools, ints up to the i64
     /// extremes, floats down to subnormals, empty, non-ASCII and
     /// quote-bearing text) logged through `DurableKb` into PK and FK
-    /// tables, with an index of each kind and an `AutoIndex` marker in
-    /// the log, recover from the log alone to the live KB: same JSON
+    /// tables, with two `CreateIndex` records and an `AutoIndex` marker
+    /// in the log, recover from the log alone to the live KB: same JSON
     /// image, same rows bit for bit, same index count, same access
     /// labels.
     #[test]
@@ -440,8 +436,8 @@ proptest! {
         let half = rows.len() / 2;
         for (i, picks) in rows.iter().enumerate() {
             if i == half {
-                prop_assert!(durable.create_index("item", "label", IndexKind::Ordered).expect("index"));
-                prop_assert!(durable.create_index("item", "amount", IndexKind::Hash).expect("index"));
+                prop_assert!(durable.create_index("item", "label").expect("index"));
+                prop_assert!(durable.create_index("item", "amount").expect("index"));
                 prop_assert!(durable.auto_index().expect("auto_index") > 0);
             }
             durable.insert("item", item_row(*picks)).expect("item row");
@@ -468,7 +464,7 @@ proptest! {
         prop_assert_eq!(recovered.index_count(), live.index_count());
         let label_queries = [
             format!("SELECT label FROM item WHERE item_id = {}", rows[0].0),
-            "SELECT item_id FROM item WHERE label LIKE 'Asp%'".to_string(),
+            "SELECT item_id FROM item WHERE label = 'Aspirin'".to_string(),
             "SELECT item_id FROM item WHERE amount = 1".to_string(),
             "SELECT n.body FROM note n INNER JOIN item i ON n.item_id = i.item_id \
              WHERE i.item_id = 1".to_string(),

@@ -1500,16 +1500,10 @@ mod tests {
                 .collect();
             keys.sort_unstable();
             keys.dedup();
-            let mut indexed: Vec<usize> = t
-                .secondary_indexes()
-                .iter()
-                .map(|i| {
-                    assert_eq!(i.kind(), obcs_kb::IndexKind::Hash, "{name}: ordered index");
-                    i.column_pos()
-                })
-                .collect();
+            let mut indexed: Vec<usize> =
+                t.secondary_indexes().iter().map(|i| i.column_pos()).collect();
             indexed.sort_unstable();
-            assert_eq!(indexed, keys, "{name}: one hash index per PK, FK or name column");
+            assert_eq!(indexed, keys, "{name}: one index per PK, FK or name column");
         }
         // 116 join keys, plus 37 `name` and 2 `title` columns.
         assert_eq!(kb.index_count(), 155);
