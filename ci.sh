@@ -57,7 +57,7 @@ echo "==> repro perf --quick --check BENCH_perf.json"
 # its baseline entry), or any stage >5x slower than the committed
 # BENCH_perf.json.
 # Stages with a committed speedup floor (min_speedup in the baseline:
-# annotate, logreg_train, cached_replay, and the 15k scale stages) also
+# annotate, logreg_train, and the 15k scale stages) also
 # fail the run if the shipped implementation stops delivering at least
 # that factor over its unoptimised twin.
 cargo run -q --release -p obcs-bench --bin repro -- perf --quick --check BENCH_perf.json
@@ -110,6 +110,11 @@ for workload in clinic deep_kb; do
   cargo run -q --release --offline --manifest-path servebench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
+# One per-layer run: it exits non-zero when the engine's named stages
+# stop adding up to the `turn` span or when its passes disagree, so a
+# span added, removed or renamed on the turn path fails here.
+cargo run -q --release --offline --manifest-path servebench/Cargo.toml -- \
+  --workload clinic --seed 1 --seconds 1 --trace 1 > /dev/null
 
 echo "==> spacelint + spaceverify over a large-world export"
 # Bind-checks the static-analysis chain at scale: export a 1000-drug
@@ -133,10 +138,8 @@ cargo run -q --release -p obcs-bench --bin repro -- trace --quick \
 echo "==> repro chaos --quick"
 # Robustness smoke: replays the quick profile under the seeded fault plan
 # and fails on a panic, a nondeterministic trace/record sequence across
-# parallelism, a caches-off replay that diverges from the cached one
-# (DESIGN.md §12: caching must be observationally invisible), or any
-# injected fault that was neither recovered by a retry nor surfaced as
-# a degraded reply.
+# parallelism, or any injected fault that was neither recovered by a
+# retry nor surfaced as a degraded reply.
 cargo run -q --release -p obcs-bench --bin repro -- chaos --quick > /dev/null
 
 echo "CI gate passed."

@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use obcs_cache::CacheStats;
 use obcs_core::{ConversationSpace, IntentId};
 use obcs_dialogue::tree::TurnInput;
 use obcs_dialogue::{AgentAction, ConversationContext, DialogueTree};
@@ -75,6 +76,28 @@ pub struct AgentReply {
     pub confidence: Option<f64>,
     /// Whether fulfilment found any rows (true for non-fulfilment kinds).
     pub found_results: bool,
+}
+
+/// Inert: the KB keeps no cache, so both layers read zero. Kept beside
+/// [`ConversationAgent::cache_stats`] only because servebench reads it;
+/// it goes with servebench's next benchmark change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KbCacheStats {
+    /// Always zero.
+    pub plan: CacheStats,
+    /// Always zero.
+    pub result: CacheStats,
+}
+
+/// Inert: the NLU keeps no memo, so both layers read zero. Kept beside
+/// [`ConversationAgent::cache_stats`] only because servebench reads it;
+/// it goes with servebench's next benchmark change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NluMemoStats {
+    /// Always zero.
+    pub classify: CacheStats,
+    /// Always zero.
+    pub recognize: CacheStats,
 }
 
 /// The online conversation agent.
@@ -241,38 +264,16 @@ impl ConversationAgent {
         Arc::clone(&self.nlu)
     }
 
-    /// Enables or disables the pipeline's one cache layer, the NLU
-    /// classify/recognize memo (DESIGN.md §12); it is on by default. Like
-    /// [`nlu_mut`](Self::nlu_mut), this requires sole ownership of the
-    /// NLU — configure caching *before* forking sessions.
-    pub fn set_caching(&mut self, enabled: bool) {
-        Arc::get_mut(&mut self.nlu)
-            .expect("NLU is shared by forked sessions; configure caching before forking")
-            .set_memo_enabled(enabled);
-    }
+    /// Inert: the pipeline keeps no cache to switch (DESIGN.md §12).
+    /// Kept only because servebench still calls it; it goes with
+    /// servebench's next benchmark change.
+    pub fn set_caching(&mut self, _enabled: bool) {}
 
-    /// Whether the NLU memo is enabled.
-    pub fn caching_enabled(&self) -> bool {
-        self.nlu.memo_enabled()
-    }
-
-    /// Counters of the shared NLU memo, beside always-zero KB counters
-    /// (the KB has no caches; the field stays for the servebench
-    /// harness). The memo lives behind the shared `Arc`, so forks see
-    /// (and contribute to) one common classify/recognize count.
-    pub fn cache_stats(&self) -> (obcs_kb::KbCacheStats, crate::nlu::NluMemoStats) {
-        (obcs_kb::KbCacheStats::default(), self.nlu.memo_stats())
-    }
-
-    /// Publishes the memo counters through `rec` under the shared layer
-    /// labels (`nlu_classify`, `nlu_recognize`).
-    /// Call on demand — end of a replay, a stats endpoint — never per
-    /// turn: hit patterns depend on shard layout, and per-turn recording
-    /// would break trace determinism (DESIGN.md §12).
-    pub fn record_cache_stats(&self, rec: &dyn Recorder) {
-        let memo = self.nlu.memo_stats();
-        obcs_cache::record_stats(memo.classify, "nlu_classify", rec);
-        obcs_cache::record_stats(memo.recognize, "nlu_recognize", rec);
+    /// Inert: all-zero counters, since the pipeline keeps no cache
+    /// (DESIGN.md §12). Kept only because servebench still reads them; it
+    /// goes with servebench's next benchmark change.
+    pub fn cache_stats(&self) -> (KbCacheStats, NluMemoStats) {
+        (KbCacheStats::default(), NluMemoStats::default())
     }
 
     /// Stamps out an independent conversation session. The fork shares
@@ -543,7 +544,7 @@ impl ConversationAgent {
             &self.chaos_clock,
             turn_start,
             &*rec,
-            || Ok::<_, ObcsError>(self.nlu.classify_traced(utterance, &*rec)),
+            || Ok::<_, ObcsError>(self.nlu.classify_masked(&recognized.masked, &*rec)),
         );
         let classified = match classify_outcome {
             Ok((c, recovery)) => {
@@ -878,7 +879,7 @@ impl ConversationAgent {
         // Per-turn usage counters (DESIGN.md §10): every reply path in
         // `respond` funnels through here exactly once.
         self.recorder.incr(metric::TURNS, "");
-        self.recorder.incr(metric::REPLY_KIND, reply_kind_label(reply.kind));
+        self.recorder.incr(metric::REPLY_KIND, kind_label(reply.kind));
         if let Some(name) = intent.and_then(|id| self.space.intent(id)).map(|i| i.name.as_str()) {
             self.recorder.incr(metric::INTENT, name);
         }
@@ -904,8 +905,9 @@ impl ConversationAgent {
     }
 }
 
-/// Stable counter label for a reply kind (the `reply_kind{...}` metric).
-fn reply_kind_label(kind: ReplyKind) -> &'static str {
+/// The stable lowercase label of a reply kind: the `kind` of a served
+/// reply on the wire and the label of the `reply_kind` counter.
+pub fn kind_label(kind: ReplyKind) -> &'static str {
     match kind {
         ReplyKind::Management => "management",
         ReplyKind::Elicitation => "elicitation",
@@ -1420,35 +1422,15 @@ mod tests {
     }
 
     #[test]
-    fn caching_is_invisible_to_replies_and_reports_stats() {
-        use obcs_telemetry::CollectingRecorder;
-        let mut cached = agent();
-        let mut uncached = agent();
-        uncached.set_caching(false);
-        assert!(cached.caching_enabled() && !uncached.caching_enabled());
-        let script = [
-            "show me the precaution for Aspirin",
-            "show me the precaution for Aspirin",
-            "what drug treats Fever?",
-            "show me the precaution for Aspirin",
-        ];
-        for u in script {
-            assert_eq!(cached.respond(u), uncached.respond(u), "cache changed a reply for {u:?}");
+    fn cache_shims_are_inert() {
+        let mut shimmed = agent();
+        shimmed.set_caching(false);
+        let mut plain = agent();
+        for u in ["show me the precaution for Aspirin", "show me the precaution for Aspirin"] {
+            assert_eq!(shimmed.respond(u), plain.respond(u), "{u:?}");
         }
-        let (_, memo) = cached.cache_stats();
-        assert!(memo.classify.hits >= 1, "repeated utterance served from the memo: {memo:?}");
-        let (_, memo) = uncached.cache_stats();
-        assert_eq!(memo.classify.lookups(), 0, "a disabled memo sees no traffic");
-
-        let rec = CollectingRecorder::ticks();
-        cached.record_cache_stats(&rec);
-        let report = rec.take_report();
-        for layer in ["nlu_classify", "nlu_recognize"] {
-            assert!(
-                report.counters.contains_key(&("cache_hit".into(), layer.into())),
-                "missing cache_hit counter for layer {layer}"
-            );
-        }
+        let (kb, memo) = shimmed.cache_stats();
+        assert_eq!((kb, memo), (KbCacheStats::default(), NluMemoStats::default()));
     }
 
     #[test]

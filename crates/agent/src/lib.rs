@@ -46,6 +46,6 @@ pub mod nlg;
 pub mod nlu;
 pub mod prepared;
 
-pub use engine::{AgentConfig, AgentReply, ConversationAgent, ReplyKind};
+pub use engine::{kind_label, AgentConfig, AgentReply, ConversationAgent, ReplyKind};
 pub use log::{Feedback, InteractionLog, InteractionRecord};
 pub use obcs_core::IntentId;

@@ -55,7 +55,7 @@ fn write_results(out: &mut String, results: &ResultSet) {
         if i > 0 {
             out.push('\n');
         }
-        for (j, (v, c)) in row.iter().zip(&results.columns).enumerate() {
+        for (j, (v, c)) in row.iter().zip(results.columns.iter()).enumerate() {
             if j > 0 {
                 out.push_str("; ");
             }
@@ -91,9 +91,10 @@ pub fn render_merged(results: &[(&str, ResultSet)]) -> String {
 mod tests {
     use super::*;
     use obcs_kb::Value;
+    use std::sync::Arc;
 
     fn rs(columns: &[&str], rows: Vec<Vec<Value>>) -> ResultSet {
-        ResultSet { columns: columns.iter().map(|s| s.to_string()).collect(), rows }
+        ResultSet { columns: Arc::new(columns.iter().map(|s| s.to_string()).collect()), rows }
     }
 
     #[test]

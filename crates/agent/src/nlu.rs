@@ -1,19 +1,22 @@
 //! Natural-language understanding: intent classification over the
 //! bootstrapped training set plus dictionary-based entity recognition with
 //! synonyms and partial-name disambiguation (paper §6.1).
+//!
+//! Recognition annotates an utterance once and builds from those
+//! annotations both the entities and the masked text the classifier
+//! reads ([`RecognizedEntities::masked`]), so a turn never annotates
+//! twice. Nothing is cached between utterances (DESIGN.md §12).
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use obcs_cache::{CacheStats, LruCache};
 use obcs_classifier::logreg::{LogReg, LogRegConfig};
 use obcs_classifier::naive_bayes::{NaiveBayes, NaiveBayesConfig};
 use obcs_classifier::{Classifier, Dataset};
 use obcs_core::entities::EntityKind;
 use obcs_core::{ConversationSpace, IntentId};
 use obcs_kb::KnowledgeBase;
-use obcs_nlq::annotate::{Evidence, Lexicon};
+use obcs_nlq::annotate::{mask_annotated, Evidence, Lexicon};
 use obcs_nlq::OntologyMapping;
 use obcs_ontology::{ConceptId, Ontology};
+use obcs_telemetry::{NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
 /// The result of entity recognition on one utterance.
@@ -27,6 +30,10 @@ pub struct RecognizedEntities {
     /// fragment plus the matching instances (§6.1 Calcium → Calcium
     /// Carbonate, Calcium Citrate).
     pub partial: Option<(String, Vec<(ConceptId, String)>)>,
+    /// The utterance as the intent classifier reads it: normalised, each
+    /// recognised instance span masked by its concept placeholder
+    /// ([`Lexicon::mask`]), built from the same annotations.
+    pub masked: String,
 }
 
 /// Which intent-classifier family to train (see the `ablation-classifier`
@@ -40,55 +47,6 @@ pub enum ClassifierKind {
     LogisticRegression,
 }
 
-/// Hit/miss counters of the NLU memo's two layers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NluMemoStats {
-    /// Classification memo (`nlu_classify` telemetry layer).
-    pub classify: CacheStats,
-    /// Entity-recognition memo (`nlu_recognize` telemetry layer).
-    pub recognize: CacheStats,
-}
-
-/// Memoisation of classify/recognize on repeated utterances (DESIGN.md
-/// §12). Both results are pure functions of the utterance and the
-/// lexicon/classifier state, so the one post-build mutation
-/// ([`Nlu::add_instance_synonym`]) clears the memo. The memo sits inside
-/// `Nlu`, behind the engine's `Arc`, so forked sessions share one
-/// read-mostly memo — the `Mutex` keeps `Nlu: Sync` across shard threads.
-struct NluMemo {
-    enabled: bool,
-    classify: Mutex<LruCache<Option<(IntentId, f64)>>>,
-    recognize: Mutex<LruCache<RecognizedEntities>>,
-}
-
-/// Utterances are short and results small; cap by count only.
-const MEMO_ENTRIES: usize = 2048;
-
-impl Default for NluMemo {
-    fn default() -> Self {
-        NluMemo {
-            enabled: true,
-            classify: Mutex::new(LruCache::new(MEMO_ENTRIES)),
-            recognize: Mutex::new(LruCache::new(MEMO_ENTRIES)),
-        }
-    }
-}
-
-impl NluMemo {
-    /// Drops every memoised entry. The caller holds `&mut`, so no lock
-    /// is taken.
-    fn clear(&mut self) {
-        self.classify.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
-        self.recognize.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
-    }
-}
-
-/// Locks a memo layer, recovering from a poisoned mutex (the memo holds
-/// no cross-panic invariants).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// NLU component: classifier + entity lexicon.
 pub struct Nlu {
     classifier: Box<dyn Classifier + Send + Sync>,
@@ -99,7 +57,6 @@ pub struct Nlu {
     entity_only: Vec<(ConceptId, IntentId)>,
     /// Concept names needed for entity masking during classification.
     onto: Ontology,
-    memo: NluMemo,
 }
 
 impl Nlu {
@@ -179,81 +136,31 @@ impl Nlu {
                 _ => None,
             })
             .collect();
-        Nlu {
-            classifier,
-            lexicon,
-            intents_by_name,
-            entity_only,
-            onto: onto.clone(),
-            memo: NluMemo::default(),
-        }
+        Nlu { classifier, lexicon, intents_by_name, entity_only, onto: onto.clone() }
     }
 
     /// Registers an extra instance synonym (e.g. brand names).
     pub fn add_instance_synonym(&mut self, concept: ConceptId, canonical: &str, synonym: &str) {
         self.lexicon
             .add_phrase(synonym, Evidence::Instance { concept, value: canonical.to_string() });
-        // The lexicon changed: memoised results may now be stale.
-        self.memo.clear();
-    }
-
-    /// Enables or disables the classify/recognize memo. Disabling drops
-    /// every memoised entry (counters are kept).
-    pub fn set_memo_enabled(&mut self, on: bool) {
-        self.memo.enabled = on;
-        if !on {
-            self.memo.clear();
-        }
-    }
-
-    /// Whether the classify/recognize memo is enabled.
-    pub fn memo_enabled(&self) -> bool {
-        self.memo.enabled
-    }
-
-    /// Counters accumulated by the memo layers so far.
-    pub fn memo_stats(&self) -> NluMemoStats {
-        NluMemoStats {
-            classify: lock(&self.memo.classify).stats(),
-            recognize: lock(&self.memo.recognize).stats(),
-        }
     }
 
     /// Classifies the intent of an utterance; returns `(intent,
     /// confidence)` of the winner even when weak — thresholding is the
     /// engine's call.
     pub fn classify(&self, utterance: &str) -> Option<(IntentId, f64)> {
-        self.classify_traced(utterance, &obcs_telemetry::NoopRecorder)
+        self.classify_masked(&self.lexicon.mask(utterance, &self.onto), &NoopRecorder)
     }
 
-    /// Like [`Nlu::classify`], recording a
+    /// Classifies text that recognition already masked
+    /// ([`RecognizedEntities::masked`]), recording a
     /// [`classify`](obcs_telemetry::stage::CLASSIFY) span on `rec`.
-    pub fn classify_traced(
-        &self,
-        utterance: &str,
-        rec: &dyn obcs_telemetry::Recorder,
-    ) -> Option<(IntentId, f64)> {
-        if self.memo.enabled {
-            let memoised = lock(&self.memo.classify).get(utterance);
-            if let Some(result) = memoised {
-                // Replay the miss path's exact span structure — one
-                // `classify` span, nothing inside it — so a memo hit is
-                // tick-identical to a miss and traces stay bit-for-bit
-                // equal with the memo on or off (DESIGN.md §12).
-                let _span = obcs_telemetry::span(rec, obcs_telemetry::stage::CLASSIFY);
-                return result;
-            }
-        }
-        let pred = self.classifier.predict_traced(&self.lexicon.mask(utterance, &self.onto), rec);
-        let result = self
-            .intents_by_name
+    pub fn classify_masked(&self, masked: &str, rec: &dyn Recorder) -> Option<(IntentId, f64)> {
+        let pred = self.classifier.predict_traced(masked, rec);
+        self.intents_by_name
             .iter()
             .find(|(name, _)| *name == pred.label)
-            .map(|&(_, id)| (id, pred.confidence));
-        if self.memo.enabled {
-            lock(&self.memo.classify).put(utterance, result);
-        }
-        result
+            .map(|&(_, id)| (id, pred.confidence))
     }
 
     /// Stateless intent detection as the deployed system would label a
@@ -271,34 +178,24 @@ impl Nlu {
                 return Some((intent, 1.0));
             }
         }
-        self.classify(utterance)
+        self.classify_masked(&recognized.masked, &NoopRecorder)
     }
 
     /// Recognises entities in an utterance.
     pub fn recognize(&self, utterance: &str) -> RecognizedEntities {
-        self.recognize_traced(utterance, &obcs_telemetry::NoopRecorder)
+        self.recognize_traced(utterance, &NoopRecorder)
     }
 
     /// Like [`Nlu::recognize`], recording an
     /// [`annotate`](obcs_telemetry::stage::ANNOTATE) span around the
     /// lexicon scan on `rec`.
-    pub fn recognize_traced(
-        &self,
-        utterance: &str,
-        rec: &dyn obcs_telemetry::Recorder,
-    ) -> RecognizedEntities {
-        if self.memo.enabled {
-            let memoised = lock(&self.memo.recognize).get(utterance);
-            if let Some(result) = memoised {
-                // One `annotate` span, like the miss path (partial
-                // matching runs outside the span there); see
-                // `classify_traced` for the determinism argument.
-                let _span = obcs_telemetry::span(rec, obcs_telemetry::stage::ANNOTATE);
-                return result;
-            }
-        }
-        let mut out = RecognizedEntities::default();
-        for ann in self.lexicon.annotate_traced(utterance, rec) {
+    pub fn recognize_traced(&self, utterance: &str, rec: &dyn Recorder) -> RecognizedEntities {
+        let annotations = self.lexicon.annotate_traced(utterance, rec);
+        let mut out = RecognizedEntities {
+            masked: mask_annotated(utterance, &annotations, &self.onto),
+            ..RecognizedEntities::default()
+        };
+        for ann in annotations {
             match ann.evidence {
                 Evidence::Instance { concept, value } => {
                     if !out.instances.iter().any(|(c, v)| *c == concept && *v == value) {
@@ -319,9 +216,6 @@ impl Nlu {
             if !candidates.is_empty() && candidates.len() <= 8 {
                 out.partial = Some((utterance.trim().to_string(), candidates));
             }
-        }
-        if self.memo.enabled {
-            lock(&self.memo.recognize).put(utterance, out.clone());
         }
         out
     }
@@ -434,23 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_on_repeats_and_matches_unmemoised() {
-        let (_, _, nlu) = nlu();
-        assert!(nlu.memo_enabled(), "memo is on by default");
-        let utterance = "show me the precaution for Aspirin";
-        let first = nlu.classify(utterance);
-        let again = nlu.classify(utterance);
-        assert_eq!(first, again);
-        let rec1 = nlu.recognize(utterance);
-        let rec2 = nlu.recognize(utterance);
-        assert_eq!(rec1, rec2);
-        let stats = nlu.memo_stats();
-        assert_eq!(stats.classify.hits, 1);
-        assert_eq!(stats.recognize.hits, 1);
-    }
-
-    #[test]
-    fn add_synonym_invalidates_memo() {
+    fn a_synonym_added_after_a_recognition_is_seen_by_the_next() {
         let (onto, _, mut nlu) = nlu();
         let drug = onto.concept_id("Drug").unwrap();
         assert!(nlu.recognize("dosage of acetylsalicylic acid").instances.is_empty());
@@ -458,38 +336,23 @@ mod tests {
         let rec = nlu.recognize("dosage of acetylsalicylic acid");
         assert!(
             rec.instances.contains(&(drug, "Aspirin".to_string())),
-            "memoised pre-synonym result must not serve"
+            "the recognition before the synonym must not serve"
         );
-        assert_eq!(nlu.memo_stats().recognize.invalidations, 1);
+        assert_eq!(rec.masked, "dosage of entdrug");
     }
 
     #[test]
-    fn disabling_memo_clears_entries() {
-        let (_, _, mut nlu) = nlu();
-        nlu.recognize("aspirin");
-        nlu.set_memo_enabled(false);
-        assert!(!nlu.memo_enabled());
-        nlu.recognize("aspirin");
-        let stats = nlu.memo_stats();
-        assert_eq!(stats.recognize.hits, 0, "no hits once disabled");
-    }
-
-    #[test]
-    fn memo_hit_replays_identical_trace() {
-        use obcs_telemetry::CollectingRecorder;
+    fn classifying_recognised_text_equals_classifying_the_utterance() {
         let (_, _, nlu) = nlu();
-        let utterance = "show me the precaution for Aspirin";
-        let miss_rec = CollectingRecorder::ticks();
-        nlu.classify_traced(utterance, &miss_rec);
-        nlu.recognize_traced(utterance, &miss_rec);
-        let hit_rec = CollectingRecorder::ticks();
-        nlu.classify_traced(utterance, &hit_rec);
-        nlu.recognize_traced(utterance, &hit_rec);
-        assert_eq!(
-            miss_rec.take_report().to_jsonl(),
-            hit_rec.take_report().to_jsonl(),
-            "a memo hit must be span- and tick-identical to the miss that filled it"
-        );
+        for utterance in ["show me the precaution for Aspirin", "which medicine", "apfjhd", ""] {
+            let rec = nlu.recognize(utterance);
+            assert_eq!(rec.masked, nlu.lexicon().mask(utterance, &nlu.onto), "{utterance:?}");
+            assert_eq!(
+                nlu.classify_masked(&rec.masked, &NoopRecorder),
+                nlu.classify(utterance),
+                "{utterance:?}"
+            );
+        }
     }
 
     #[test]

@@ -69,11 +69,10 @@ impl ChaosReport {
 }
 
 /// One replay of the traffic profile with the chaos plan installed.
-fn replay(opts: &ChaosOptions, parallelism: usize, caches: bool) -> (TraceReport, SimOutcome) {
+fn replay(opts: &ChaosOptions, parallelism: usize) -> (TraceReport, SimOutcome) {
     let (drugs, interactions) = if opts.quick { (60, 400) } else { (150, 2000) };
     let world = World::with_config(MdxDataConfig { drugs, seed: opts.seed });
     let mut mdx = world.agent();
-    mdx.agent.set_caching(caches);
     mdx.agent.set_fault_injector(Arc::new(PlannedFaults::new(FaultPlan::chaos(opts.seed))));
     mdx.agent.set_resilience(ResilienceConfig::chaos());
     let (outcome, report) = run_traffic_traced(
@@ -96,13 +95,11 @@ const CAUSES: &[(&str, &[&str])] = &[
 /// Runs the chaos harness: a parallelism-1 baseline, a cross-parallelism
 /// determinism check, and the fault-accounting invariants.
 pub fn run(opts: &ChaosOptions) -> ChaosReport {
-    // The baseline runs with the pipeline caches on (their default), so
-    // every fault-accounting invariant below is checked *under* caching.
-    let (report, outcome) = replay(opts, 1, true);
+    let (report, outcome) = replay(opts, 1);
     let mut violations = Vec::new();
 
     if opts.parallelism > 1 {
-        let (par_report, par_outcome) = replay(opts, opts.parallelism, true);
+        let (par_report, par_outcome) = replay(opts, opts.parallelism);
         if par_report.to_jsonl() != report.to_jsonl() {
             violations.push(format!(
                 "nondeterministic trace: parallelism {} differs from parallelism 1",
@@ -114,21 +111,6 @@ pub fn run(opts: &ChaosOptions) -> ChaosReport {
                 "nondeterministic records: parallelism {} differs from parallelism 1",
                 opts.parallelism
             ));
-        }
-    }
-
-    // Caches must be invisible under fault injection too: a caches-off
-    // replay of the same plan is byte-for-byte identical (DESIGN.md §12).
-    // Combined with the cross-parallelism check above, this also proves
-    // on/off equivalence at parallelism N.
-    {
-        let (off_report, off_outcome) = replay(opts, 1, false);
-        if off_report.to_jsonl() != report.to_jsonl() {
-            violations.push("cache-sensitive trace: caches off differs from caches on".to_string());
-        }
-        if off_outcome.records != outcome.records {
-            violations
-                .push("cache-sensitive records: caches off differs from caches on".to_string());
         }
     }
 

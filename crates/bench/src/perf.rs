@@ -30,13 +30,6 @@ use crate::World;
 /// not scheduler noise on a loaded runner.
 pub const MAX_REGRESSION: f64 = 5.0;
 
-/// The committed floor for the `cached_replay` stage: replaying a
-/// repeated fulfilment-heavy mix with the NLU memo on must beat the
-/// memo-off replay by at least this factor. Unlike the regression
-/// ceiling, this is an absolute speedup requirement recorded in the
-/// baseline and enforced by `check_against`.
-pub const CACHED_REPLAY_FLOOR: f64 = 2.0;
-
 /// Committed floor for the `annotate` comparison: the interned-token
 /// trie must beat the span-join scan by at least this factor (the
 /// baseline sits near 5x; 2x leaves headroom for runner noise without
@@ -208,75 +201,6 @@ pub fn run(opts: &PerfOptions) -> PerfReport {
     let after = t.elapsed().as_secs_f64() * 1000.0;
     assert_eq!(seq, par, "parallel replay diverged from sequential replay");
     comparisons.push(comparison("replay", format!("{interactions} interactions"), before, after));
-
-    // Stage: cached replay — the NLU memo on vs off, both over the
-    // agent's prepared fulfilment plans, across a repeated
-    // fulfilment-heavy utterance mix (DESIGN.md §12). The committed
-    // baseline carries a hard speedup floor for this stage, not just the
-    // regression ceiling.
-    let heavy_intents = [
-        "Precautions of Drug",
-        "Uses of Drug",
-        "Adverse Effects of Drug",
-        "Drugs That Treat Condition",
-        "IV Compatibility of Drug",
-        "Drug-Drug Interactions",
-    ];
-    let mut rng = ChaCha8Rng::seed_from_u64(opts.seed ^ 0xcac4e);
-    let mix_n = 40;
-    let mut mix: Vec<String> = Vec::with_capacity(mix_n);
-    while mix.len() < mix_n {
-        for intent in heavy_intents {
-            if let Some(u) = generate(intent, &world.pools, &mut rng) {
-                mix.push(u);
-            }
-        }
-    }
-    mix.truncate(mix_n);
-    let rounds = if opts.quick { 6 } else { 10 };
-    let cached_base = world.agent();
-    let mut uncached_base = world.agent();
-    uncached_base.agent.set_caching(false);
-    // Caches must be value-invisible: identical replies turn for turn,
-    // including the warm rounds.
-    {
-        let mut c = cached_base.agent.fork_session();
-        let mut u = uncached_base.agent.fork_session();
-        for _ in 0..2 {
-            for utterance in &mix {
-                assert_eq!(
-                    c.respond(utterance),
-                    u.respond(utterance),
-                    "caching changed the reply to {utterance:?}"
-                );
-            }
-        }
-    }
-    // One pre-created fork per repetition so log growth never skews the
-    // later repetitions.
-    let mut uncached_forks: Vec<_> =
-        (0..reps).map(|_| uncached_base.agent.fork_session()).collect();
-    let before = best_of(reps, || {
-        let mut a = uncached_forks.pop().expect("one fork per rep");
-        for _ in 0..rounds {
-            for utterance in &mix {
-                black_box(a.respond(utterance));
-            }
-        }
-    });
-    let mut cached_forks: Vec<_> = (0..reps).map(|_| cached_base.agent.fork_session()).collect();
-    let after = best_of(reps, || {
-        let mut a = cached_forks.pop().expect("one fork per rep");
-        for _ in 0..rounds {
-            for utterance in &mix {
-                black_box(a.respond(utterance));
-            }
-        }
-    });
-    let mut cached_replay =
-        comparison("cached_replay", format!("{mix_n} utterances x {rounds} rounds"), before, after);
-    cached_replay.min_speedup = Some(CACHED_REPLAY_FLOOR);
-    comparisons.push(cached_replay);
 
     // Stage group: the large-world scaling curve (DESIGN.md §14) —
     // point lookup, FK join and the served shapes at 150 / 1.5k / 15k

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::tokenize::features;
+use crate::tokenize::{features, for_each_token};
 
 /// A vocabulary mapping feature strings to indices, with document
 /// frequencies for IDF weighting.
@@ -82,18 +82,33 @@ impl Vocabulary {
         self.idf[i]
     }
 
-    /// Sparse raw term counts of a text, as (feature index, count).
-    /// Sort + run-length-encode; no per-call hash map.
+    /// Sparse raw term counts of a text, as (feature index, count) in
+    /// index order: the unigrams and bigrams of [`features`], looked up
+    /// through two reused buffers instead of a `String` per feature, then
+    /// sorted and run-length-encoded.
     pub fn counts(&self, text: &str) -> Vec<(usize, f64)> {
-        let mut idx: Vec<usize> = features(text).into_iter().filter_map(|f| self.get(&f)).collect();
-        idx.sort_unstable();
-        let mut v: Vec<(usize, f64)> = Vec::with_capacity(idx.len());
-        for i in idx {
-            match v.last_mut() {
-                Some(last) if last.0 == i => last.1 += 1.0,
-                _ => v.push((i, 1.0)),
+        // Both sized for a typical utterance, so neither grows.
+        let mut v: Vec<(usize, f64)> = Vec::with_capacity(16);
+        // The previous token; while a bigram is looked up, `previous_token`.
+        let mut bigram = String::with_capacity(64);
+        for_each_token(text, |token| {
+            if !bigram.is_empty() {
+                bigram.push('_');
+                bigram.push_str(token);
+                v.extend(self.get(&bigram).map(|i| (i, 1.0)));
+                bigram.clear();
             }
-        }
+            v.extend(self.get(token).map(|i| (i, 1.0)));
+            bigram.push_str(token);
+        });
+        v.sort_unstable_by_key(|&(i, _)| i);
+        v.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
         v
     }
 

@@ -29,7 +29,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::features::{CsrMatrix, FeatureWeighting, Vocabulary};
-use crate::naive_bayes::softmax;
+use crate::naive_bayes::{argmax, softmax};
 use crate::{Classifier, Dataset, Prediction};
 
 /// Hyper-parameters for logistic-regression training.
@@ -265,11 +265,7 @@ fn sigmoid(z: f64) -> f64 {
 
 impl Classifier for LogReg {
     fn predict(&self, text: &str) -> Prediction {
-        self.predict_all(text)
-            .into_iter()
-            .next()
-            .map(|(label, confidence)| Prediction { label, confidence })
-            .unwrap_or(Prediction { label: String::new(), confidence: 0.0 })
+        argmax(&self.labels, &self.scores(text))
     }
 
     fn predict_all(&self, text: &str) -> Vec<(String, f64)> {

@@ -105,13 +105,35 @@ pub(crate) fn softmax(scores: &[f64]) -> Vec<f64> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
+/// What `predict_all(..)[0]` would be, without building the distribution:
+/// the label of the highest softmax probability, ties broken toward the
+/// smaller label as `predict_all`'s sort breaks them. Each probability
+/// comes from [`softmax`]'s arithmetic, so the confidence is bit-identical;
+/// only the winner's label is cloned. Empty scores predict the empty label
+/// at zero confidence.
+pub(crate) fn argmax(labels: &[String], scores: &[f64]) -> Prediction {
+    let max = scores.iter().cloned().fold(f64::MIN, f64::max);
+    let sum: f64 = scores.iter().map(|&s| (s - max).exp()).sum();
+    let mut best: Option<(&String, f64)> = None;
+    for (label, &s) in labels.iter().zip(scores) {
+        let p = (s - max).exp() / sum;
+        let wins = match best {
+            None => true,
+            Some((best_label, best_p)) => p > best_p || (p == best_p && label < best_label),
+        };
+        if wins {
+            best = Some((label, p));
+        }
+    }
+    match best {
+        Some((label, confidence)) => Prediction { label: label.clone(), confidence },
+        None => Prediction { label: String::new(), confidence: 0.0 },
+    }
+}
+
 impl Classifier for NaiveBayes {
     fn predict(&self, text: &str) -> Prediction {
-        self.predict_all(text)
-            .into_iter()
-            .next()
-            .map(|(label, confidence)| Prediction { label, confidence })
-            .unwrap_or(Prediction { label: String::new(), confidence: 0.0 })
+        argmax(&self.labels, &self.scores(text))
     }
 
     fn predict_all(&self, text: &str) -> Vec<(String, f64)> {

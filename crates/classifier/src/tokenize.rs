@@ -6,30 +6,36 @@
 /// contractions don't fragment.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
+    for_each_token(text, |token| tokens.push(token.to_string()));
+    tokens
+}
+
+/// Calls `f` on each token [`tokenize`] would return, in order, through
+/// one reused buffer instead of a `String` per token.
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    // Room for any common token, so the buffer rarely grows.
+    let mut current = String::with_capacity(32);
     for ch in text.chars() {
         if ch.is_alphanumeric() {
             current.extend(ch.to_lowercase());
         } else if ch == '\'' || ch == '’' {
             // skip – joins contractions
         } else if !current.is_empty() {
-            tokens.push(light_stem(std::mem::take(&mut current)));
+            f(light_stem(&current));
+            current.clear();
         }
     }
     if !current.is_empty() {
-        tokens.push(light_stem(current));
+        f(light_stem(&current));
     }
-    tokens
 }
 
 /// Strips a single plural `s` from tokens longer than 3 characters (but
 /// not `ss` endings): `risks` -> `risk`, `class` -> `class`. Crude, but
 /// applied identically at train and predict time, which is what matters.
-fn light_stem(token: String) -> String {
+fn light_stem(token: &str) -> &str {
     if token.len() > 3 && token.ends_with('s') && !token.ends_with("ss") {
-        let mut t = token;
-        t.pop();
-        t
+        &token[..token.len() - 1]
     } else {
         token
     }

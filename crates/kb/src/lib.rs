@@ -73,6 +73,6 @@ pub use durable::{DurableKb, SNAPSHOT_FILE, WAL_FILE};
 pub use index::SecondaryIndex;
 pub use snapshot::RecoveryReport;
 pub use sql::exec::BoundPlan;
-pub use store::{KbCacheStats, KbError, KnowledgeBase, ResultSet};
+pub use store::{KbError, KnowledgeBase, ResultSet};
 pub use value::Value;
 pub use wal::{DurabilityError, Wal, WalRecord};

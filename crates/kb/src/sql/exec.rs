@@ -14,6 +14,7 @@
 //!   are bound.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::stats;
 use crate::store::{KbError, KnowledgeBase, ResultSet, Table};
@@ -69,7 +70,8 @@ pub struct BoundPlan {
     joins: Vec<BoundJoin>,
     preds: Vec<BoundPred>,
     projections: Vec<Bound>,
-    out_cols: Vec<String>,
+    /// Output column labels, shared with every result the plan yields.
+    out_cols: Arc<Vec<String>>,
     distinct: bool,
     /// ORDER BY as (position in the projection, descending).
     order: Option<(usize, bool)>,
@@ -425,7 +427,7 @@ pub fn bind(kb: &KnowledgeBase, stmt: &Select, markers: &[&str]) -> Result<Bound
         joins,
         preds,
         projections,
-        out_cols,
+        out_cols: Arc::new(out_cols),
         distinct: stmt.distinct,
         order,
         limit: stmt.limit,
@@ -562,7 +564,7 @@ pub fn execute_bound(
         rows.truncate(n);
     }
 
-    Ok(ResultSet { columns: plan.out_cols.clone(), rows })
+    Ok(ResultSet { columns: Arc::clone(&plan.out_cols), rows })
 }
 
 #[derive(Debug)]
@@ -714,7 +716,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.rows.len(), 2);
-        assert_eq!(rs.columns, vec!["description"]);
+        assert_eq!(*rs.columns, vec!["description"]);
     }
 
     #[test]
@@ -774,7 +776,7 @@ mod tests {
         let rs = kb
             .query("SELECT a.name, b.name FROM drug a INNER JOIN drug b ON a.drug_id = b.drug_id")
             .unwrap();
-        assert_eq!(rs.columns, vec!["a.name", "b.name"]);
+        assert_eq!(*rs.columns, vec!["a.name", "b.name"]);
         assert_eq!(rs.rows.len(), 3);
         // A name projected from a single binding stays unqualified even
         // when another (differently named) column rides along.
@@ -784,7 +786,7 @@ mod tests {
                  INNER JOIN precautions p ON d.drug_id = p.drug_id",
             )
             .unwrap();
-        assert_eq!(rs.columns, vec!["name", "description"]);
+        assert_eq!(*rs.columns, vec!["name", "description"]);
     }
 
     #[test]
@@ -818,7 +820,7 @@ mod tests {
     fn star_projection_qualifies_when_joined() {
         let kb = medical_kb();
         let rs = kb.query("SELECT * FROM drug").unwrap();
-        assert_eq!(rs.columns, vec!["drug_id", "name"]);
+        assert_eq!(*rs.columns, vec!["drug_id", "name"]);
         let rs = kb
             .query("SELECT * FROM precautions p INNER JOIN drug d ON p.drug_id = d.drug_id")
             .unwrap();

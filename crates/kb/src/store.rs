@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use obcs_cache::CacheStats;
 use serde::{Deserialize, Serialize};
 
 use crate::index::SecondaryIndex;
@@ -195,8 +194,9 @@ impl Table {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResultSet {
     /// Output column labels (unqualified names, or `table.column` when
-    /// needed for disambiguation).
-    pub columns: Vec<String>,
+    /// needed for disambiguation), shared with the plan that produced
+    /// them and with every other result of that plan.
+    pub columns: Arc<Vec<String>>,
     pub rows: Vec<Vec<Value>>,
 }
 
@@ -224,15 +224,6 @@ impl ResultSet {
         }
         out
     }
-}
-
-/// Cache counters of the KB, always zero: the KB has no caches (a
-/// fulfilment runs plans prepared once per agent, DESIGN.md §12). Kept
-/// only because the servebench harness reads both fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KbCacheStats {
-    pub plan: CacheStats,
-    pub result: CacheStats,
 }
 
 /// The in-memory knowledge base: a named collection of tables.

@@ -473,3 +473,25 @@ fn stored_adversarial_names_are_found_through_parameters() {
         assert_eq!(rows.rows.len(), 1, "{name:?} (case {id})");
     }
 }
+
+/// Every execution of a plan shares the plan's column names instead of
+/// copying them, and its rows and columns still equal the scan twin's.
+#[test]
+fn executions_of_one_plan_share_its_column_names() {
+    let indexed = adversarial_kb();
+    let mut scan = indexed.clone();
+    scan.set_index_enabled(false);
+    for sql in &TEMPLATES[..4] {
+        let plan = indexed.prepare_with(sql, &MARKERS).expect("prepare");
+        let twin = scan.prepare_with(sql, &MARKERS).expect("prepare the twin");
+        let mut first: Option<obcs_kb::ResultSet> = None;
+        for name in ["Drug1x0", "O'Neil", "precaution 3"] {
+            let params = [Value::text(name), Value::text("precaution 3")];
+            let rs = indexed.execute(&plan, &params).expect("execute");
+            assert_eq!(Ok(&rs), scan.execute(&twin, &params).as_ref(), "{sql} with {name:?}");
+            assert_eq!(*rs.columns, plan.columns(), "{sql}");
+            let first = first.get_or_insert_with(|| rs.clone());
+            assert!(std::sync::Arc::ptr_eq(&first.columns, &rs.columns), "{sql} with {name:?}");
+        }
+    }
+}

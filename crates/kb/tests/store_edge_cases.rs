@@ -50,7 +50,7 @@ fn result_set_render_and_single_column() {
     let one = kb.query("SELECT x FROM t").expect("query");
     assert_eq!(one.single_column().unwrap().len(), 1);
     // Manually constructed empty result set.
-    let empty = ResultSet { columns: vec!["c".into()], rows: vec![] };
+    let empty = ResultSet { columns: vec!["c".into()].into(), rows: vec![] };
     assert_eq!(empty.render(), "c\n");
 }
 

@@ -310,30 +310,10 @@ impl Lexicon {
     /// derived from its concept (`"dosage for Aspirin"` → `"dosage for
     /// entdrug"`). Intent classifiers train and predict on masked text so
     /// specific entity values don't act as spurious intent features — the
-    /// paper's intent + entity separation.
+    /// paper's intent + entity separation. Annotates, then
+    /// [`mask_annotated`].
     pub fn mask(&self, utterance: &str, onto: &Ontology) -> String {
-        let tokens = tokens_of(utterance);
-        let annotations = self.annotate(utterance);
-        let mut out: Vec<String> = Vec::with_capacity(tokens.len());
-        let mut i = 0;
-        while i < tokens.len() {
-            let instance_span = annotations
-                .iter()
-                .find(|a| a.start == i && matches!(a.evidence, Evidence::Instance { .. }));
-            match instance_span {
-                Some(a) => {
-                    if let Evidence::Instance { concept, .. } = &a.evidence {
-                        out.push(format!("ent{}", onto.concept_name(*concept).to_lowercase()));
-                    }
-                    i = a.end;
-                }
-                None => {
-                    out.push(tokens[i].clone());
-                    i += 1;
-                }
-            }
-        }
-        out.join(" ")
+        mask_annotated(utterance, &self.annotate(utterance), onto)
     }
 
     /// Finds instance values whose text *contains* the given partial
@@ -401,6 +381,61 @@ impl Lexicon {
         out.dedup();
         out
     }
+}
+
+/// [`Lexicon::mask`] over the annotations [`Lexicon::annotate`] already
+/// made for `utterance`: its normalised tokens joined by single spaces,
+/// with each instance span replaced by `ent` and its lowercased concept
+/// name. One walk over the utterance, with a cursor over the annotations
+/// (`annotate` orders them by start). Where several annotations start at
+/// one token, the first instance evidence names the placeholder.
+pub fn mask_annotated(utterance: &str, annotations: &[Annotation], onto: &Ontology) -> String {
+    let mut out = String::with_capacity(utterance.len());
+    // The next annotation not yet behind the walk.
+    let mut next = 0;
+    // Index of the token being read, or of the next one to start.
+    let mut token = 0;
+    // Tokens below this index lie inside an already masked span.
+    let mut masked_until = 0;
+    let (mut in_token, mut copy) = (false, false);
+    for ch in utterance.chars() {
+        if !ch.is_alphanumeric() {
+            if in_token {
+                in_token = false;
+                token += 1;
+            }
+            continue;
+        }
+        if !in_token {
+            in_token = true;
+            copy = token >= masked_until;
+            if copy {
+                while annotations.get(next).is_some_and(|a| a.start < token) {
+                    next += 1;
+                }
+                let instance = annotations[next..]
+                    .iter()
+                    .take_while(|a| a.start == token)
+                    .find_map(|a| match a.evidence {
+                        Evidence::Instance { concept, .. } => Some((concept, a.end)),
+                        Evidence::Concept(_) => None,
+                    });
+                if !out.is_empty() {
+                    out.push(' ');
+                }
+                if let Some((concept, end)) = instance {
+                    out.push_str("ent");
+                    out.push_str(&onto.concept_name(concept).to_lowercase());
+                    masked_until = end;
+                    copy = false;
+                }
+            }
+        }
+        if copy {
+            out.extend(ch.to_lowercase());
+        }
+    }
+    out
 }
 
 /// The phrase itself plus a naive singular/plural variant of its last

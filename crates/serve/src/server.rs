@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use obcs_agent::{AgentReply, ConversationAgent, ReplyKind};
+use obcs_agent::{kind_label, AgentReply, ConversationAgent};
 use obcs_faults::ResilienceConfig;
 use obcs_kb::{DurableKb, KnowledgeBase, RecoveryReport};
 use obcs_telemetry::{span, stage, CollectingRecorder, NoopRecorder, Recorder, TraceReport};
@@ -248,21 +248,6 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-    }
-}
-
-/// The stable lowercase wire label for each engine reply kind — the
-/// same vocabulary telemetry counts under `reply_kind`.
-pub fn kind_label(kind: ReplyKind) -> &'static str {
-    match kind {
-        ReplyKind::Management => "management",
-        ReplyKind::Elicitation => "elicitation",
-        ReplyKind::Fulfilment => "fulfilment",
-        ReplyKind::Proposal => "proposal",
-        ReplyKind::Disambiguation => "disambiguation",
-        ReplyKind::Fallback => "fallback",
-        ReplyKind::Closing => "closing",
-        ReplyKind::Degraded => "degraded",
     }
 }
 

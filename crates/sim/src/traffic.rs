@@ -650,20 +650,10 @@ mod tests {
     }
 
     fn traced_sim(interactions: usize, seed: u64, parallelism: usize) -> (SimOutcome, TraceReport) {
-        traced_sim_with_caching(interactions, seed, parallelism, true)
-    }
-
-    fn traced_sim_with_caching(
-        interactions: usize,
-        seed: u64,
-        parallelism: usize,
-        caching: bool,
-    ) -> (SimOutcome, TraceReport) {
         let (onto, kb, _, _) =
             ConversationalMdx::bootstrap_space(MdxDataConfig { drugs: 80, seed: 7 });
         let pools = ValuePools::from_kb(&kb);
         let mut mdx = ConversationalMdx::with_config(MdxDataConfig { drugs: 80, seed: 7 });
-        mdx.agent.set_caching(caching);
         let (outcome, report) = run_traffic_traced(
             &mut mdx.agent,
             &onto,
@@ -703,26 +693,6 @@ mod tests {
             assert_eq!(outcome1, outcome_p, "records differ at parallelism {parallelism}");
             assert_eq!(sequential, sharded, "trace differs at parallelism {parallelism}");
             assert_eq!(sequential.to_jsonl(), sharded.to_jsonl());
-        }
-    }
-
-    #[test]
-    fn caches_do_not_change_records_or_traces_at_any_parallelism() {
-        // DESIGN.md §12's determinism contract: the NLU memo is value-
-        // and trace-invisible. Memo hits return the same values a
-        // recompute would and replay the same span structure on the tick
-        // clock, so a memoised replay is bit-for-bit identical to an
-        // unmemoised one — sequentially and across shard layouts (forks
-        // share the memo).
-        let (outcome_off, trace_off) = traced_sim_with_caching(80, 13, 1, false);
-        for parallelism in [1, 3] {
-            let (outcome_on, trace_on) = traced_sim_with_caching(80, 13, parallelism, true);
-            assert_eq!(outcome_off, outcome_on, "records differ at parallelism {parallelism}");
-            assert_eq!(
-                trace_off.to_jsonl(),
-                trace_on.to_jsonl(),
-                "trace differs with caches on at parallelism {parallelism}"
-            );
         }
     }
 

@@ -75,7 +75,8 @@ pub mod stage {
     /// Response verbalisation (`obcs-agent` NLG).
     pub const NLG: &str = "nlg";
     /// One served socket turn (`obcs-serve`): session lookup/admission,
-    /// the engine [`TURN`] nested inside, and response encoding.
+    /// the engine [`TURN`] nested inside, and the wire reply built from
+    /// it. It closes before the response is encoded and written.
     pub const SERVE_TURN: &str = "serve_turn";
 }
 
@@ -105,32 +106,12 @@ pub mod metric {
     /// Counter: injected faults cleared by retrying, by fault-kind label.
     pub const FAULT_RECOVERED: &str = "fault_recovered";
     /// Counter: degraded (apology/fallback) replies by cause label
-    /// (`kb`, `classifier`, `annotator`, `nlq`, `engine`).
+    /// (`kb`, `classifier`, `annotator`, `engine`).
     pub const DEGRADED: &str = "degraded";
     /// Counter: non-injected pipeline errors swallowed on the historical
     /// template-skip path, by cause label.
     pub const PIPELINE_ERRORS: &str = "pipeline_error";
-    /// Counter: cache lookups answered from a cache, by layer label
-    /// (`nlu_classify`, `nlu_recognize`).
-    ///
-    /// Cache counters are published *on demand* (end of a replay, stats
-    /// endpoint) via `obcs_cache::record_stats`, never per turn: the hit
-    /// pattern depends on shard layout, so per-turn recording would break
-    /// the trace determinism contract (DESIGN.md §12).
-    pub const CACHE_HITS: &str = "cache_hit";
-    /// Counter: cache lookups that found nothing usable, by layer label.
-    pub const CACHE_MISSES: &str = "cache_miss";
-    /// Counter: cache entries evicted to stay within the entry cap, by
-    /// layer label.
-    pub const CACHE_EVICTIONS: &str = "cache_evict";
-    /// Counter: cache entries dropped because their owner mutated the
-    /// data they were computed from (the writer clears its cache), by
-    /// layer label.
-    pub const CACHE_INVALIDATIONS: &str = "cache_invalidate";
     /// Counter: turns shed by serving admission control before reaching
     /// the engine, by cause label (`capacity`).
     pub const SHED: &str = "shed";
-    /// Counter: sessions evicted from the serving session table, by cause
-    /// label (`ttl`, `end`).
-    pub const SESSION_EVICTIONS: &str = "session_evict";
 }

@@ -30,8 +30,6 @@
 //!   pipeline (spans, counters, latency histograms).
 //! * [`faults`] — fault injection, the resilience loop, and graceful
 //!   degradation for the turn pipeline.
-//! * [`cache`] — the LRU backing the pipeline's one cache layer, the NLU
-//!   classify/recognize memo.
 //! * [`serve`] — the concurrent socket serving layer: NDJSON protocol,
 //!   sharded session table with TTL eviction and admission control,
 //!   per-turn deadline budgets (`docs/PROTOCOL.md`, DESIGN.md §15).
@@ -55,7 +53,6 @@
 //! ```
 
 pub use obcs_agent as agent;
-pub use obcs_cache as cache;
 pub use obcs_classifier as classifier;
 pub use obcs_core as core;
 pub use obcs_dialogue as dialogue;
