@@ -25,15 +25,14 @@ echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 # crate must document cleanly.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> spacelint + spaceverify --deny-warnings over artifacts/*_space.json"
-# Static gates over every committed conversation space (the built-in MDX
-# domain and the data-driven library domain alike): the OBCS0xx artifact
-# lints, then the OBCS1xx whole-space verification (dialogue-flow model
-# checking, static query bind-checking, cross-artifact consistency).
+echo "==> spacelint --deny-warnings over artifacts/*_space.json"
+# Static gate over every committed conversation space (the built-in MDX
+# domain and the data-driven library domain alike), in one pass: the
+# OBCS0xx artifact lints and the OBCS1xx whole-space checks (dialogue-flow
+# model checking, static query bind-checking, cross-artifact consistency).
 for space in artifacts/*_space.json; do
   echo "    $space"
   cargo run -q --release -p obcs-lint --bin spacelint -- --deny-warnings "$space"
-  cargo run -q --release -p obcs-verify --bin spaceverify -- --deny-warnings "$space"
 done
 
 echo "==> repro export matches artifacts/"
@@ -46,9 +45,9 @@ cargo run -q --release -p obcs-bench --bin repro -- export --dir target/artifact
 diff -r artifacts target/artifacts_export
 
 echo "==> repro verify --quick"
-# Combined lint+verify pass exactly as the harness runs it (flow
-# exploration with the quick state cap; truncation is reported, never
-# silent). Fails on any error across every committed space.
+# The same static pass exactly as the harness runs it (flow exploration
+# with the quick state cap; truncation is reported, never silent). Fails
+# on any error across every committed space.
 cargo run -q --release -p obcs-bench --bin repro -- verify --quick > /dev/null
 
 echo "==> repro perf --quick --check BENCH_perf.json"
@@ -116,16 +115,14 @@ done
 cargo run -q --release --offline --manifest-path servebench/Cargo.toml -- \
   --workload clinic --seed 1 --seconds 1 --trace 1 > /dev/null
 
-echo "==> spacelint + spaceverify over a large-world export"
+echo "==> spacelint over a large-world export"
 # Bind-checks the static-analysis chain at scale: export a 1000-drug
-# world (auto-indexed KB included) to target/ and run the same OBCS0xx /
-# OBCS1xx gates the committed artifacts get. Guards against the lints or
-# the verifier degrading on large KBs.
+# world (auto-indexed KB included) to target/ and run the same OBCS0xx +
+# OBCS1xx gate the committed artifacts get. Guards against the pass
+# degrading on large KBs.
 cargo run -q --release -p obcs-bench --bin repro -- export --drugs 1000 \
   --dir target/large_world > /dev/null
 cargo run -q --release -p obcs-lint --bin spacelint -- --deny-warnings \
-  target/large_world/mdx_space.json
-cargo run -q --release -p obcs-verify --bin spaceverify -- --deny-warnings \
   target/large_world/mdx_space.json
 
 echo "==> repro trace --quick"

@@ -30,7 +30,7 @@ use obcs_ontology::{ConceptId, Ontology};
 use obcs_telemetry::{metric, stage, Clock, NoopRecorder, Recorder, TickClock};
 use serde::{Deserialize, Serialize};
 
-use crate::log::{Feedback, InteractionLog, InteractionRecord, LoggedAction};
+use crate::log::{Feedback, InteractionLog, InteractionRecord};
 use crate::nlg;
 use crate::nlu::Nlu;
 use crate::prepared::{PreparedQueries, PreparedQuery, MAX_FILTERING_OPTIONALS};
@@ -180,11 +180,6 @@ impl ConversationAgent {
     /// the default is the inert [`NoFaults`].
     pub fn set_fault_injector(&mut self, faults: Arc<dyn FaultInjector>) {
         self.faults = faults;
-    }
-
-    /// The currently installed fault injector handle.
-    pub fn fault_injector(&self) -> Arc<dyn FaultInjector> {
-        Arc::clone(&self.faults)
     }
 
     /// Sets the retry/backoff/deadline policy for degraded turns.
@@ -383,6 +378,12 @@ impl ConversationAgent {
         // Anchor of this turn's deadline budget; all resilience decisions
         // measure elapsed ticks against it (DESIGN.md §11).
         let turn_start = self.chaos_clock.now();
+        // Management patterns outrank entity heuristics: "hi" must greet,
+        // not fuzzy-match a drug name. Detection reads only the utterance,
+        // so it runs first and spares a handled turn the partial-name scan.
+        let tree = Arc::clone(&self.tree);
+        let management = tree.catalog.detect(utterance);
+        let catalog_handles = management.is_some();
         // --- NLU ---
         let annotate_fault = self.faults.inject(FaultStage::Annotate, utterance);
         if let Some(f) = annotate_fault {
@@ -395,7 +396,7 @@ impl ConversationAgent {
             &self.chaos_clock,
             turn_start,
             &*rec,
-            || Ok::<_, ObcsError>(self.nlu.recognize_traced(utterance, &*rec)),
+            || Ok::<_, ObcsError>(self.nlu.recognize_traced(utterance, !catalog_handles, &*rec)),
         );
         let mut recognized = match annotated {
             Ok((r, recovery)) => {
@@ -406,12 +407,6 @@ impl ConversationAgent {
             }
             Err(err) => return self.degrade(utterance, &err, None, None),
         };
-        // Management patterns outrank entity heuristics: "hi" must greet,
-        // not fuzzy-match a drug name.
-        let tree = Arc::clone(&self.tree);
-        let management = tree.catalog.detect(utterance);
-        let catalog_handles = management.is_some();
-
         // Resolve a pending partial-name disambiguation: the user's next
         // input picks one of the offered candidates.
         if !self.pending_disambiguation.is_empty() {
@@ -456,9 +451,6 @@ impl ConversationAgent {
                 self.disambiguation_misses = 0;
                 return self.record(
                     utterance,
-                    None,
-                    None,
-                    LoggedAction::Disambiguate,
                     AgentReply {
                         text,
                         kind: ReplyKind::Disambiguation,
@@ -484,9 +476,6 @@ impl ConversationAgent {
                 );
                 return self.record(
                     utterance,
-                    None,
-                    None,
-                    LoggedAction::Disambiguate,
                     AgentReply {
                         text,
                         kind: ReplyKind::Disambiguation,
@@ -518,9 +507,6 @@ impl ConversationAgent {
                     self.pending_disambiguation = candidates;
                     return self.record(
                         utterance,
-                        None,
-                        None,
-                        LoggedAction::Disambiguate,
                         AgentReply {
                             text,
                             kind: ReplyKind::Disambiguation,
@@ -602,13 +588,7 @@ impl ConversationAgent {
                         found_results: true,
                     };
                     self.ctx.begin_turn();
-                    return self.record(
-                        utterance,
-                        Some(id),
-                        confidence,
-                        LoggedAction::Management,
-                        reply,
-                    );
+                    return self.record(utterance, reply);
                 }
             }
         }
@@ -625,67 +605,50 @@ impl ConversationAgent {
         };
 
         // --- Action execution ---
-        let (reply, logged) = match action {
-            AgentAction::Say { text } => (
-                AgentReply {
-                    text,
-                    kind: ReplyKind::Management,
-                    intent: accepted,
-                    confidence,
-                    found_results: true,
-                },
-                LoggedAction::Management,
-            ),
-            AgentAction::Close { text } => (
-                AgentReply {
-                    text,
-                    kind: ReplyKind::Closing,
-                    intent: accepted,
-                    confidence,
-                    found_results: true,
-                },
-                LoggedAction::Close,
-            ),
-            AgentAction::Fallback { text } => (
-                AgentReply {
-                    text,
-                    kind: ReplyKind::Fallback,
-                    intent: None,
-                    confidence,
-                    found_results: false,
-                },
-                LoggedAction::Fallback,
-            ),
-            AgentAction::Elicit { intent, prompt, .. } => (
-                AgentReply {
-                    text: prompt,
-                    kind: ReplyKind::Elicitation,
-                    intent: Some(intent),
-                    confidence,
-                    found_results: true,
-                },
-                LoggedAction::Elicit,
-            ),
-            AgentAction::Propose { intent, text } => (
-                AgentReply {
-                    text,
-                    kind: ReplyKind::Proposal,
-                    intent: Some(intent),
-                    confidence,
-                    found_results: true,
-                },
-                LoggedAction::Propose,
-            ),
+        let reply = match action {
+            AgentAction::Say { text } => AgentReply {
+                text,
+                kind: ReplyKind::Management,
+                intent: accepted,
+                confidence,
+                found_results: true,
+            },
+            AgentAction::Close { text } => AgentReply {
+                text,
+                kind: ReplyKind::Closing,
+                intent: accepted,
+                confidence,
+                found_results: true,
+            },
+            AgentAction::Fallback { text } => AgentReply {
+                text,
+                kind: ReplyKind::Fallback,
+                intent: None,
+                confidence,
+                found_results: false,
+            },
+            AgentAction::Elicit { intent, prompt, .. } => AgentReply {
+                text: prompt,
+                kind: ReplyKind::Elicitation,
+                intent: Some(intent),
+                confidence,
+                found_results: true,
+            },
+            AgentAction::Propose { intent, text } => AgentReply {
+                text,
+                kind: ReplyKind::Proposal,
+                intent: Some(intent),
+                confidence,
+                found_results: true,
+            },
             AgentAction::Fulfill { intent } => {
                 match self.fulfill(intent, confidence, utterance, turn_start) {
-                    Ok(reply) => (reply, LoggedAction::Fulfill),
+                    Ok(reply) => reply,
                     Err(err) => return self.degrade(utterance, &err, Some(intent), confidence),
                 }
             }
         };
-        let intent_for_log = reply.intent;
-        let conf_for_log = reply.confidence;
-        self.record(utterance, intent_for_log, conf_for_log, logged, reply)
+        self.record(utterance, reply)
     }
 
     /// Executes an intent's prepared queries with the context entities
@@ -865,22 +828,17 @@ impl ConversationAgent {
             confidence,
             found_results: false,
         };
-        self.record(utterance, intent, confidence, LoggedAction::Degraded, reply)
+        self.record(utterance, reply)
     }
 
-    fn record(
-        &mut self,
-        utterance: &str,
-        intent: Option<IntentId>,
-        confidence: Option<f64>,
-        action: LoggedAction,
-        reply: AgentReply,
-    ) -> AgentReply {
+    fn record(&mut self, utterance: &str, reply: AgentReply) -> AgentReply {
         // Per-turn usage counters (DESIGN.md §10): every reply path in
         // `respond` funnels through here exactly once.
         self.recorder.incr(metric::TURNS, "");
         self.recorder.incr(metric::REPLY_KIND, kind_label(reply.kind));
-        if let Some(name) = intent.and_then(|id| self.space.intent(id)).map(|i| i.name.as_str()) {
+        if let Some(name) =
+            reply.intent.and_then(|id| self.space.intent(id)).map(|i| i.name.as_str())
+        {
             self.recorder.incr(metric::INTENT, name);
         }
         // Repair turns: replies that ask the user to rephrase, pick, or
@@ -895,9 +853,9 @@ impl ConversationAgent {
         self.log.push(InteractionRecord {
             turn: self.ctx.turn,
             utterance: utterance.to_string(),
-            intent,
-            confidence,
-            action,
+            intent: reply.intent,
+            confidence: reply.confidence,
+            action: reply.kind,
             response: reply.text.clone(),
             feedback: None,
         });
@@ -1310,7 +1268,7 @@ mod tests {
         assert_eq!(report.counters[&("degraded".into(), "kb".into())], 1);
         assert_eq!(report.counters[&("repair".into(), "degraded".into())], 1);
         assert!(report.counters[&("retry".into(), "kb_execute".into())] >= 1);
-        assert_eq!(a.log.records.last().map(|r| r.action), Some(LoggedAction::Degraded));
+        assert_eq!(a.log.records.last().map(|r| r.action), Some(ReplyKind::Degraded));
     }
 
     #[test]

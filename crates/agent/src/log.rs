@@ -4,25 +4,13 @@
 use obcs_core::IntentId;
 use serde::{Deserialize, Serialize};
 
+use crate::engine::ReplyKind;
+
 /// Thumbs feedback on one interaction (paper Fig. 14: feedback buttons).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Feedback {
     ThumbsUp,
     ThumbsDown,
-}
-
-/// How the agent replied (mirrors `AgentAction`, flattened for logging).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LoggedAction {
-    Management,
-    Elicit,
-    Fulfill,
-    Propose,
-    Disambiguate,
-    Fallback,
-    Close,
-    /// An unrecovered system fault degraded the turn (DESIGN.md §11).
-    Degraded,
 }
 
 /// One logged interaction.
@@ -33,7 +21,8 @@ pub struct InteractionRecord {
     /// Detected domain intent (after thresholding), if any.
     pub intent: Option<IntentId>,
     pub confidence: Option<f64>,
-    pub action: LoggedAction,
+    /// How the agent replied: the reply's kind.
+    pub action: ReplyKind,
     pub response: String,
     pub feedback: Option<Feedback>,
 }
@@ -148,7 +137,7 @@ mod tests {
             utterance: format!("u{turn}"),
             intent: intent.map(IntentId),
             confidence: Some(0.9),
-            action: LoggedAction::Fulfill,
+            action: ReplyKind::Fulfilment,
             response: "r".into(),
             feedback: fb,
         }

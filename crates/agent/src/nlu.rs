@@ -168,7 +168,7 @@ impl Nlu {
     /// filler, §6.1) resolve to the concept's entity-only intent
     /// (DRUG_GENERAL); everything else goes through the classifier.
     pub fn detect_intent(&self, utterance: &str) -> Option<(IntentId, f64)> {
-        let recognized = self.recognize(utterance);
+        let recognized = self.recognize_traced(utterance, false, &NoopRecorder);
         if is_entity_dominant(utterance, &recognized.instances) {
             if let Some(&(_, intent)) = self
                 .entity_only
@@ -181,16 +181,26 @@ impl Nlu {
         self.classify_masked(&recognized.masked, &NoopRecorder)
     }
 
-    /// Recognises entities in an utterance.
+    /// Recognises entities in an utterance, partial-name candidates
+    /// included.
     pub fn recognize(&self, utterance: &str) -> RecognizedEntities {
-        self.recognize_traced(utterance, &NoopRecorder)
+        self.recognize_traced(utterance, true, &NoopRecorder)
     }
 
-    /// Like [`Nlu::recognize`], recording an
-    /// [`annotate`](obcs_telemetry::stage::ANNOTATE) span around the
-    /// lexicon scan on `rec`.
-    pub fn recognize_traced(&self, utterance: &str, rec: &dyn Recorder) -> RecognizedEntities {
-        let annotations = self.lexicon.annotate_traced(utterance, rec);
+    /// Like [`Nlu::recognize`], recording one
+    /// [`annotate`](obcs_telemetry::stage::ANNOTATE) span on `rec` around
+    /// the lexicon work. The partial-name scan runs only when
+    /// `scan_partial` is set and no full instance matched: the engine
+    /// clears it on a turn a management pattern handles, where nothing
+    /// reads the candidates.
+    pub fn recognize_traced(
+        &self,
+        utterance: &str,
+        scan_partial: bool,
+        rec: &dyn Recorder,
+    ) -> RecognizedEntities {
+        let _span = obcs_telemetry::span(rec, obcs_telemetry::stage::ANNOTATE);
+        let annotations = self.lexicon.annotate(utterance);
         let mut out = RecognizedEntities {
             masked: mask_annotated(utterance, &annotations, &self.onto),
             ..RecognizedEntities::default()
@@ -210,11 +220,12 @@ impl Nlu {
             }
         }
         // Partial matching: only when no full instance matched, try the
-        // longest unknown token run against instance values.
-        if out.instances.is_empty() {
-            let candidates = self.lexicon.partial_matches(utterance.trim());
+        // whole trimmed utterance as a fragment of instance values.
+        if scan_partial && out.instances.is_empty() {
+            let fragment = utterance.trim();
+            let candidates = self.lexicon.partial_matches(fragment);
             if !candidates.is_empty() && candidates.len() <= 8 {
-                out.partial = Some((utterance.trim().to_string(), candidates));
+                out.partial = Some((fragment.to_string(), candidates));
             }
         }
         out

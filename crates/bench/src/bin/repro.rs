@@ -451,18 +451,19 @@ fn chaos(args: &[String], seed: u64) {
 
 /// `repro verify [--quick]`
 ///
-/// Runs the full static pass — obcs-lint (`OBCS0xx`) and obcs-verify
-/// (`OBCS1xx`: dialogue-flow model checking, query bind-checking,
-/// cross-artifact consistency) — over every committed
-/// `artifacts/*_space.json`, each loaded exactly as the `spacelint` /
-/// `spaceverify` binaries load it. Exits non-zero if any space produces
-/// an error. `--quick` lowers the flow-exploration state cap (a
-/// truncated exploration is reported as a warning, never silently).
+/// Runs the whole static pass — the per-artifact lints (`OBCS0xx`) and
+/// the whole-space checks (`OBCS1xx`: dialogue-flow model checking, query
+/// bind-checking, cross-artifact consistency) — over every committed
+/// `artifacts/*_space.json`, each loaded exactly as the `spacelint`
+/// binary loads it. Exits non-zero if any space produces an error.
+/// `--quick` lowers the flow-exploration state cap (a truncated
+/// exploration is reported as a warning, never silently).
 fn verify(args: &[String]) {
     let quick = args.iter().any(|a| a == "--quick");
-    let cfg = obcs_verify::VerifyConfig {
-        max_states: if quick { 5_000 } else { obcs_verify::VerifyConfig::default().max_states },
-    };
+    let mut cfg = LintConfig::default();
+    if quick {
+        cfg.max_states = 5_000;
+    }
     heading(&format!(
         "Static verification — lint + verify over committed artifacts ({} mode)",
         if quick { "quick" } else { "full" }
@@ -498,27 +499,22 @@ fn verify(args: &[String]) {
             }
         };
         let mapping = obcs_nlq::OntologyMapping::infer(&onto, &kb);
-        let lint_ctx = LintContext::new(&onto, &kb, &mapping, &space);
-        let lint_report = run_all(&lint_ctx, &LintConfig::default());
-        let verify_ctx = obcs_verify::VerifyContext::new(&onto, &kb, &mapping, &space);
-        let verify_report = obcs_verify::run_all(&verify_ctx, &cfg);
-        let flow = verify_ctx.flow(&cfg);
+        let ctx = LintContext::new(&onto, &kb, &mapping, &space);
+        let report = run_all(&ctx, &cfg);
+        let flow = ctx.flow(&cfg);
         println!(
-            "{}: lint {} finding(s), verify {} finding(s) — flow explored {} states / {} edges{}",
+            "{}: {} finding(s) — flow explored {} states / {} edges{}",
             space_path.display(),
-            lint_report.len(),
-            verify_report.len(),
+            report.len(),
             flow.states,
             flow.edges,
             if flow.truncated { " (truncated)" } else { "" },
         );
-        for report in [&lint_report, &verify_report] {
-            if !report.is_empty() {
-                print!("{}", report.render_text());
-            }
-            errors += report.count(obcs_lint::Severity::Error);
-            warnings += report.count(obcs_lint::Severity::Warning);
+        if !report.is_empty() {
+            print!("{}", report.render_text());
         }
+        errors += report.count(obcs_lint::Severity::Error);
+        warnings += report.count(obcs_lint::Severity::Warning);
     }
     println!("verified {} space(s): {} error(s), {} warning(s)", spaces.len(), errors, warnings);
     if errors > 0 {
@@ -978,12 +974,8 @@ fn ablation_augmentation(world: &World) {
     println!("{idx} intents carry augmented pattern groups");
 }
 
-/// Writes the offline artifacts to `artifacts/`: the uploadable
-/// conversation space (the paper uploads these artifacts to Watson
-/// Assistant), the ontology as OWL/Turtle and Graphviz DOT, and the
-/// synthetic KB.
-/// Runs the obcs-lint pass over the freshly bootstrapped world and prints
-/// the report.
+/// Runs the whole obcs-lint pass (`OBCS0xx` and `OBCS1xx`) over the
+/// freshly bootstrapped world and prints the report.
 fn lint_report(world: &World) -> obcs_lint::DiagnosticSet {
     heading("Static analysis — obcs-lint over the artifact chain");
     let ctx = LintContext::new(&world.onto, &world.kb, &world.mapping, &world.space);
@@ -994,10 +986,14 @@ fn lint_report(world: &World) -> obcs_lint::DiagnosticSet {
 
 /// `repro export [--drugs N] [--dir DIR]`
 ///
-/// Lint-gates and writes the offline artifact chain. `--dir` (default
-/// `artifacts`) redirects the output, which ci.sh uses to materialise a
-/// large-world space under `target/` and bind-check it at scale without
-/// touching the committed artifacts.
+/// Lint-gates and writes the offline artifact chain: the uploadable
+/// conversation space (the paper uploads these artifacts to Watson
+/// Assistant), the ontology as OWL/Turtle and Graphviz DOT, and the
+/// synthetic KB. The gate is the whole static pass, so an `OBCS0xx` or
+/// `OBCS1xx` error aborts the export. `--dir` (default `artifacts`)
+/// redirects the output, which ci.sh uses to materialise a large-world
+/// space under `target/` and bind-check it at scale without touching the
+/// committed artifacts.
 fn export(world: &World, dir: &str) {
     heading(&format!("Exporting offline artifacts to {dir}/"));
     // Deny gate: never export an artifact chain with lint errors.

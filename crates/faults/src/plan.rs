@@ -102,12 +102,6 @@ pub trait FaultInjector: Send + Sync {
     /// identifies the operation deterministically (the engine passes the
     /// turn's utterance).
     fn inject(&self, stage: FaultStage, key: &str) -> Option<InjectedFault>;
-
-    /// True when this injector can ever fire. Lets call sites skip
-    /// building keys on the production path.
-    fn armed(&self) -> bool {
-        true
-    }
 }
 
 /// The production injector: never fires.
@@ -117,10 +111,6 @@ pub struct NoFaults;
 impl FaultInjector for NoFaults {
     fn inject(&self, _stage: FaultStage, _key: &str) -> Option<InjectedFault> {
         None
-    }
-
-    fn armed(&self) -> bool {
-        false
     }
 }
 
@@ -247,8 +237,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_faults_is_disarmed_and_silent() {
-        assert!(!NoFaults.armed());
+    fn no_faults_is_silent() {
         assert_eq!(NoFaults.inject(FaultStage::KbExecute, "anything"), None);
     }
 

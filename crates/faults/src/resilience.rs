@@ -57,10 +57,15 @@ impl ResilienceConfig {
         }
     }
 
-    /// The profile `obcs-serve` installs on session forks: one retry
-    /// (a served turn would rather degrade fast than stall a socket) and
-    /// a generous-but-bounded per-turn tick budget so no single turn can
-    /// hold a connection thread indefinitely (DESIGN.md §15).
+    /// The profile `obcs-serve` installs on session forks: one retry (a
+    /// served turn would rather degrade fast than stall a socket) and a
+    /// per-turn budget of 4,096 readings of the fork's tick clock. Only
+    /// the turn start, each `run_resilient` check and injected waits
+    /// (timeouts, backoff) advance that clock; a fault-free fulfilment
+    /// reads it three times plus once per KB query. So the budget caps
+    /// how many injected waits and retries one turn can pile up: no
+    /// fault-free turn can exhaust it, and no stage's wall time counts
+    /// against it (DESIGN.md §15.4).
     pub fn serving() -> Self {
         ResilienceConfig {
             max_retries: 1,

@@ -415,8 +415,9 @@ impl KnowledgeBase {
     /// equal to `markers[i]` (a template's `'<@Concept>'`) as parameter
     /// `i`: the plan is bound once and [executed](Self::execute) with a
     /// value per marker. A marker inside a longer literal is an error,
-    /// so marker text never runs as a constant. `obcs-verify` and the
-    /// conversation engine prepare every template this way.
+    /// so marker text never runs as a constant. The bind check of
+    /// `obcs-lint` (OBCS110) and the conversation engine prepare every
+    /// template this way.
     pub fn prepare_with(
         &self,
         sql_text: &str,

@@ -1,6 +1,5 @@
 //! Loading committed artifact files back into an analysable in-memory
-//! chain, shared by the `spacelint` and `spaceverify` binaries (and the
-//! `repro verify` pass).
+//! chain, shared by the `spacelint` binary and the `repro verify` pass.
 //!
 //! A committed space (`artifacts/<domain>_space.json`) travels with its
 //! KB (`artifacts/<domain>_kb.json`). The ontology is *reconstructed*

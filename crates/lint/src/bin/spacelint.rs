@@ -1,7 +1,10 @@
-//! `spacelint` — lint committed conversation-space artifacts.
+//! `spacelint` — statically check committed conversation-space
+//! artifacts: the per-artifact lints (`OBCS0xx`) and the whole-space
+//! checks (`OBCS1xx`: dialogue-flow model checking, query bind-checking,
+//! cross-artifact consistency), in one pass.
 //!
 //! ```text
-//! spacelint <space.json> [kb.json] [--json] [--deny-warnings] [--floor N]
+//! spacelint <space.json> [kb.json] [--json] [--deny-warnings] [--floor N] [--max-states N]
 //! ```
 //!
 //! The KB defaults to a `*_kb.json` sibling of the space file (e.g.
@@ -11,7 +14,9 @@
 //! generator. The mapping is re-inferred from the ontology and KB,
 //! exactly as the bootstrapper infers it.
 //!
-//! `--json` emits the shared [`obcs_lint::JsonReport`] envelope.
+//! `--floor` sets the training-example floor (`OBCS012`) and
+//! `--max-states` the dialogue-flow exploration cap (`OBCS105`).
+//! `--json` emits the [`obcs_lint::JsonReport`] envelope.
 //!
 //! Exit status: 0 when the gate passes, 1 when it fails, 2 on usage or
 //! I/O errors.
@@ -28,11 +33,18 @@ struct Args {
     json: bool,
     deny_warnings: bool,
     floor: Option<usize>,
+    max_states: Option<usize>,
     list_rules: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: spacelint <space.json> [kb.json] [--json] [--deny-warnings] [--floor N]\n       spacelint --rules"
+    "usage: spacelint <space.json> [kb.json] [--json] [--deny-warnings] [--floor N] [--max-states N]\n       spacelint --rules"
+}
+
+/// The numeric value that follows `flag` on the command line.
+fn number(value: Option<&String>, flag: &str) -> Result<usize, String> {
+    let value = value.ok_or(format!("{flag} needs a value"))?;
+    value.parse().map_err(|_| format!("{flag} needs a number"))
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -40,6 +52,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut json = false;
     let mut deny_warnings = false;
     let mut floor = None;
+    let mut max_states = None;
     let mut list_rules = false;
     let mut i = 0;
     while i < argv.len() {
@@ -49,8 +62,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--rules" => list_rules = true,
             "--floor" => {
                 i += 1;
-                let value = argv.get(i).ok_or("--floor needs a value")?;
-                floor = Some(value.parse::<usize>().map_err(|_| "--floor needs a number")?);
+                floor = Some(number(argv.get(i), "--floor")?);
+            }
+            "--max-states" => {
+                i += 1;
+                max_states = Some(number(argv.get(i), "--max-states")?);
             }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}`"));
@@ -59,23 +75,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         i += 1;
     }
-    if list_rules {
-        return Ok(Args {
-            space_path: PathBuf::new(),
-            kb_path: None,
-            json,
-            deny_warnings,
-            floor,
-            list_rules,
-        });
-    }
-    let space_path = positional.first().ok_or_else(|| usage().to_string())?.into();
+    let space_path = match positional.first() {
+        Some(path) => PathBuf::from(path),
+        None if list_rules => PathBuf::new(),
+        None => return Err(usage().to_string()),
+    };
     Ok(Args {
         space_path,
         kb_path: positional.get(1).map(PathBuf::from),
         json,
         deny_warnings,
         floor,
+        max_states,
         list_rules,
     })
 }
@@ -113,6 +124,9 @@ fn main() -> ExitCode {
     let mut cfg = LintConfig::default();
     if let Some(floor) = args.floor {
         cfg.example_floor = floor;
+    }
+    if let Some(max_states) = args.max_states {
+        cfg.max_states = max_states;
     }
     let report = run_all(&ctx, &cfg);
 

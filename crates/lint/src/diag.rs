@@ -122,10 +122,6 @@ impl DiagnosticSet {
         self.diagnostics.iter().filter(|d| d.severity == severity).count()
     }
 
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
     /// All diagnostics carrying a given code.
     pub fn with_code(&self, code: &str) -> Vec<&Diagnostic> {
         self.diagnostics.iter().filter(|d| d.code == code).collect()
@@ -185,13 +181,13 @@ impl DiagnosticSet {
     }
 }
 
-/// The machine-readable report envelope the `spacelint` and `spaceverify`
-/// binaries emit under `--json`: which tool ran, over which artifact,
-/// severity counts, and the findings themselves. CI consumers should key
-/// on `errors`/`warnings` rather than re-counting diagnostics.
+/// The machine-readable report envelope the `spacelint` binary emits
+/// under `--json`: which tool ran, over which artifact, severity counts,
+/// and the findings themselves. CI consumers should key on
+/// `errors`/`warnings` rather than re-counting diagnostics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JsonReport {
-    /// The emitting tool, `spacelint` or `spaceverify`.
+    /// The emitting tool, `spacelint`.
     pub tool: String,
     /// The artifact the report is about (the space file path).
     pub artifact: String,

@@ -9,8 +9,18 @@
 //! SME feedback and designer customisation then edit them by hand. This
 //! crate is the safety net between those edits and the online system: a
 //! single pass that cross-checks the whole chain and reports findings as
-//! [`Diagnostic`]s with stable `OBCS0xx` codes, rustc-like text rendering
-//! and machine-readable JSON.
+//! [`Diagnostic`]s with stable codes, rustc-like text rendering and
+//! machine-readable JSON. The codes come in two families:
+//!
+//! * `OBCS0xx` inspect one artifact at a time (ontology, training,
+//!   entities, templates, logic table, tree, mapping, KB).
+//! * `OBCS1xx` prove behavioural properties of the space as a whole:
+//!   [`rules::flow`] model-checks the dialogue state machine by driving
+//!   the real [`obcs_dialogue::DialogueTree::evaluate`] over an abstract
+//!   input alphabet (`OBCS100`–`OBCS105`), [`rules::bindcheck`] binds
+//!   every query template against the KB schema without running it
+//!   (`OBCS110`–`OBCS114`), and [`rules::consistency`] pins references
+//!   between artifact layers (`OBCS120`–`OBCS122`).
 //!
 //! ```no_run
 //! use obcs_lint::{LintConfig, LintContext, run_all};
@@ -27,7 +37,8 @@
 //! cargo run -p obcs-lint --bin spacelint -- artifacts/mdx_space.json
 //! ```
 //!
-//! Crate role: DESIGN.md §2; rule catalogue and severity policy: §8.
+//! Crate role: DESIGN.md §2; rule catalogue and severity policy: §8; the
+//! state-machine abstraction and the bind-check soundness argument: §13.
 
 pub mod artifacts;
 pub mod context;

@@ -12,18 +12,23 @@ pub struct LintConfig {
     /// Rows scanned per table for the orphan-foreign-key check
     /// (`OBCS052`); caps lint cost on large KBs.
     pub fk_scan_cap: usize,
+    /// Abstract-state cap for the dialogue-flow exploration. When the
+    /// reachable state space exceeds this, exploration stops and
+    /// `OBCS105` reports the proof as incomplete.
+    pub max_states: usize,
 }
 
 impl Default for LintConfig {
     fn default() -> Self {
-        LintConfig { example_floor: 3, fk_scan_cap: 2000 }
+        LintConfig { example_floor: 3, fk_scan_cap: 2000, max_states: 50_000 }
     }
 }
 
 /// One static-analysis rule over the artifact chain.
 ///
-/// A rule owns one or more stable `OBCS0xx` codes; `codes` documents them
-/// and `run` appends any findings to `out`.
+/// A rule owns one or more stable codes (`OBCS0xx` for one artifact,
+/// `OBCS1xx` for the space as a whole); `codes` documents them and `run`
+/// appends any findings to `out`.
 pub trait Lint {
     /// Short kebab-case rule name, e.g. `training-duplicates`.
     fn name(&self) -> &'static str;
@@ -52,6 +57,20 @@ pub fn all_lints() -> Vec<Box<dyn Lint>> {
         Box::new(rules::tree::TreeReachability),
         Box::new(rules::mapping::MappingIntegrity),
         Box::new(rules::kbcheck::KbIntegrity),
+        Box::new(rules::flow::IntentReachability),
+        Box::new(rules::flow::ElicitationLiveness),
+        Box::new(rules::flow::ProposalEdges),
+        Box::new(rules::flow::DeadLogicRows),
+        Box::new(rules::flow::TreeNodeReachability),
+        Box::new(rules::flow::ExplorationBound),
+        Box::new(rules::bindcheck::TemplateBindCheck),
+        Box::new(rules::bindcheck::SlotFillability),
+        Box::new(rules::bindcheck::ProjectionCollisions),
+        Box::new(rules::bindcheck::PredicateTypes),
+        Box::new(rules::bindcheck::PatternCoverage),
+        Box::new(rules::consistency::TrainingLogicConsistency),
+        Box::new(rules::consistency::PatternTemplateConsistency),
+        Box::new(rules::consistency::JoinFkConsistency),
     ]
 }
 
@@ -72,13 +91,21 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
-    fn registry_codes_are_unique_and_well_formed() {
-        let mut seen = HashSet::new();
-        for lint in all_lints() {
+    fn registry_codes_are_unique_well_formed_and_in_code_order() {
+        let lints = all_lints();
+        assert_eq!(lints.len(), 29);
+        let mut names = HashSet::new();
+        let mut last = "";
+        for lint in lints {
+            assert!(names.insert(lint.name()), "rule {} registered twice", lint.name());
             assert!(!lint.codes().is_empty(), "{} declares no codes", lint.name());
             for code in lint.codes() {
-                assert!(code.starts_with("OBCS") && code.len() == 7, "malformed code {code}");
-                assert!(seen.insert(*code), "code {code} registered twice");
+                assert!(
+                    (code.starts_with("OBCS0") || code.starts_with("OBCS1")) && code.len() == 7,
+                    "malformed code {code}"
+                );
+                assert!(*code > last, "code {code} registered twice or out of order");
+                last = code;
             }
         }
     }

@@ -39,14 +39,15 @@ use obcs_kb::schema::ColumnType;
 use obcs_kb::sql::ast::{Predicate, Select};
 use obcs_kb::sql::parser;
 use obcs_kb::KnowledgeBase;
-use obcs_lint::{Diagnostic, LintContext, Location, Severity};
 
-use crate::check::{representative_value, Check, VerifyConfig, VerifyContext};
+use crate::context::LintContext;
+use crate::diag::{Diagnostic, Location, Severity};
+use crate::lint::{Lint, LintConfig};
 
 /// Iterates every `(intent, template)` pair of the space, skipping
 /// template groups whose intent the space does not define (OBCS019's
 /// territory).
-fn each_template<'a>(
+pub(crate) fn each_template<'a>(
     lint: &'a LintContext<'_>,
 ) -> impl Iterator<Item = (&'a Intent, &'a LabeledTemplate)> {
     lint.space
@@ -56,7 +57,8 @@ fn each_template<'a>(
         .flat_map(|(intent, templates)| templates.iter().map(move |t| (intent, t)))
 }
 
-fn template_location(intent: &Intent, template: &LabeledTemplate) -> Location {
+/// Where a template's findings point: its intent and topic.
+pub(crate) fn template_location(intent: &Intent, template: &LabeledTemplate) -> Location {
     Location::new("space", format!("intent `{}`, template \"{}\"", intent.name, template.topic))
 }
 
@@ -64,7 +66,7 @@ fn template_location(intent: &Intent, template: &LabeledTemplate) -> Location {
 /// serving time every turn that runs it would count a pipeline error.
 pub struct TemplateBindCheck;
 
-impl Check for TemplateBindCheck {
+impl Lint for TemplateBindCheck {
     fn name(&self) -> &'static str {
         "template-bind-check"
     }
@@ -77,10 +79,10 @@ impl Check for TemplateBindCheck {
         "query templates that fail to bind against the KB schema"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
-        for (intent, template) in each_template(&ctx.lint) {
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for (intent, template) in each_template(ctx) {
             // The plan the engine runs: every marker a parameter.
-            if let Err(e) = template.template.prepare(ctx.lint.kb) {
+            if let Err(e) = template.template.prepare(ctx.kb) {
                 out.push(
                     Diagnostic::new(
                         "OBCS110",
@@ -102,7 +104,7 @@ impl Check for TemplateBindCheck {
 /// elicited entity could ever instantiate the template.
 pub struct SlotFillability;
 
-impl Check for SlotFillability {
+impl Lint for SlotFillability {
     fn name(&self) -> &'static str {
         "slot-fillability"
     }
@@ -115,10 +117,10 @@ impl Check for SlotFillability {
         "template slots no entity example or KB instance can fill"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
-        for (intent, template) in each_template(&ctx.lint) {
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for (intent, template) in each_template(ctx) {
             for concept in template.template.required_concepts() {
-                if representative_value(&ctx.lint, concept).is_none() {
+                if ctx.representative_value(concept).is_none() {
                     out.push(
                         Diagnostic::new(
                             "OBCS111",
@@ -127,7 +129,7 @@ impl Check for SlotFillability {
                             format!(
                                 "slot `<@{}>` is unfillable: the concept has no entity examples \
                                  and no KB instance values",
-                                ctx.lint.concept_label(concept)
+                                ctx.concept_label(concept)
                             ),
                         )
                         .with_suggestion(
@@ -145,7 +147,7 @@ impl Check for SlotFillability {
 /// the result sections apart.
 pub struct ProjectionCollisions;
 
-impl Check for ProjectionCollisions {
+impl Lint for ProjectionCollisions {
     fn name(&self) -> &'static str {
         "projection-collisions"
     }
@@ -158,9 +160,9 @@ impl Check for ProjectionCollisions {
         "bound projections emitting duplicate output column names"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
-        for (intent, template) in each_template(&ctx.lint) {
-            let Ok(plan) = template.template.prepare(ctx.lint.kb) else {
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for (intent, template) in each_template(ctx) {
+            let Ok(plan) = template.template.prepare(ctx.kb) else {
                 continue; // OBCS110 reports it.
             };
             let mut seen = BTreeSet::new();
@@ -222,7 +224,7 @@ fn column_type(
 /// always takes a text value) compared against a non-text column.
 pub struct PredicateTypes;
 
-impl Check for PredicateTypes {
+impl Lint for PredicateTypes {
     fn name(&self) -> &'static str {
         "predicate-types"
     }
@@ -235,8 +237,8 @@ impl Check for PredicateTypes {
         "template predicates comparing literals against incompatible column types"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
-        for (intent, template) in each_template(&ctx.lint) {
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for (intent, template) in each_template(ctx) {
             // Parse the *template* SQL: markers sit inside quotes, so the
             // parser sees them as ordinary text literals and the marker
             // text survives for inspection.
@@ -248,7 +250,7 @@ impl Check for PredicateTypes {
                     continue;
                 };
                 let Some((qualified, ty)) =
-                    column_type(ctx.lint.kb, &stmt, column.qualifier.as_deref(), &column.column)
+                    column_type(ctx.kb, &stmt, column.qualifier.as_deref(), &column.column)
                 else {
                     continue; // unresolvable columns are OBCS110's territory.
                 };
@@ -291,7 +293,7 @@ impl Check for PredicateTypes {
 /// conversations would reach fulfilment with no query to run.
 pub struct PatternCoverage;
 
-impl Check for PatternCoverage {
+impl Lint for PatternCoverage {
     fn name(&self) -> &'static str {
         "pattern-coverage"
     }
@@ -304,13 +306,12 @@ impl Check for PatternCoverage {
         "query patterns with neither a template nor a recorded skip reason"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
-        for intent in &ctx.lint.space.intents {
-            let templates = ctx.lint.space.templates_for(intent.id);
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for intent in &ctx.space.intents {
+            let templates = ctx.space.templates_for(intent.id);
             for pattern in intent.patterns() {
                 let has_template = templates.iter().any(|t| t.topic == pattern.topic);
                 let has_skip = ctx
-                    .lint
                     .space
                     .skipped_templates
                     .iter()

@@ -20,16 +20,17 @@
 use std::collections::BTreeSet;
 
 use obcs_kb::sql::parser;
-use obcs_lint::{Diagnostic, Location, Severity};
 
-use crate::bindcheck::binding_table;
-use crate::check::{Check, VerifyConfig, VerifyContext};
+use crate::context::LintContext;
+use crate::diag::{Diagnostic, Location, Severity};
+use crate::lint::{Lint, LintConfig};
+use crate::rules::bindcheck::{binding_table, each_template, template_location};
 
 /// OBCS120: a training example whose intent is missing from the space's
 /// intent list or from the dialogue logic table.
 pub struct TrainingLogicConsistency;
 
-impl Check for TrainingLogicConsistency {
+impl Lint for TrainingLogicConsistency {
     fn name(&self) -> &'static str {
         "training-logic-consistency"
     }
@@ -42,13 +43,13 @@ impl Check for TrainingLogicConsistency {
         "training examples referencing intents absent from the space or logic table"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         let mut reported = BTreeSet::new();
-        for example in &ctx.lint.space.training {
+        for example in &ctx.space.training {
             if !reported.insert(example.intent) {
                 continue; // one diagnostic per dangling intent
             }
-            if ctx.lint.space.intent(example.intent).is_none() {
+            if ctx.space.intent(example.intent).is_none() {
                 out.push(
                     Diagnostic::new(
                         "OBCS120",
@@ -62,7 +63,7 @@ impl Check for TrainingLogicConsistency {
                     )
                     .with_suggestion("regenerate the training set from the current intents"),
                 );
-            } else if !ctx.lint.logic.rows.iter().any(|row| row.intent == example.intent) {
+            } else if !ctx.logic.rows.iter().any(|row| row.intent == example.intent) {
                 out.push(
                     Diagnostic::new(
                         "OBCS120",
@@ -86,7 +87,7 @@ impl Check for TrainingLogicConsistency {
 /// intent.
 pub struct PatternTemplateConsistency;
 
-impl Check for PatternTemplateConsistency {
+impl Lint for PatternTemplateConsistency {
     fn name(&self) -> &'static str {
         "pattern-template-consistency"
     }
@@ -99,19 +100,16 @@ impl Check for PatternTemplateConsistency {
         "template slots or topics not produced by the owning intent's patterns"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
-        for group in &ctx.lint.space.templates {
-            let Some(intent) = ctx.lint.space.intent(group.intent) else {
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for group in &ctx.space.templates {
+            let Some(intent) = ctx.space.intent(group.intent) else {
                 continue; // dangling template groups are lint OBCS019's territory
             };
             let patterns = intent.patterns();
             let producible: BTreeSet<_> =
                 patterns.iter().flat_map(|p| p.required.iter().copied()).collect();
             for template in &group.templates {
-                let location = Location::new(
-                    "space",
-                    format!("intent `{}`, template \"{}\"", intent.name, template.topic),
-                );
+                let location = template_location(intent, template);
                 if !patterns.iter().any(|p| p.topic == template.topic) {
                     out.push(
                         Diagnostic::new(
@@ -136,7 +134,7 @@ impl Check for PatternTemplateConsistency {
                                 format!(
                                     "slot `<@{}>` is not a required concept of any pattern of \
                                      intent `{}`; the dialogue would never elicit it",
-                                    ctx.lint.concept_label(concept),
+                                    ctx.concept_label(concept),
                                     intent.name
                                 ),
                             )
@@ -160,14 +158,14 @@ impl JoinFkConsistency {
     /// Whether `left_table.left_col = right_table.right_col` is a declared
     /// FK edge in either direction.
     fn fk_backed(
-        ctx: &VerifyContext<'_>,
+        ctx: &LintContext<'_>,
         left_table: &str,
         left_col: &str,
         right_table: &str,
         right_col: &str,
     ) -> bool {
         let declared = |from: &str, from_col: &str, to: &str, to_col: &str| {
-            ctx.lint.kb.table(from).is_ok_and(|t| {
+            ctx.kb.table(from).is_ok_and(|t| {
                 t.schema.foreign_keys.iter().any(|fk| {
                     fk.column == from_col
                         && fk.references_table == to
@@ -180,7 +178,7 @@ impl JoinFkConsistency {
     }
 }
 
-impl Check for JoinFkConsistency {
+impl Lint for JoinFkConsistency {
     fn name(&self) -> &'static str {
         "join-fk-consistency"
     }
@@ -193,53 +191,38 @@ impl Check for JoinFkConsistency {
         "template SQL joins not backed by a declared foreign key"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, _cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
-        for group in &ctx.lint.space.templates {
-            let Some(intent) = ctx.lint.space.intent(group.intent) else {
-                continue;
+    fn run(&self, ctx: &LintContext<'_>, _cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+        for (intent, template) in each_template(ctx) {
+            let Ok(stmt) = parser::parse(template.template.sql()) else {
+                continue; // an unparsable template fails OBCS110
             };
-            for template in &group.templates {
-                let Ok(stmt) = parser::parse(template.template.sql()) else {
-                    continue; // an unparsable template fails OBCS110
+            for join in &stmt.joins {
+                let left = &join.left;
+                let right = &join.right;
+                let resolve = |qualifier: Option<&str>, default: &str| {
+                    qualifier.and_then(|q| binding_table(&stmt, q)).unwrap_or(default).to_string()
                 };
-                for join in &stmt.joins {
-                    let left = &join.left;
-                    let right = &join.right;
-                    let resolve = |qualifier: Option<&str>, default: &str| {
-                        qualifier
-                            .and_then(|q| binding_table(&stmt, q))
-                            .unwrap_or(default)
-                            .to_string()
-                    };
-                    // An unqualified join column defaults to the joined
-                    // table itself; the other side defaults to FROM.
-                    let left_table = resolve(left.qualifier.as_deref(), &join.table.table);
-                    let right_table = resolve(right.qualifier.as_deref(), &stmt.from.table);
-                    if !Self::fk_backed(ctx, &left_table, &left.column, &right_table, &right.column)
-                    {
-                        out.push(
-                            Diagnostic::new(
-                                "OBCS122",
-                                Severity::Error,
-                                Location::new(
-                                    "space",
-                                    format!(
-                                        "intent `{}`, template \"{}\"",
-                                        intent.name, template.topic
-                                    ),
-                                ),
-                                format!(
-                                    "join `{left_table}.{} = {right_table}.{}` is not backed by \
-                                     a foreign key declared in the KB schema",
-                                    left.column, right.column
-                                ),
-                            )
-                            .with_suggestion(
-                                "declare the foreign key in the schema, or regenerate the \
-                                 templates",
+                // An unqualified join column defaults to the joined
+                // table itself; the other side defaults to FROM.
+                let left_table = resolve(left.qualifier.as_deref(), &join.table.table);
+                let right_table = resolve(right.qualifier.as_deref(), &stmt.from.table);
+                if !Self::fk_backed(ctx, &left_table, &left.column, &right_table, &right.column) {
+                    out.push(
+                        Diagnostic::new(
+                            "OBCS122",
+                            Severity::Error,
+                            template_location(intent, template),
+                            format!(
+                                "join `{left_table}.{} = {right_table}.{}` is not backed by \
+                                 a foreign key declared in the KB schema",
+                                left.column, right.column
                             ),
-                        );
-                    }
+                        )
+                        .with_suggestion(
+                            "declare the foreign key in the schema, or regenerate the \
+                             templates",
+                        ),
+                    );
                 }
             }
         }

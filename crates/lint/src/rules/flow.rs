@@ -37,10 +37,11 @@ use obcs_core::intents::IntentGoal;
 use obcs_core::IntentId;
 use obcs_dialogue::tree::TurnInput;
 use obcs_dialogue::{AgentAction, ConversationContext};
-use obcs_lint::{Diagnostic, LintContext, Location, Severity};
 use obcs_ontology::ConceptId;
 
-use crate::check::{representative_value, Check, VerifyConfig, VerifyContext};
+use crate::context::LintContext;
+use crate::diag::{Diagnostic, Location, Severity};
+use crate::lint::{Lint, LintConfig};
 
 /// The result of exploring the dialogue state machine.
 #[derive(Debug, Clone)]
@@ -131,7 +132,7 @@ impl SymInput {
 
 /// Explores the dialogue state machine breadth-first from the empty
 /// context and records the facts the flow checks need.
-pub fn explore(lint: &LintContext<'_>, cfg: &VerifyConfig) -> FlowExploration {
+pub(crate) fn explore(lint: &LintContext<'_>, cfg: &LintConfig) -> FlowExploration {
     let space = lint.space;
 
     // Tracked concepts: everything slot filling or proposals can turn on.
@@ -145,7 +146,7 @@ pub fn explore(lint: &LintContext<'_>, cfg: &VerifyConfig) -> FlowExploration {
 
     let mut providable: BTreeMap<ConceptId, String> = BTreeMap::new();
     for &c in &tracked {
-        if let Some(v) = representative_value(lint, c) {
+        if let Some(v) = lint.representative_value(c) {
             providable.insert(c, v);
         }
     }
@@ -280,7 +281,7 @@ fn abstract_state(ctx: &ConversationContext, tracked: &BTreeSet<ConceptId>) -> A
 /// either undetectable and unproposed, or its slots can never all fill.
 pub struct IntentReachability;
 
-impl Check for IntentReachability {
+impl Lint for IntentReachability {
     fn name(&self) -> &'static str {
         "intent-reachability"
     }
@@ -293,12 +294,12 @@ impl Check for IntentReachability {
         "query intents that can never be fulfilled from the start state"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ctx: &LintContext<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         let flow = ctx.flow(cfg);
         if flow.truncated {
             return; // "never fulfilled" is unsound on a partial exploration (OBCS105 reports it)
         }
-        for intent in &ctx.lint.space.intents {
+        for intent in &ctx.space.intents {
             if !intent.is_query() {
                 continue;
             }
@@ -324,7 +325,7 @@ impl Check for IntentReachability {
 /// cycles forever for a cooperating user.
 pub struct ElicitationLiveness;
 
-impl Check for ElicitationLiveness {
+impl Lint for ElicitationLiveness {
     fn name(&self) -> &'static str {
         "elicitation-liveness"
     }
@@ -337,15 +338,10 @@ impl Check for ElicitationLiveness {
         "elicitation loops no user answer can ever satisfy (livelock)"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ctx: &LintContext<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         let flow = ctx.flow(cfg);
         for &(intent, concept) in &flow.elicit_livelocks {
-            let name = ctx
-                .lint
-                .space
-                .intent(intent)
-                .map(|i| i.name.clone())
-                .unwrap_or_else(|| format!("#{}", intent.0));
+            let name = ctx.intent_label(intent);
             out.push(
                 Diagnostic::new(
                     "OBCS101",
@@ -354,7 +350,7 @@ impl Check for ElicitationLiveness {
                     format!(
                         "elicits `{}` but no entity example or KB instance can ever fill it; \
                          the re-prompt loops forever",
-                        ctx.lint.concept_label(concept)
+                        ctx.concept_label(concept)
                     ),
                 )
                 .with_suggestion("add instance values to the KB or examples to the entity"),
@@ -367,7 +363,7 @@ impl Check for ElicitationLiveness {
 /// cannot fire the offered intent) or whose reject edge does not progress.
 pub struct ProposalEdges;
 
-impl Check for ProposalEdges {
+impl Lint for ProposalEdges {
     fn name(&self) -> &'static str {
         "proposal-edges"
     }
@@ -380,21 +376,14 @@ impl Check for ProposalEdges {
         "proposals without a working accept and a progressing reject edge"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ctx: &LintContext<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         let flow = ctx.flow(cfg);
-        let label = |id: IntentId| {
-            ctx.lint
-                .space
-                .intent(id)
-                .map(|i| i.name.clone())
-                .unwrap_or_else(|| format!("#{}", id.0))
-        };
         for &p in &flow.broken_accepts {
             out.push(
                 Diagnostic::new(
                     "OBCS102",
                     Severity::Error,
-                    Location::new("dialogue-flow", format!("proposal `{}`", label(p))),
+                    Location::new("dialogue-flow", format!("proposal `{}`", ctx.intent_label(p))),
                     "accepting this proposal falls back instead of fulfilling or eliciting",
                 )
                 .with_suggestion("ensure the proposed intent has a logic-table row"),
@@ -405,7 +394,7 @@ impl Check for ProposalEdges {
                 Diagnostic::new(
                     "OBCS102",
                     Severity::Error,
-                    Location::new("dialogue-flow", format!("proposal `{}`", label(p))),
+                    Location::new("dialogue-flow", format!("proposal `{}`", ctx.intent_label(p))),
                     "rejecting this proposal leaves it pending; `no` loops on the same offer",
                 )
                 .with_suggestion("regenerate the dialogue tree from the current space"),
@@ -418,7 +407,7 @@ impl Check for ProposalEdges {
 /// ever activates — dead configuration the designer maintains for nothing.
 pub struct DeadLogicRows;
 
-impl Check for DeadLogicRows {
+impl Lint for DeadLogicRows {
     fn name(&self) -> &'static str {
         "dead-logic-rows"
     }
@@ -431,13 +420,13 @@ impl Check for DeadLogicRows {
         "logic-table rows no reachable conversation activates"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ctx: &LintContext<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         let flow = ctx.flow(cfg);
         if flow.truncated {
             return; // "never activated" is unsound on a partial exploration
         }
-        for row in &ctx.lint.logic.rows {
-            let Some(intent) = ctx.lint.space.intent(row.intent) else {
+        for row in &ctx.logic.rows {
+            let Some(intent) = ctx.space.intent(row.intent) else {
                 continue; // OBCS120's territory.
             };
             // Management rows are handled by the catalog, entity-only rows
@@ -467,7 +456,7 @@ impl Check for DeadLogicRows {
 /// branch never fires.
 pub struct TreeNodeReachability;
 
-impl Check for TreeNodeReachability {
+impl Lint for TreeNodeReachability {
     fn name(&self) -> &'static str {
         "tree-node-reachability"
     }
@@ -480,22 +469,17 @@ impl Check for TreeNodeReachability {
         "proposal branches of the dialogue tree no conversation reaches"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ctx: &LintContext<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         let flow = ctx.flow(cfg);
         if flow.truncated {
             return; // "never proposed" is unsound on a partial exploration
         }
-        for (concept, intents) in &ctx.lint.tree.proposals {
+        for (concept, intents) in &ctx.tree.proposals {
             for &proposed in intents {
                 if flow.proposed.contains(&proposed) {
                     continue;
                 }
-                let name = ctx
-                    .lint
-                    .space
-                    .intent(proposed)
-                    .map(|i| i.name.clone())
-                    .unwrap_or_else(|| format!("#{}", proposed.0));
+                let name = ctx.intent_label(proposed);
                 out.push(
                     Diagnostic::new(
                         "OBCS104",
@@ -504,7 +488,7 @@ impl Check for TreeNodeReachability {
                             "dialogue-tree",
                             format!(
                                 "proposals for `{}`, intent `{name}`",
-                                ctx.lint.concept_label(*concept)
+                                ctx.concept_label(*concept)
                             ),
                         ),
                         "proposal branch is unreachable in every explored conversation",
@@ -522,7 +506,7 @@ impl Check for TreeNodeReachability {
 /// are only sound up to the bound.
 pub struct ExplorationBound;
 
-impl Check for ExplorationBound {
+impl Lint for ExplorationBound {
     fn name(&self) -> &'static str {
         "exploration-bound"
     }
@@ -535,7 +519,7 @@ impl Check for ExplorationBound {
         "dialogue-flow exploration exceeded the state cap (incomplete proof)"
     }
 
-    fn run(&self, ctx: &VerifyContext<'_>, cfg: &VerifyConfig, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ctx: &LintContext<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
         let flow = ctx.flow(cfg);
         if flow.truncated {
             out.push(

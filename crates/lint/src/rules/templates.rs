@@ -3,6 +3,7 @@
 use crate::context::LintContext;
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::lint::{Lint, LintConfig};
+use crate::rules::bindcheck::template_location;
 
 /// The slots the serving stack substitutes in response templates:
 /// `{topic}`/`{entities}`/`{results}` in fulfilment responses (NLG) and
@@ -157,13 +158,7 @@ impl Lint for TemplateParamScope {
                             Diagnostic::new(
                                 "OBCS019",
                                 Severity::Error,
-                                Location::new(
-                                    "space",
-                                    format!(
-                                        "intent `{}`, template \"{}\"",
-                                        intent.name, labeled.topic
-                                    ),
-                                ),
+                                template_location(intent, labeled),
                                 format!(
                                     "template requires `{}` which the intent never captures or elicits",
                                     ctx.concept_label(concept)

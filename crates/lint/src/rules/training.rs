@@ -29,13 +29,6 @@ fn token_signature(text: &str) -> String {
     tokens.join(" ")
 }
 
-fn intent_name(ctx: &LintContext<'_>, id: IntentId) -> String {
-    ctx.space
-        .intent(id)
-        .map(|i| i.name.clone())
-        .unwrap_or_else(|| format!("<unknown intent #{}>", id.0))
-}
-
 /// OBCS010: the same training text (modulo case/whitespace) is labelled
 /// with two different intents — direct label noise for the classifier.
 pub struct DuplicateTraining;
@@ -64,7 +57,7 @@ impl Lint for DuplicateTraining {
             }
             if entry.1.len() > 1 && !entry.2 {
                 entry.2 = true;
-                let intents: Vec<String> = entry.1.iter().map(|&id| intent_name(ctx, id)).collect();
+                let intents: Vec<String> = entry.1.iter().map(|&id| ctx.intent_label(id)).collect();
                 out.push(
                     Diagnostic::new(
                         "OBCS010",
@@ -124,7 +117,7 @@ impl Lint for NearDuplicateTraining {
             // already cover: distinct surface texts, distinct intents.
             if entry.1.len() > 1 && entry.2.len() > 1 && !entry.3 {
                 entry.3 = true;
-                let intents: Vec<String> = entry.1.iter().map(|&id| intent_name(ctx, id)).collect();
+                let intents: Vec<String> = entry.1.iter().map(|&id| ctx.intent_label(id)).collect();
                 out.push(
                     Diagnostic::new(
                         "OBCS011",

@@ -1,6 +1,6 @@
-//! Binary-level regression tests: run the real `spaceverify` executable
+//! Binary-level regression tests: run the real `spacelint` executable
 //! against the committed MDX artifacts and against mutated copies,
-//! asserting the exact exit status and diagnostic codes.
+//! asserting the exact exit status, severity counts and diagnostic codes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -16,8 +16,7 @@ struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("spaceverify-test-{}-{tag}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("spacelint-test-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         Scratch(dir)
     }
@@ -46,41 +45,62 @@ fn staged_mdx(scratch: &Scratch, mutate: impl FnOnce(String) -> String) -> PathB
     space_path
 }
 
-fn run_spaceverify(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_spaceverify")).args(args).output().expect("spaceverify runs")
+fn run_spacelint(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_spacelint")).args(args).output().expect("spacelint runs")
 }
 
+/// The distinct codes of a report, in order.
 fn codes_of(report: &JsonReport) -> Vec<&str> {
-    report.diagnostics.iter().map(|d| d.code.as_str()).collect()
+    let mut codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code.as_str()).collect();
+    codes.sort_unstable();
+    codes.dedup();
+    codes
+}
+
+/// Runs the gate over a mutated space with the quick state cap and
+/// returns its exit code and report.
+fn gate_mutated(space_path: &Path) -> (Option<i32>, JsonReport) {
+    let out = run_spacelint(&[
+        space_path.to_str().expect("utf8 path"),
+        "--deny-warnings",
+        "--json",
+        "--max-states",
+        "5000",
+    ]);
+    let report =
+        JsonReport::from_json(&String::from_utf8_lossy(&out.stdout)).expect("parsable JSON report");
+    (out.status.code(), report)
 }
 
 #[test]
-fn committed_mdx_space_verifies_clean_and_json_round_trips() {
-    let out = run_spaceverify(&[
+fn committed_mdx_space_passes_and_json_round_trips() {
+    let out = run_spacelint(&[
         artifacts_dir().join("mdx_space.json").to_str().expect("utf8 path"),
         "--deny-warnings",
         "--json",
     ]);
     assert!(
         out.status.success(),
-        "committed artifacts must verify clean: {}",
+        "committed artifacts must pass the gate: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("utf8 report");
     let report = JsonReport::from_json(&stdout).expect("parsable JSON report");
-    assert_eq!(report.tool, "spaceverify");
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.warnings, 0);
-    // Round trip: re-serialize and re-parse to the same envelope counts.
+    assert_eq!(report.tool, "spacelint");
+    assert_eq!((report.errors, report.warnings, report.infos), (0, 0, 9));
+    // The nine infos are the known entity-value collisions; the whole-space
+    // checks explore the flow to closure and find nothing.
+    assert_eq!(codes_of(&report), ["OBCS015"]);
+    // Round trip: re-serialize and re-parse to the same envelope.
     let again = JsonReport::from_json(&report.to_json()).expect("round trip");
-    assert_eq!(again.errors, report.errors);
-    assert_eq!(again.diagnostics.len(), report.diagnostics.len());
+    assert_eq!(again, report);
 }
 
 #[test]
-fn dropped_intent_fails_verification_with_obcs120() {
+fn dropped_intent_fails_the_gate_with_obcs019_and_obcs120() {
     // "Drop a logic-table row": removing an intent from the space removes
-    // its derived logic row while its training examples remain.
+    // its derived logic row while its training examples and its template
+    // group remain.
     let scratch = Scratch::new("drop-row");
     let space_path = staged_mdx(&scratch, |text| {
         let mut space: obcs_core::ConversationSpace =
@@ -91,22 +111,14 @@ fn dropped_intent_fails_verification_with_obcs120() {
         serde_json::to_string(&space).expect("re-serialize")
     });
 
-    let out = run_spaceverify(&[
-        space_path.to_str().expect("utf8 path"),
-        "--deny-warnings",
-        "--json",
-        "--max-states",
-        "5000",
-    ]);
-    assert!(!out.status.success(), "mutated space must fail the gate");
-    assert_eq!(out.status.code(), Some(1), "gate failure, not usage error");
-    let report =
-        JsonReport::from_json(&String::from_utf8_lossy(&out.stdout)).expect("parsable JSON report");
-    assert!(codes_of(&report).contains(&"OBCS120"), "expected OBCS120 in {:?}", codes_of(&report));
+    let (code, report) = gate_mutated(&space_path);
+    assert_eq!(code, Some(1), "gate failure, not usage error");
+    assert_eq!((report.errors, report.warnings, report.infos), (2, 1, 9));
+    assert_eq!(codes_of(&report), ["OBCS015", "OBCS019", "OBCS105", "OBCS120"]);
 }
 
 #[test]
-fn retyped_slot_fails_verification_with_obcs113() {
+fn retyped_slot_fails_the_gate_with_obcs113() {
     // "Retype a slot": move a template's filter from the drug's text name
     // to its integer key; the slot's text instantiation can never match.
     let scratch = Scratch::new("retype-slot");
@@ -116,36 +128,36 @@ fn retyped_slot_fails_verification_with_obcs113() {
         text.replacen(needle, "oDrug.drug_id = '<@Drug>'", 1)
     });
 
-    let out = run_spaceverify(&[
-        space_path.to_str().expect("utf8 path"),
-        "--deny-warnings",
-        "--json",
-        "--max-states",
-        "5000",
-    ]);
-    assert!(!out.status.success(), "mutated space must fail the gate");
-    assert_eq!(out.status.code(), Some(1), "gate failure, not usage error");
-    let report =
-        JsonReport::from_json(&String::from_utf8_lossy(&out.stdout)).expect("parsable JSON report");
-    assert!(codes_of(&report).contains(&"OBCS113"), "expected OBCS113 in {:?}", codes_of(&report));
+    let (code, report) = gate_mutated(&space_path);
+    assert_eq!(code, Some(1), "gate failure, not usage error");
+    assert_eq!((report.errors, report.warnings, report.infos), (1, 1, 9));
+    assert_eq!(codes_of(&report), ["OBCS015", "OBCS105", "OBCS113"]);
 }
 
 #[test]
 fn usage_errors_exit_2() {
-    let out = run_spaceverify(&[]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run_spaceverify(&["--no-such-flag"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run_spaceverify(&["/nonexistent/space.json"]);
-    assert_eq!(out.status.code(), Some(2));
+    for args in [
+        &[][..],
+        &["--no-such-flag"],
+        &["/nonexistent/space.json"],
+        &["--max-states"],
+        &["--floor", "many"],
+    ] {
+        let out = run_spacelint(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+    }
 }
 
 #[test]
-fn rules_listing_names_every_code_range() {
-    let out = run_spaceverify(&["--rules"]);
+fn rules_listing_names_both_code_families() {
+    let out = run_spacelint(&["--rules"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    for code in ["OBCS100", "OBCS105", "OBCS110", "OBCS114", "OBCS120", "OBCS122"] {
+    assert_eq!(text.lines().count(), 29, "one line per rule:\n{text}");
+    for code in [
+        "OBCS001", "OBCS012", "OBCS031", "OBCS052", "OBCS100", "OBCS105", "OBCS110", "OBCS114",
+        "OBCS120", "OBCS122",
+    ] {
         assert!(text.contains(code), "rules listing missing {code}:\n{text}");
     }
 }

@@ -1,6 +1,6 @@
 //! Shared synthetic fixture for the lint tests: a minimal hand-built
-//! artifact chain (ontology, KB, mapping, space) that lints clean, plus
-//! variants with specific defects baked in at construction time.
+//! artifact chain (ontology, KB, mapping, space) that passes every rule,
+//! plus variants with specific defects baked in at construction time.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a different subset of it.
@@ -39,6 +39,60 @@ impl Fixture {
     }
 }
 
+const CLEAN_SQL: &str = "SELECT precaution.text FROM precaution \
+                         JOIN drug ON precaution.drug_id = drug.id \
+                         WHERE drug.name = '<@Drug>'";
+
+/// Knobs for the fixture builder; `Default` produces the clean baseline.
+pub struct Options {
+    /// Training examples for the query intent (drop → OBCS100/OBCS103).
+    pub train_query_intent: bool,
+    /// Mark `Drug` as a key concept (controls the proposal branch).
+    pub key_concept: bool,
+    /// Give `Drug` entity examples and KB rows (drop both → the concept
+    /// is unprovidable: OBCS101/OBCS111).
+    pub drug_providable: bool,
+    /// Include the entity-only `DRUG_GENERAL` intent and its training.
+    pub entity_only_intent: bool,
+    /// Whether the `indication` table declares its foreign key to `drug`
+    /// (dropping it leaves the `treats` relationship unjoinable →
+    /// OBCS043).
+    pub indication_fk: bool,
+    /// Table the `precaution.drug_id` FK references (a bogus name gives a
+    /// broken declaration, OBCS051, and leaves the template join
+    /// unbacked, OBCS122).
+    pub fk_target: String,
+    /// Template SQL (override to trip OBCS110/OBCS112/OBCS113/OBCS122).
+    pub template_sql: &'static str,
+    /// Template slot concepts, by ontology name.
+    pub template_params: &'static [&'static str],
+    /// Template topic (mismatch the pattern's → OBCS121).
+    pub template_topic: &'static str,
+    /// Drop the template without a skip entry (→ OBCS114).
+    pub drop_template: bool,
+    /// Add a training example for an intent the space does not define
+    /// (→ OBCS120).
+    pub dangling_training: bool,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            train_query_intent: true,
+            key_concept: true,
+            drug_providable: true,
+            entity_only_intent: true,
+            indication_fk: true,
+            fk_target: "drug".to_string(),
+            template_sql: CLEAN_SQL,
+            template_params: &["Drug"],
+            template_topic: "Precautions",
+            drop_template: false,
+            dangling_training: false,
+        }
+    }
+}
+
 fn build_onto() -> Ontology {
     OntologyBuilder::new("fixture")
         .concept("Drug")
@@ -53,12 +107,8 @@ fn build_onto() -> Ontology {
         .expect("fixture ontology")
 }
 
-/// Builds the KB. `indication_fk` controls whether the `indication` table
-/// declares its foreign key to `drug` (dropping it leaves the `treats`
-/// relationship unjoinable — OBCS043). `fk_target` is the table the
-/// `precaution.drug_id` foreign key claims to reference (a bogus name
-/// gives a broken declaration — OBCS051).
-pub fn build_kb(indication_fk: bool, fk_target: &str) -> KnowledgeBase {
+/// Builds the KB the options describe.
+pub fn build_kb(opts: &Options) -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
     kb.create_table(
         TableSchema::new("drug")
@@ -73,7 +123,7 @@ pub fn build_kb(indication_fk: bool, fk_target: &str) -> KnowledgeBase {
             .column("drug_id", ColumnType::Int)
             .column("text", ColumnType::Text)
             .primary_key("id")
-            .foreign_key("drug_id", fk_target, "id"),
+            .foreign_key("drug_id", &opts.fk_target, "id"),
     )
     .expect("create precaution");
     let mut indication = TableSchema::new("indication")
@@ -81,26 +131,28 @@ pub fn build_kb(indication_fk: bool, fk_target: &str) -> KnowledgeBase {
         .column("drug_id", ColumnType::Int)
         .column("name", ColumnType::Text)
         .primary_key("id");
-    if indication_fk {
+    if opts.indication_fk {
         indication = indication.foreign_key("drug_id", "drug", "id");
     }
     kb.create_table(indication).expect("create indication");
 
-    kb.insert("drug", vec![Value::Int(7777), Value::text("aspirin")]).expect("insert drug");
-    kb.insert("drug", vec![Value::Int(7778), Value::text("ibuprofen")]).expect("insert drug");
-    if fk_target == "drug" {
-        kb.insert(
-            "precaution",
-            vec![Value::Int(1), Value::Int(7777), Value::text("avoid alcohol")],
-        )
-        .expect("insert precaution");
+    if opts.drug_providable {
+        kb.insert("drug", vec![Value::Int(7777), Value::text("aspirin")]).expect("insert drug");
+        kb.insert("drug", vec![Value::Int(7778), Value::text("ibuprofen")]).expect("insert drug");
+        if opts.fk_target == "drug" {
+            kb.insert(
+                "precaution",
+                vec![Value::Int(1), Value::Int(7777), Value::text("avoid alcohol")],
+            )
+            .expect("insert precaution");
+        }
+        kb.insert("indication", vec![Value::Int(1), Value::Int(7777), Value::text("headache")])
+            .expect("insert indication");
     }
-    kb.insert("indication", vec![Value::Int(1), Value::Int(7777), Value::text("headache")])
-        .expect("insert indication");
     kb
 }
 
-fn build_space(onto: &Ontology) -> ConversationSpace {
+fn build_space(onto: &Ontology, opts: &Options) -> ConversationSpace {
     let drug = onto.concept_id("Drug").expect("fixture concept");
     let precaution = onto.concept_id("Precaution").expect("fixture concept");
     let lookup = QueryPattern {
@@ -128,94 +180,115 @@ fn build_space(onto: &Ontology) -> ConversationSpace {
         optional_entities: vec![],
         response_template: String::new(),
     };
-    let training = [
-        ("show me the precautions for aspirin", 0u32),
-        ("what precautions does ibuprofen have", 0),
-        ("precautions of aspirin", 0),
-        ("aspirin", 1),
-        ("tell me about ibuprofen", 1),
-        ("aspirin please", 1),
-    ]
-    .into_iter()
-    .map(|(text, intent)| TrainingExample {
-        text: text.to_string(),
-        intent: IntentId(intent),
-        source: ExampleSource::Generated,
-    })
-    .collect();
+
+    let mut training: Vec<(&str, u32)> = Vec::new();
+    if opts.train_query_intent {
+        training.extend([
+            ("show me the precautions for aspirin", 0),
+            ("what precautions does ibuprofen have", 0),
+            ("precautions of aspirin", 0),
+        ]);
+    }
+    if opts.entity_only_intent {
+        training.extend([("aspirin", 1), ("tell me about ibuprofen", 1), ("aspirin please", 1)]);
+    }
+    if opts.dangling_training {
+        training.push(("show me the forbidden topic", 9));
+    }
+    let training = training
+        .into_iter()
+        .map(|(text, intent)| TrainingExample {
+            text: text.to_string(),
+            intent: IntentId(intent),
+            source: ExampleSource::Generated,
+        })
+        .collect();
+
+    let mut intents = vec![query_intent];
+    if opts.entity_only_intent {
+        intents.push(entity_only);
+    }
+
+    let mut entities = Vec::new();
+    if opts.drug_providable {
+        entities.push(EntityDef {
+            concept: drug,
+            name: "Drug".to_string(),
+            kind: EntityKind::Concept,
+            examples: vec!["aspirin".to_string(), "ibuprofen".to_string()],
+            synonyms: vec![],
+        });
+    }
+    entities.push(EntityDef {
+        concept: precaution,
+        name: "Precaution".to_string(),
+        kind: EntityKind::Concept,
+        examples: vec!["avoid alcohol".to_string()],
+        synonyms: vec![],
+    });
+
     let dependents = vec![DependentConcept {
         concept: precaution,
         of_key: drug,
         semantics: DependentSemantics::Plain,
     }];
     let completion = CompletionMetadata::build(&dependents);
-    let sql = "SELECT precaution.text FROM precaution \
-               JOIN drug ON precaution.drug_id = drug.id \
-               WHERE drug.name = '<@Drug>'";
-    ConversationSpace {
-        ontology_name: "fixture".to_string(),
-        key_concepts: vec![drug],
-        dependents,
-        intents: vec![query_intent, entity_only],
-        training,
-        entities: vec![
-            EntityDef {
-                concept: drug,
-                name: "Drug".to_string(),
-                kind: EntityKind::Concept,
-                examples: vec!["aspirin".to_string(), "ibuprofen".to_string()],
-                synonyms: vec![],
-            },
-            EntityDef {
-                concept: precaution,
-                name: "Precaution".to_string(),
-                kind: EntityKind::Concept,
-                examples: vec!["avoid alcohol".to_string()],
-                synonyms: vec![],
-            },
-        ],
-        synonyms: SynonymDict::new(),
-        templates: vec![IntentTemplates {
+
+    let params: Vec<ConceptId> =
+        opts.template_params.iter().map(|n| onto.concept_id(n).expect("param concept")).collect();
+    let templates = if opts.drop_template {
+        vec![]
+    } else {
+        vec![IntentTemplates {
             intent: IntentId(0),
             templates: vec![LabeledTemplate {
-                topic: "Precautions".to_string(),
-                template: QueryTemplate::new(sql.to_string(), vec![drug], onto),
+                topic: opts.template_topic.to_string(),
+                template: QueryTemplate::new(opts.template_sql.to_string(), params, onto),
             }],
-        }],
+        }]
+    };
+
+    ConversationSpace {
+        ontology_name: "fixture".to_string(),
+        key_concepts: if opts.key_concept { vec![drug] } else { vec![] },
+        dependents,
+        intents,
+        training,
+        entities,
+        synonyms: SynonymDict::new(),
+        templates,
         completion,
         skipped_templates: vec![],
     }
 }
 
+pub fn fixture_with(opts: Options) -> Fixture {
+    let onto = build_onto();
+    let kb = build_kb(&opts);
+    let mapping = OntologyMapping::infer(&onto, &kb);
+    let space = build_space(&onto, &opts);
+    Fixture { onto, kb, mapping, space }
+}
+
 /// The clean baseline fixture.
 pub fn fixture() -> Fixture {
-    let onto = build_onto();
-    let kb = build_kb(true, "drug");
-    let mapping = OntologyMapping::infer(&onto, &kb);
-    let space = build_space(&onto);
-    Fixture { onto, kb, mapping, space }
+    fixture_with(Options::default())
 }
 
 /// Variant without the `indication.drug_id` foreign key: the `treats`
 /// relationship has no join realisation (OBCS043).
 pub fn fixture_unjoined_relation() -> Fixture {
-    let onto = build_onto();
-    let kb = build_kb(false, "drug");
-    let mapping = OntologyMapping::infer(&onto, &kb);
-    let space = build_space(&onto);
-    Fixture { onto, kb, mapping, space }
+    fixture_with(Options { indication_fk: false, ..Options::default() })
 }
 
 /// Variant whose `precaution.drug_id` foreign key references a table that
 /// does not exist (OBCS051).
 pub fn fixture_broken_fk_decl() -> Fixture {
-    let onto = build_onto();
-    let kb = build_kb(true, "droog");
+    let mut f = fixture_with(Options { fk_target: "droog".to_string(), ..Options::default() });
     // The mapping must still bind `precaution` for the query intent, so
     // infer against a well-formed twin of the KB.
-    let mapping = OntologyMapping::infer(&onto, &build_kb(true, "drug"));
-    let space = build_space(&onto);
-    Fixture { onto, kb, mapping, space }
+    f.mapping = OntologyMapping::infer(&f.onto, &build_kb(&Options::default()));
+    f
 }
 
 /// Variant with an orphaned `precaution.drug_id` value (OBCS052). Insert
@@ -223,15 +296,13 @@ pub fn fixture_broken_fk_decl() -> Fixture {
 /// the serialized KB: the referenced drug id `7777` is renumbered while
 /// the referencing row keeps it.
 pub fn fixture_orphan_row() -> Fixture {
-    let onto = build_onto();
-    let kb = build_kb(true, "drug");
-    let json = kb.to_json();
+    let mut f = fixture();
+    let json = f.kb.to_json();
     // Tables serialize sorted by name (drug < indication < precaution),
     // so the first `7777` is the drug row's own id.
     let doctored = json.replacen("7777", "1111", 1);
     assert_ne!(doctored, json, "fixture drug id not found in KB JSON");
-    let kb = KnowledgeBase::from_json(&doctored).expect("doctored KB parses");
-    let mapping = OntologyMapping::infer(&onto, &kb);
-    let space = build_space(&onto);
-    Fixture { onto, kb, mapping, space }
+    f.kb = KnowledgeBase::from_json(&doctored).expect("doctored KB parses");
+    f.mapping = OntologyMapping::infer(&f.onto, &f.kb);
+    f
 }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{build_kb, fixture, Fixture};
+use common::{build_kb, fixture, Fixture, Options};
 use obcs_core::training::{ExampleSource, TrainingExample};
 use obcs_core::IntentId;
 use obcs_lint::{run_all, DiagnosticSet, LintConfig, LintContext};
@@ -52,8 +52,8 @@ proptest! {
     fn breaking_the_fk_declaration_fires_obcs051(name in "[a-z]{4,10}") {
         prop_assume!(name != "drug" && name != "indication" && name != "precaution");
         let onto_fixture = fixture();
-        let kb = build_kb(true, &name);
-        let mapping = OntologyMapping::infer(&onto_fixture.onto, &build_kb(true, "drug"));
+        let kb = build_kb(&Options { fk_target: name, ..Options::default() });
+        let mapping = OntologyMapping::infer(&onto_fixture.onto, &build_kb(&Options::default()));
         let f = Fixture { onto: onto_fixture.onto, kb, mapping, space: onto_fixture.space };
         prop_assert!(lint(&f).has_code("OBCS051"));
     }

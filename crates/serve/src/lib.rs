@@ -52,5 +52,5 @@ pub mod session;
 pub use client::{Client, ClientError};
 pub use obcs_agent::kind_label;
 pub use protocol::{Request, Response, StatsSnapshot, TurnReply, MAX_LINE_BYTES, PROTOCOL_VERSION};
-pub use server::{DurabilityConfig, ServeConfig, Server, ServerHandle};
+pub use server::{DurabilityConfig, ServeConfig, Server};
 pub use session::{Admission, SessionConfig, SessionTable};

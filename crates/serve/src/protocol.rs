@@ -17,7 +17,12 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// Hard ceiling on the byte length of a single request line (including
 /// the terminating newline). Longer lines are rejected with an
 /// [`Response::Error`] of code `"too_large"` without being parsed.
-pub const MAX_LINE_BYTES: usize = 64 * 1024;
+///
+/// The longest `Turn` line the user simulator can produce (every intent,
+/// every noise kind, pools of up to 15,000 drugs, a 10-byte session id)
+/// is 134 bytes, and the longest utterance of the committed transcripts
+/// is 37 bytes; the ceiling is 30 times the former (`docs/PROTOCOL.md`).
+pub const MAX_LINE_BYTES: usize = 4 * 1024;
 
 /// A client→server message: one JSON object per line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -29,13 +29,18 @@ pub struct ServeConfig {
     /// Session-table resource policy (shards, capacity, TTL, memory
     /// ceiling).
     pub session: SessionConfig,
-    /// Per-turn deadline budget, in ticks of each fork's resilience
-    /// clock, installed on the base agent before any fork is taken
-    /// (`None` keeps the agent's current resilience policy).
+    /// Per-turn deadline budget, in readings of each fork's resilience
+    /// tick clock, installed on the base agent before any fork is taken
+    /// (`None` keeps the agent's current resilience policy). The clock
+    /// advances only when the resilience loop reads it or spins an
+    /// injected wait, so the budget bounds retries and injected waits,
+    /// not wall time. A fault-free fulfilment reads it three times plus
+    /// once per KB query, and a smaller budget degrades it (DESIGN.md
+    /// §15.4).
     pub turn_budget: Option<u64>,
     /// When true, each connection runs under a tick-clock
     /// [`CollectingRecorder`]; reports merge into one [`TraceReport`]
-    /// retrievable via [`ServerHandle::take_trace`].
+    /// retrievable via [`Server::take_trace`].
     pub trace: bool,
     /// Durability directory (DESIGN.md §16). When set, startup recovers
     /// the KB from the directory's snapshot + WAL if one exists —
@@ -105,7 +110,7 @@ impl Inner {
 }
 
 /// A running server. Dropping the handle does *not* stop the server —
-/// call [`ServerHandle::shutdown`].
+/// call [`Server::shutdown`].
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
@@ -113,10 +118,6 @@ pub struct Server {
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     recovery: Option<RecoveryReport>,
 }
-
-/// Alias kept for readability at call sites: `Server::start` returns the
-/// handle you shut the server down with.
-pub type ServerHandle = Server;
 
 impl Server {
     /// Bind, install the serving resilience policy on `agent`, and start
@@ -252,9 +253,8 @@ impl Server {
 }
 
 /// Convert an engine reply (plus session/intent context) to its wire
-/// form. Public within the crate so the e2e test can render an
-/// in-process replay through the identical code path.
-pub(crate) fn wire_reply(
+/// form.
+fn wire_reply(
     session: &str,
     reply: &AgentReply,
     intent_name: Option<String>,

@@ -11,9 +11,9 @@
 //! policies (DESIGN.md §15):
 //!
 //! * **TTL eviction** — sessions idle longer than `ttl` clock readings
-//!   are dropped; idleness is measured on a pluggable
-//!   [`Clock`], which keeps the eviction tests
-//!   deterministic on a [`TickClock`].
+//!   are dropped; idleness is measured on the table's [`TickClock`],
+//!   one reading per table operation, which keeps eviction
+//!   deterministic.
 //! * **Per-session memory ceiling** — the fork's interaction log is the
 //!   only unbounded per-session allocation, so after every turn the
 //!   oldest records are trimmed until the log's approximate byte size
@@ -106,7 +106,7 @@ impl Drop for Reservation<'_> {
 pub struct SessionTable {
     base: ConversationAgent,
     shards: Vec<Mutex<HashMap<String, SessionEntry>>>,
-    clock: Box<dyn Clock>,
+    clock: TickClock,
     config: SessionConfig,
     live: AtomicU64,
     opened: AtomicU64,
@@ -118,22 +118,11 @@ impl SessionTable {
     /// Build a table around a fully assembled base agent, with a
     /// [`TickClock`] driving TTL (one reading per table operation).
     pub fn new(base: ConversationAgent, config: SessionConfig) -> Self {
-        SessionTable::with_clock(base, config, Box::new(TickClock::new()))
-    }
-
-    /// Like [`SessionTable::new`] but with an explicit clock — tests
-    /// inject a [`TickClock`] they can reason about; a wall-clock server
-    /// could inject a monotonic one.
-    pub fn with_clock(
-        base: ConversationAgent,
-        config: SessionConfig,
-        clock: Box<dyn Clock>,
-    ) -> Self {
         let shards = config.shards.max(1);
         SessionTable {
             base,
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            clock,
+            clock: TickClock::new(),
             config: SessionConfig { shards, ..config },
             live: AtomicU64::new(0),
             opened: AtomicU64::new(0),

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use obcs_agent::{AgentConfig, ConversationAgent};
 use obcs_core::{bootstrap, BootstrapConfig, SmeFeedback};
 use obcs_serve::{Admission, SessionConfig, SessionTable};
-use obcs_telemetry::{NoopRecorder, Recorder, TickClock};
+use obcs_telemetry::{NoopRecorder, Recorder};
 
 fn fig2_agent() -> ConversationAgent {
     let (onto, kb, mapping) = obcs_core::testutil::fig2_fixture();
@@ -33,7 +33,7 @@ fn idle_sessions_are_evicted_after_ttl_ticks() {
     let rec: Arc<dyn Recorder> = Arc::new(NoopRecorder);
     // One shard so every operation sweeps the same map; ttl of 4 ticks.
     let config = SessionConfig { shards: 1, ttl: 4, ..SessionConfig::default() };
-    let table = SessionTable::with_clock(fig2_agent(), config, Box::new(TickClock::new()));
+    let table = SessionTable::new(fig2_agent(), config);
 
     // Tick 0: s1 opens and starts an elicitation (context to lose).
     let first = served_text(table.turn("s1", "show me the precaution", &rec));
@@ -67,7 +67,7 @@ fn idle_sessions_are_evicted_after_ttl_ticks() {
 fn recent_sessions_survive_the_sweep() {
     let rec: Arc<dyn Recorder> = Arc::new(NoopRecorder);
     let config = SessionConfig { shards: 1, ttl: 10, ..SessionConfig::default() };
-    let table = SessionTable::with_clock(fig2_agent(), config, Box::new(TickClock::new()));
+    let table = SessionTable::new(fig2_agent(), config);
 
     let first = served_text(table.turn("s1", "show me the precaution", &rec));
     assert!(first.contains("which drug"), "{first}");
@@ -87,7 +87,7 @@ fn memory_ceiling_trims_oldest_log_records() {
     let rec: Arc<dyn Recorder> = Arc::new(NoopRecorder);
     // A ceiling small enough that a few turns overflow it.
     let config = SessionConfig { shards: 1, byte_ceiling: 160, ..SessionConfig::default() };
-    let table = SessionTable::with_clock(fig2_agent(), config, Box::new(TickClock::new()));
+    let table = SessionTable::new(fig2_agent(), config);
 
     for _ in 0..12 {
         served_text(table.turn("s1", "what drug treats Fever?", &rec));

@@ -163,6 +163,47 @@ fn malformed_and_oversized_lines_get_protocol_errors() {
 }
 
 #[test]
+fn a_turn_line_at_the_cap_is_answered_and_one_byte_over_is_too_large() {
+    use obcs_serve::{Request, MAX_LINE_BYTES};
+    use std::io::{BufRead, BufReader, Write};
+
+    // A `Turn` line of exactly `len` bytes, newline included.
+    let turn_line = |len: usize| {
+        let empty = Request::Turn { session: "s".to_string(), utterance: String::new() };
+        let utterance = "x".repeat(len - encode_line(&empty).len());
+        encode_line(&Request::Turn { session: "s".to_string(), utterance })
+    };
+    let (over, at_cap) = (turn_line(MAX_LINE_BYTES + 1), turn_line(MAX_LINE_BYTES));
+    assert_eq!((over.len(), at_cap.len()), (MAX_LINE_BYTES + 1, MAX_LINE_BYTES));
+
+    let mut server = Server::start(fig2_agent(), ServeConfig::default()).expect("bind");
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+
+    writer.write_all(over.as_bytes()).expect("write over");
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"too_large\""), "{line}");
+
+    // The connection keeps serving: the line at the cap is a turn.
+    writer.write_all(at_cap.as_bytes()).expect("write at cap");
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.starts_with("{\"Reply\""), "{line}");
+
+    writer.write_all(b"\"Stats\"\n").expect("write stats");
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"protocol_errors\":1"), "{line}");
+    assert!(line.contains("\"turns\":1"), "{line}");
+
+    drop(writer);
+    drop(reader);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_line_from_a_slow_writer_is_discarded_through_its_newline() {
     use std::io::{BufRead, BufReader, Write};
 
@@ -219,13 +260,16 @@ fn per_connection_traces_merge_into_one_report() {
 
 #[test]
 fn deadline_budget_is_installed_on_session_forks() {
-    // Server forks inherit the serving resilience policy (turn budget);
-    // with no fault injector this must not change any reply.
-    let config = ServeConfig { turn_budget: Some(64), ..ServeConfig::default() };
+    // Server forks inherit the serving resilience policy. A budget of one
+    // reading is spent by the time the annotate stage checks it, so the
+    // turn degrades there instead of being fulfilled; it is not shed.
+    let config = ServeConfig { turn_budget: Some(1), ..ServeConfig::default() };
     let mut server = Server::start(fig2_agent(), config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let reply = client.turn("s", "what drug treats Fever?").expect("turn");
-    assert_eq!(reply.kind, "fulfilment");
+    assert_eq!(reply.kind, "degraded", "{reply:?}");
+    assert!(reply.text.contains("trouble reading that"), "annotator apology: {reply:?}");
+    assert!(!reply.shed, "{reply:?}");
     drop(client);
     server.shutdown();
 }

@@ -23,9 +23,10 @@
 //! * [`agent`] — the online conversation engine.
 //! * [`mdx`] — the synthetic Micromedex-scale medical use case.
 //! * [`sim`] — the user simulator and §7 evaluation harness.
-//! * [`lint`] — static analysis over the bootstrapped conversation space.
-//! * [`verify`] — whole-space verification: dialogue-flow model checking,
-//!   static query bind-checking, cross-artifact consistency (OBCS1xx).
+//! * [`lint`] — static analysis over the bootstrapped conversation space:
+//!   per-artifact lints (OBCS0xx) and whole-space checks (OBCS1xx:
+//!   dialogue-flow model checking, query bind-checking, cross-artifact
+//!   consistency).
 //! * [`telemetry`] — zero-dependency tracing and metrics for the turn
 //!   pipeline (spans, counters, latency histograms).
 //! * [`faults`] — fault injection, the resilience loop, and graceful
@@ -65,7 +66,6 @@ pub use obcs_ontology as ontology;
 pub use obcs_serve as serve;
 pub use obcs_sim as sim;
 pub use obcs_telemetry as telemetry;
-pub use obcs_verify as verify;
 
 /// The most common imports in one place.
 pub mod prelude {
